@@ -8,7 +8,10 @@ Four subcommands cover the workflow end to end::
     totseg eval DATA [options]          Hungarian matching + MOF / F1
 
 Exit codes: 0 success, 1 usage problem, 2 data problem, 3 numerical
-failure.
+failure. ``segment`` fails with a data error, before writing any label
+file of the activity, when a video has fewer frames than the checkpoint
+has clusters: such a video has no ordered segmentation, and skipping it
+would leave ``eval`` a missing label file.
 """
 
 from __future__ import annotations
@@ -236,6 +239,14 @@ def cmd_segment(args: argparse.Namespace) -> int:
                 f"checkpoint {checkpoint_path} expects {params.dims[0]}-dim features, "
                 f"dataset {activity!r} has {catalog.dim}"
             )
+        clusters = params.prototypes.shape[0]
+        for video in catalog.videos:
+            if video.num_frames < clusters:
+                raise DataError(
+                    f"video {video.video_id} of activity {activity!r} has "
+                    f"{video.num_frames} frames, fewer than the {clusters} "
+                    f"clusters of {checkpoint_path}"
+                )
         out_dir = Path(values["out"]) / activity
         out_dir.mkdir(parents=True, exist_ok=True)
         for video_id, probs in trainer.embed_dataset(
@@ -265,9 +276,12 @@ def _read_predictions(path: Path) -> np.ndarray:
     except FileNotFoundError:
         raise DataError(f"missing prediction file: {path}") from None
     try:
-        return np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
+        ids = np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
     except ValueError:
         raise DataError(f"{path}: prediction lines must be integer cluster ids") from None
+    if ids.size and ids.min() < 0:
+        raise DataError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
+    return ids
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -12,9 +12,9 @@ uint32, column count as uint32 (14 header bytes), then rows*cols float32
 values in row-major order. Readers promote to float64. See
 docs/file-formats.md for the byte-level layout.
 
-Videos load lazily: the catalog reads only headers, and training fetches
-individual frame rows by offset, so memory stays proportional to the batch
-rather than the dataset.
+Videos load lazily: the catalog reads only headers, and training reads
+the frame rows it needs through a memory map of the payload, so memory
+stays proportional to the batch rather than the dataset.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ class FeatureSequence:
         return read_features(self.path).array
 
     def load_feature_rows(self, rows) -> np.ndarray:
-        """Only the requested frame rows, by seeking when disk-backed.
+        """Only the requested frame rows, via a per-call memory map when disk-backed.
 
         Args:
             rows: 1-D integer array of frame indices in [0, num_frames).
@@ -79,18 +79,21 @@ class FeatureSequence:
             )
         if self.array is not None:
             return self.array[rows]
-        row_bytes = self.dim * 4
-        out = np.empty((rows.size, self.dim), dtype=np.float64)
-        with open(self.path, "rb") as fh:
-            for pos, row in enumerate(rows):
-                fh.seek(_FEATURE_HEADER.size + int(row) * row_bytes)
-                chunk = fh.read(row_bytes)
-                if len(chunk) != row_bytes:
-                    raise TruncatedPayloadError(
-                        f"{self.path}: row {int(row)} extends past end of file"
-                    )
-                out[pos] = np.frombuffer(chunk, dtype="<f4")
-        return out
+        if not (rows.size and self.dim):
+            # Nothing to read, and np.memmap refuses to map zero bytes.
+            return np.empty((rows.size, self.dim), dtype=np.float64)
+        payload_bytes = self.path.stat().st_size - _FEATURE_HEADER.size
+        present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
+        missing = rows[rows >= present]
+        if missing.size:
+            raise TruncatedPayloadError(
+                f"{self.path}: row {int(missing[0])} extends past end of file"
+            )
+        payload = np.memmap(
+            self.path, dtype="<f4", mode="r", offset=_FEATURE_HEADER.size,
+            shape=(present, self.dim),
+        )
+        return payload[rows].astype(np.float64)
 
 
 def write_features(seq: FeatureSequence, path) -> None:

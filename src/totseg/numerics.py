@@ -2,8 +2,8 @@
 
 The package's matrix type is a plain 2-D C-contiguous float64 numpy array.
 numpy supplies the arithmetic; this module pins down the contracts the rest
-of the code relies on: explicit shape checks, overflow-safe softmax, and a
-defined answer for rows that cannot be normalized.
+of the code relies on: explicit shape checks and overflow-safe softmax and
+log-sum-exp.
 """
 
 from __future__ import annotations
@@ -67,25 +67,6 @@ def row_softmax(matrix, temperature: float) -> np.ndarray:
     scaled -= scaled.max(axis=1, keepdims=True)
     exps = np.exp(scaled)
     return exps / exps.sum(axis=1, keepdims=True)
-
-
-def l2_normalize_rows(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Scale each row to unit Euclidean norm.
-
-    Zero rows have no direction; they are passed through unchanged and
-    flagged so the caller can decide what that means.
-
-    Args:
-        matrix: 2-D array.
-
-    Returns:
-        Tuple of (normalized matrix, boolean mask of zero rows).
-    """
-    matrix = as_matrix(matrix)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    zero_rows = norms[:, 0] == 0.0
-    divisors = np.where(norms == 0.0, 1.0, norms)
-    return matrix / divisors, zero_rows
 
 
 def logsumexp_rows(matrix) -> np.ndarray:

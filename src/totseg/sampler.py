@@ -62,23 +62,27 @@ def sample_ordered(num_frames: int, count: int, rng: np.random.Generator) -> np.
     return rng.integers(edges[:-1], edges[1:])
 
 
-def sample_positive(
-    anchor: int, window: int, num_frames: int, rng: np.random.Generator
-) -> int:
+def sample_positive(anchor, window: int, num_frames: int, rng: np.random.Generator):
     """Uniform frame from [anchor-window, anchor+window] clamped to the video.
 
-    The anchor itself is a legal draw.
+    The anchor itself is a legal draw. An int anchor gives an int; an
+    array of anchors gives an int64 array from one generator call, which
+    consumes the stream exactly as per-anchor calls would.
 
     Raises:
-        ValueError: If ``window < 1`` or the anchor is out of range.
+        ValueError: If ``window < 1`` or an anchor is out of range.
     """
     if window < 1:
         raise ValueError(f"positive window must be >= 1, got {window}")
-    if not 0 <= anchor < num_frames:
-        raise ValueError(f"anchor {anchor} outside video of {num_frames} frames")
-    lo = max(0, anchor - window)
-    hi = min(num_frames - 1, anchor + window)
-    return int(rng.integers(lo, hi + 1))
+    anchors = np.asarray(anchor, dtype=np.int64)
+    outside = (anchors < 0) | (anchors >= num_frames)
+    if outside.any():
+        bad = int(anchors[outside].flat[0])
+        raise ValueError(f"anchor {bad} outside video of {num_frames} frames")
+    lo = np.maximum(0, anchors - window)
+    hi = np.minimum(num_frames - 1, anchors + window)
+    draws = rng.integers(lo, hi + 1)
+    return int(draws) if anchors.ndim == 0 else draws
 
 
 def eligible_videos(
@@ -150,10 +154,7 @@ def build_batch(
     for idx in chosen:
         video = videos[int(idx)]
         anchors = sample_ordered(video.num_frames, block_len, rng)
-        mates = np.asarray(
-            [sample_positive(int(a), window, video.num_frames, rng) for a in anchors],
-            dtype=np.int64,
-        )
+        mates = sample_positive(anchors, window, video.num_frames, rng)
         features[row : row + block_len] = video.load_feature_rows(anchors)
         positive_features[row : row + block_len] = video.load_feature_rows(mates)
         positions[row : row + block_len] = anchors

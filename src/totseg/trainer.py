@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, TextIO
+from typing import Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -215,25 +215,56 @@ def _maybe_normalize_backward(
     return encoder.normalize_rows_backward(grad, normalized, norms)
 
 
-def _grads_from_forward(
-    cache: encoder.ForwardCache,
-    normalized: np.ndarray,
-    norms: np.ndarray | None,
-    batch_size: int,
+class _Forward(NamedTuple):
+    """Forward half of a step: normalized anchor rows, then any positive rows."""
+
+    cache: encoder.ForwardCache
+    embeddings: np.ndarray
+    norms: np.ndarray | None
+    prototypes: np.ndarray
+    prototype_norms: np.ndarray | None
+    batch_size: int
+
+    @property
+    def scores(self) -> np.ndarray:
+        """B x K anchor/prototype similarities, the transport input."""
+        return self.embeddings[: self.batch_size] @ self.prototypes.T
+
+
+def _forward(
+    params: encoder.EncoderParams,
+    anchors: np.ndarray,
+    positives: np.ndarray | None,
+    normalize: bool,
+    ledger: MatrixLedger | None = None,
+) -> _Forward:
+    """Stacked encoder pass over anchors (and positives), then normalization."""
+    batch_size = anchors.shape[0]
+    stacked = anchors if positives is None else np.concatenate([anchors, positives])
+    embeddings, cache = encoder.forward(params, stacked)
+    normalized, norms = _maybe_normalize(embeddings, normalize)
+    protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
+    if ledger is not None:
+        ledger.record("batch_features", anchors)
+        if positives is not None:
+            ledger.record("positive_features", positives)
+        ledger.record("embeddings", embeddings[:batch_size])
+        ledger.record("hidden", cache.hidden)
+    return _Forward(cache, normalized, norms, protos, proto_norms, batch_size)
+
+
+def _backward(
+    step: _Forward,
     codes: np.ndarray,
     blocks: list[tuple[str, int, int]],
     loss_config: losses.LossConfig,
-    with_coherence: bool,
-    normalize: bool = True,
     ledger: MatrixLedger | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Losses and parameter gradients given an already-run forward pass.
+    """Losses and parameter gradients of a forward half, codes held fixed.
 
-    ``normalized`` holds the (optionally unit-norm) embeddings of anchors
-    (rows 0..batch_size-1) and, when coherence is on, positives after them.
+    The coherence term is on exactly when the forward half saw positives.
     """
-    params = cache.params
-    protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
+    cache, normalized, norms, protos, proto_norms, batch_size = step
     anchor_rows = normalized[:batch_size]
 
     if loss_config.renormalize_codes:
@@ -250,7 +281,7 @@ def _grads_from_forward(
     grad_protos = grad_scores.T @ anchor_rows
 
     coherence = 0.0
-    if with_coherence:
+    if normalized.shape[0] > batch_size:
         positive_rows = normalized[batch_size:]
         for _, start, length in blocks:
             weight = length / batch_size
@@ -286,11 +317,12 @@ def loss_and_grads(
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses and analytic gradients for one batch with codes held fixed.
 
-    This is the complete differentiable path of a training step: stacked
-    forward pass over anchors (and positives when given), row
-    normalization of embeddings and prototypes inside the graph (unless
-    disabled), the clustering loss on anchor rows, and the per-block
-    coherence loss between anchor and positive rows.
+    This is the complete differentiable path of a training step, and
+    ``train`` runs the same two halves with the transport solve between
+    them: stacked forward pass over anchors (and positives when given),
+    row normalization of embeddings and prototypes inside the graph
+    (unless disabled), the clustering loss on anchor rows, and the
+    per-block coherence loss between anchor and positive rows.
 
     Args:
         params: Current encoder parameters.
@@ -305,24 +337,8 @@ def loss_and_grads(
         (clustering loss, coherence loss, gradient dict covering every
         parameter including prototypes).
     """
-    batch_size = anchors.shape[0]
-    if positives is not None:
-        stacked = np.concatenate([anchors, positives], axis=0)
-    else:
-        stacked = anchors
-    embeddings, cache = encoder.forward(params, stacked)
-    normalized, norms = _maybe_normalize(embeddings, normalize)
-    return _grads_from_forward(
-        cache,
-        normalized,
-        norms,
-        batch_size,
-        codes,
-        blocks,
-        loss_config,
-        with_coherence=positives is not None,
-        normalize=normalize,
-    )
+    step = _forward(params, anchors, positives, normalize)
+    return _backward(step, codes, blocks, loss_config)
 
 
 def train(
@@ -383,36 +399,13 @@ def train(
             rng,
             window=config.loss.window,
         )
-        ledger.record("batch_features", batch.features)
-
-        if config.uses_coherence:
-            ledger.record("positive_features", batch.positive_features)
-            stacked = np.concatenate(
-                [batch.features, batch.positive_features], axis=0
-            )
-        else:
-            stacked = batch.features
-        embeddings, cache = encoder.forward(params, stacked)
-        normalized, norms = _maybe_normalize(embeddings, config.normalize)
-        ledger.record("embeddings", embeddings[: config.batch_size])
-        ledger.record("hidden", cache.hidden)
-
-        protos, _ = _maybe_normalize(params.prototypes, config.normalize)
-        scores = normalized[: config.batch_size] @ protos.T
+        positives = batch.positive_features if config.uses_coherence else None
+        step = _forward(params, batch.features, positives, config.normalize, ledger)
+        scores = step.scores
         ledger.record("scores", scores)
         codes, row_err, col_err = solve_codes(scores, batch.blocks, config, ledger)
-
-        clustering, coherence, grads = _grads_from_forward(
-            cache,
-            normalized,
-            norms,
-            config.batch_size,
-            codes,
-            batch.blocks,
-            config.loss,
-            with_coherence=config.uses_coherence,
-            normalize=config.normalize,
-            ledger=ledger,
+        clustering, coherence, grads = _backward(
+            step, codes, batch.blocks, config.loss, ledger
         )
         total = losses.total_loss(clustering, coherence, config.loss.alpha)
         if not np.isfinite(total):
@@ -464,13 +457,11 @@ def embed_dataset(
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    protos, _ = _maybe_normalize(params.prototypes, normalize)
     for video in catalog.videos:
         pieces = []
         for start in range(0, video.num_frames, chunk_size):
             stop = min(start + chunk_size, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
-            embeddings, _ = encoder.forward(params, rows)
-            normalized, _ = _maybe_normalize(embeddings, normalize)
-            pieces.append(losses.predicted_codes(normalized, protos, temperature))
+            _, embeddings, _, protos, _, _ = _forward(params, rows, None, normalize)
+            pieces.append(losses.predicted_codes(embeddings, protos, temperature))
         yield video.video_id, np.concatenate(pieces, axis=0)

@@ -364,3 +364,60 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run("frobnicate") == 1
         capsys.readouterr()
+
+    # Malformed inputs below each exit 2 with one stderr line, no traceback.
+
+    @pytest.fixture()
+    def trained(self, tmp_path, capsys):
+        data, runs = tmp_path / "data", tmp_path / "runs"
+        assert run(*synth_args(data)) == 0
+        assert run(*train_args(data, runs, iterations=2)) == 0
+        capsys.readouterr()
+        return data, runs
+
+    @staticmethod
+    def negative_prediction(data, runs, tmp_path):
+        pred_dir = tmp_path / "pred" / "synthetic"
+        pred_dir.mkdir(parents=True)
+        for truth in sorted((data / "synthetic" / "groundTruth").glob("*.txt")):
+            ids = ["0"] * len(truth.read_text().splitlines())
+            if truth.stem == "video_000":
+                ids[1] = "-1"
+            (pred_dir / truth.name).write_text("\n".join(ids) + "\n")
+        return ["eval", data, "--pred", tmp_path / "pred"], "video_000.txt"
+
+    @staticmethod
+    def short_video(data, runs, tmp_path):
+        write_features(
+            FeatureSequence(video_id="tiny", num_frames=2, dim=6, array=np.ones((2, 6))),
+            data / "synthetic" / "features" / "tiny.totf",
+        )
+        return ["segment", data, "--checkpoints", runs], "video tiny of activity 'synthetic'"
+
+    @staticmethod
+    def truncated_features(data, runs, tmp_path):
+        path = data / "synthetic" / "features" / "video_001.totf"
+        path.write_bytes(path.read_bytes()[:-4])
+        return ["segment", data, "--checkpoints", runs], "video_001.totf"
+
+    @staticmethod
+    def bad_magic_features(data, runs, tmp_path):
+        path = data / "synthetic" / "features" / "video_002.totf"
+        path.write_bytes(b"JUNK" + path.read_bytes()[4:])
+        return ["segment", data, "--checkpoints", runs], "video_002.totf"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [negative_prediction, short_video, truncated_features, bad_magic_features],
+        ids=lambda case: case.__name__,
+    )
+    def test_data_error_is_one_line(self, trained, tmp_path, capsys, corrupt):
+        data, runs = trained
+        argv, names = corrupt(data, runs, tmp_path)
+        code = run(*argv, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("data error: ")
+        assert names in err
+        assert "Traceback" not in err

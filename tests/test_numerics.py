@@ -105,25 +105,6 @@ def test_row_softmax_rejects_nonpositive_temperature():
             numerics.row_softmax([[1.0, 2.0]], bad)
 
 
-def test_l2_normalize_345_triangle():
-    out, zero_rows = numerics.l2_normalize_rows([[3.0, 4.0]])
-    np.testing.assert_allclose(out, [[0.6, 0.8]], rtol=0, atol=1e-15)
-    assert not zero_rows.any()
-
-
-def test_l2_normalize_zero_row_flagged_and_unchanged():
-    out, zero_rows = numerics.l2_normalize_rows([[0.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(out[0], [0.0, 0.0])
-    np.testing.assert_array_equal(zero_rows, [True, False])
-
-
-def test_l2_normalize_random_rows_unit_norm():
-    rng = np.random.default_rng(4)
-    out, zero_rows = numerics.l2_normalize_rows(rng.normal(size=(4, 6)))
-    np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=0, atol=1e-12)
-    assert not zero_rows.any()
-
-
 def test_logsumexp_rows_matches_direct_evaluation():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(3, 5))

@@ -103,6 +103,22 @@ class TestSamplePositive:
             sample_positive(10, 5, 10, np.random.default_rng(0))
 
 
+class TestSamplePositiveArray:
+    def test_array_draw_equals_per_anchor_draws(self):
+        for seed in range(20):
+            anchors = sample_ordered(500, 64, np.random.default_rng(seed + 100))
+            vector_rng, loop_rng = (np.random.default_rng(seed) for _ in range(2))
+            drawn = sample_positive(anchors, 30, 500, vector_rng)
+            looped = [sample_positive(int(a), 30, 500, loop_rng) for a in anchors]
+            assert drawn.dtype == np.int64
+            np.testing.assert_array_equal(drawn, looped)
+            assert vector_rng.integers(1 << 62) == loop_rng.integers(1 << 62)
+
+    def test_first_out_of_range_anchor_is_named(self):
+        with pytest.raises(ValueError, match="anchor 12 outside"):
+            sample_positive(np.array([3, 12, -1]), 5, 10, np.random.default_rng(0))
+
+
 class TestEligibleVideos:
     def test_filters_and_logs_short_videos(self, caplog):
         catalog = DatasetCatalog(

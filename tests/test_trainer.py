@@ -20,6 +20,8 @@ from totseg.trainer import (
     train,
 )
 from totseg.transport import TransportConfig
+from totseg import trainer
+from totseg.sampler import build_batch
 
 import oracles
 
@@ -246,6 +248,56 @@ class TestLossAndGrads:
         )
         # Row masses go from 1/B to 1, scaling the loss accordingly.
         assert renorm == pytest.approx(8 * plain, rel=1e-12)
+
+
+class TestTrainRunsTheOracleStep:
+    """The gradients train() steps with are exactly loss_and_grads' output."""
+
+    @pytest.mark.parametrize("mode", ["tot", "tot+tcl"])
+    def test_first_step_gradients_match_bit_for_bit(self, mode, monkeypatch):
+        seen = {}
+        real_build, real_solve, real_adam = build_batch, solve_codes, encoder.adam_step
+
+        def spy_build(*args, **kwargs):
+            batch = real_build(*args, **kwargs)
+            seen.setdefault("batch", batch)
+            return batch
+
+        def spy_solve(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            seen.setdefault("codes", out[0].copy())
+            return out
+
+        def spy_adam(params, grads, state):
+            seen.setdefault(
+                "params",
+                encoder.EncoderParams(
+                    **{k: v.copy() for k, v in params.as_dict().items()}
+                ),
+            )
+            seen.setdefault("grads", {k: v.copy() for k, v in grads.items()})
+            real_adam(params, grads, state)
+
+        monkeypatch.setattr(trainer, "build_batch", spy_build)
+        monkeypatch.setattr(trainer, "solve_codes", spy_solve)
+        monkeypatch.setattr(encoder, "adam_step", spy_adam)
+        config = small_config(mode=mode, iterations=2)
+        train(small_catalog(), config)
+
+        batch = seen["batch"]
+        positives = batch.positive_features if config.uses_coherence else None
+        _, _, want = loss_and_grads(
+            seen["params"],
+            batch.features,
+            positives,
+            seen["codes"],
+            batch.blocks,
+            config.loss,
+            config.normalize,
+        )
+        assert sorted(seen["grads"]) == sorted(want)
+        for key, grad in want.items():
+            np.testing.assert_array_equal(seen["grads"][key], grad)
 
 
 class TestTrain:
