@@ -257,15 +257,12 @@ def cmd_segment(args: argparse.Namespace) -> int:
             normalize=meta["normalized"],
         ):
             result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
-            labels_path = out_dir / f"{video_id}.txt"
-            labels_path.write_text(
-                "\n".join(str(int(label)) for label in result.labels) + "\n"
-            )
+            with dataio.atomic_write(out_dir / f"{video_id}.txt") as fh:
+                fh.write("\n".join(str(int(label)) for label in result.labels) + "\n")
             if values["timeline"]:
                 lines = [f"{c},{s},{e}" for c, s, e in result.segments]
-                (out_dir / f"{video_id}.timeline.csv").write_text(
-                    "\n".join(lines) + "\n"
-                )
+                with dataio.atomic_write(out_dir / f"{video_id}.timeline.csv") as fh:
+                    fh.write("\n".join(lines) + "\n")
         print(f"{activity}: wrote {len(catalog.videos)} label files to {out_dir}")
     return EXIT_OK
 
@@ -332,7 +329,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if values["out"]:
         out_path = Path(values["out"])
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text("".join(report_lines) + summary)
+        with dataio.atomic_write(out_path) as fh:
+            fh.write("".join(report_lines) + summary)
     return EXIT_OK
 
 

@@ -19,9 +19,12 @@ stays proportional to the batch rather than the dataset.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -94,6 +97,25 @@ class FeatureSequence:
             shape=(present, self.dim),
         )
         return payload[rows].astype(np.float64)
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w") -> Iterator[IO]:
+    """Open a sibling temp file for writing; it replaces ``path`` on success.
+
+    If the body raises, the temp file is removed and whatever ``path`` held
+    before stays untouched, so an interrupted run never leaves a truncated
+    output for a later command to trip on.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def write_features(seq: FeatureSequence, path) -> None:

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
+from .dataio import atomic_write
 from .errors import BadMagicError, TruncatedPayloadError, VersionMismatchError
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "prototypes")
@@ -92,13 +94,8 @@ def init_params(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function."""
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Overflow-safe logistic function in float64, with exact tails."""
+    return expit(np.asarray(x, dtype=np.float64))
 
 
 @dataclass
@@ -275,7 +272,7 @@ def save_checkpoint(
         state.eps,
         int(state.prototypes_frozen),
     )
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         for key in PARAM_KEYS:
             fh.write(np.ascontiguousarray(getattr(params, key), dtype="<f8").tobytes())

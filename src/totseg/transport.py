@@ -16,10 +16,12 @@ that maximizes the transported score minus a regularizer:
     near the diagonal so codes respect temporal order.
 
 Both reduce to Sinkhorn-Knopp: alternately rescale rows and columns of the
-kernel to hit the marginals. Scaling runs in the log domain (potentials f,
-g and logsumexp sweeps) so small eps or rho cannot overflow. A sweep is one
-row update followed by one column update; after a column update the column
-marginals are exact, so the reported error is dominated by the rows.
+kernel to hit the marginals. Scaling runs in the exp domain on a shifted
+kernel, and the scalings are folded back into log potentials f, g whenever
+they grow large (stabilized scaling, Schmitzer 2019), so small eps or rho
+cannot overflow. A sweep is one row update followed by one column update;
+after a column update the column marginals are exact, so the reported error
+is dominated by the rows.
 
 Codes are targets, not variables: callers must not backpropagate through
 the returned matrix, and nothing here is differentiable.
@@ -32,7 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numerics import as_matrix, logsumexp_rows
+from .numerics import as_matrix
+
+# Scalings past _ABSORB_ABOVE are folded into the log potentials; the test
+# runs every _ABSORB_EVERY sweeps. A sweep multiplies u by at most K and v by
+# at most B (a row or column of the coupling holds at most all the mass), so
+# between two tests neither can get near overflow for any B, K below 1e30.
+_ABSORB_ABOVE = 1e50
+_ABSORB_EVERY = 8
 
 
 @dataclass(frozen=True)
@@ -205,7 +214,17 @@ def _scale_to_polytope(
     tolerance: float,
     context: str,
 ) -> CodeMatrix:
-    """Log-domain Sinkhorn-Knopp onto rows=1/B, columns=1/K.
+    """Stabilized exp-domain Sinkhorn-Knopp onto rows=1/B, columns=1/K.
+
+    The coupling is held as Q = diag(u) exp(log_kernel + f 1' + 1 g') diag(v)
+    with absorbed log potentials f, g. The first shift makes every row and
+    column of the kernel peak at exactly 1; v starts at exp(-g), so the
+    first sweep is the plain one from zero potentials. Every
+    ``_ABSORB_EVERY`` sweeps, if u or v has grown past ``_ABSORB_ABOVE``,
+    the scalings are folded into f, g and the kernel is rebuilt. The row
+    error after a sweep reuses the product the next row update needs (the
+    columns are exact after a column update), so stopping on ``tolerance``
+    costs three small ufuncs and happens at the first sweep within it.
 
     -inf entries (zero kernel mass) are legal; NaN / +inf are not, and an
     all-zero row or column makes the marginals unreachable.
@@ -216,29 +235,32 @@ def _scale_to_polytope(
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if np.isnan(log_kernel).any() or np.isposinf(log_kernel).any():
         raise NumericalError(f"non-finite values in {context}")
-    if np.isneginf(log_kernel.max(axis=1)).any() or np.isneginf(
-        log_kernel.max(axis=0)
-    ).any():
+    row_peak = log_kernel.max(axis=1)
+    if np.isneginf(row_peak).any() or np.isneginf(log_kernel.max(axis=0)).any():
         raise NumericalError(f"empty row or column in {context}")
 
     b, k = log_kernel.shape
-    log_row_target = -np.log(b)
-    log_col_target = -np.log(k)
-    f = np.zeros(b)
-    g = np.zeros(k)
-    sweeps = 0
-    for _ in range(iterations):
-        f = log_row_target - logsumexp_rows(log_kernel + g[None, :])
-        g = log_col_target - logsumexp_rows(log_kernel.T + f[None, :])
-        sweeps += 1
-        # Materializing Q to test convergence costs as much as a sweep, so
-        # on long runs the test happens only every 16th sweep; overshooting
-        # the stopping point only drives the marginals further down.
-        if tolerance > 0 and (sweeps <= 32 or sweeps % 16 == 0):
-            q = np.exp(f[:, None] + log_kernel + g[None, :])
-            row_err, col_err = marginal_error(q)
-            if row_err <= tolerance and col_err <= tolerance:
-                break
-    q = np.exp(f[:, None] + log_kernel + g[None, :])
+    row_target = 1.0 / b
+    col_target = 1.0 / k
+    f = -row_peak
+    g = -(log_kernel + f[:, None]).max(axis=0)
+    kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+    v = np.exp(-g)
+    # On operands this small, ndarray.dot costs about half of what @ does.
+    kv = kernel.dot(v)
+    for sweeps in range(1, iterations + 1):
+        u = row_target / kv
+        v = col_target / u.dot(kernel)
+        kv = kernel.dot(v)
+        if tolerance > 0 and np.abs(u * kv - row_target).max() <= tolerance:
+            break
+        if sweeps % _ABSORB_EVERY == 0 and max(u.max(), v.max()) > _ABSORB_ABOVE:
+            f += np.log(u)
+            g += np.log(v)
+            kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+            u = np.ones(b)
+            v = np.ones(k)
+            kv = kernel.sum(axis=1)
+    q = u[:, None] * kernel * v[None, :]
     row_err, col_err = marginal_error(q)
     return CodeMatrix(values=q, row_error=row_err, col_error=col_err, sweeps=sweeps)

@@ -127,6 +127,32 @@ def polytope_maximum(scores: np.ndarray, prior: np.ndarray, reg: float) -> tuple
     return best_x.reshape(b, k), -best_val
 
 
+def log_domain_sinkhorn(log_kernel: np.ndarray, iterations: int) -> np.ndarray:
+    """Coupling after ``iterations`` Sinkhorn sweeps on log potentials.
+
+    Targets rows=1/B, columns=1/K. Every sweep recomputes both potentials
+    with a max-shifted logsumexp (f first, then g, starting from zero
+    potentials), so nothing can overflow whatever the scale of
+    ``log_kernel``; -inf entries stay zero mass.
+    """
+
+    def logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
+        peak = matrix.max(axis=1)
+        finite_peak = np.where(np.isfinite(peak), peak, 0.0)
+        with np.errstate(divide="ignore"):
+            out = finite_peak + np.log(np.exp(matrix - finite_peak[:, None]).sum(axis=1))
+        return np.where(np.isfinite(peak), out, -np.inf)
+
+    log_kernel = np.asarray(log_kernel, dtype=np.float64)
+    b, k = log_kernel.shape
+    f = np.zeros(b)
+    g = np.zeros(k)
+    for _ in range(iterations):
+        f = -np.log(b) - logsumexp_rows(log_kernel + g[None, :])
+        g = -np.log(k) - logsumexp_rows(log_kernel.T + f[None, :])
+    return np.exp(f[:, None] + log_kernel + g[None, :])
+
+
 def viterbi_bruteforce(log_probs: np.ndarray) -> tuple[np.ndarray, float]:
     """Best ordered segmentation by enumerating all boundary placements.
 

@@ -54,6 +54,16 @@ def tree_bytes(root):
     }
 
 
+def zero_predictions(data, tmp_path):
+    """Write an all-zero prediction for every video; return the eval argv."""
+    pred_dir = tmp_path / "pred" / "synthetic"
+    pred_dir.mkdir(parents=True)
+    for truth in sorted((data / "synthetic" / "groundTruth").glob("*.txt")):
+        frames = len(truth.read_text().splitlines())
+        (pred_dir / truth.name).write_text("0\n" * frames)
+    return ["eval", data, "--pred", tmp_path / "pred"]
+
+
 class TestSynth:
     def test_deterministic_across_runs(self, tmp_path, capsys):
         assert run(*synth_args(tmp_path / "a")) == 0
@@ -406,9 +416,37 @@ class TestExitCodes:
         path.write_bytes(b"JUNK" + path.read_bytes()[4:])
         return ["segment", data, "--checkpoints", runs], "video_002.totf"
 
+    @staticmethod
+    def blank_ground_truth(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        (data / "synthetic" / "groundTruth" / "video_000.txt").write_text("")
+        return argv, "video video_000: 0 labels for"
+
+    @staticmethod
+    def short_ground_truth(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        truth = data / "synthetic" / "groundTruth" / "video_001.txt"
+        truth.write_text("".join(truth.read_text().splitlines(keepends=True)[:3]))
+        return argv, "video video_001: 3 labels for"
+
+    @staticmethod
+    def activity_without_features(data, runs, tmp_path):
+        (data / "empty" / "features").mkdir(parents=True)
+        (data / "empty" / "mapping.txt").write_text("0 a\n1 b\n")
+        argv = ["train", data, "--activity", "empty", "--iterations", "1"]
+        return argv, "features: no .totf feature files"
+
     @pytest.mark.parametrize(
         "corrupt",
-        [negative_prediction, short_video, truncated_features, bad_magic_features],
+        [
+            negative_prediction,
+            short_video,
+            truncated_features,
+            bad_magic_features,
+            blank_ground_truth,
+            short_ground_truth,
+            activity_without_features,
+        ],
         ids=lambda case: case.__name__,
     )
     def test_data_error_is_one_line(self, trained, tmp_path, capsys, corrupt):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from totseg.decode import (
     PROBABILITY_FLOOR,
@@ -162,3 +165,23 @@ class TestViterbiFixedOrder:
         lp[1, 1] = bad
         with pytest.raises(ValueError, match="must be finite"):
             viterbi_fixed_order(lp)
+
+
+@st.composite
+def finite_lattices(draw):
+    clusters = draw(st.integers(1, 6))
+    frames = draw(st.integers(clusters, 40))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    return draw(arrays(np.float64, (frames, clusters), elements=values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(finite_lattices())
+def test_any_finite_lattice_gives_a_monotone_covering_path(lattice):
+    frames, clusters = lattice.shape
+    result = viterbi_fixed_order(lattice)
+    steps = np.diff(result.labels)
+    assert result.labels[0] == 0 and result.labels[-1] == clusters - 1
+    assert np.all((steps == 0) | (steps == 1))
+    path_sum = lattice[np.arange(frames), result.labels].sum()
+    assert result.log_score == pytest.approx(path_sum, rel=1e-12, abs=1e-9)

@@ -1,5 +1,6 @@
 """Tests for the MLP encoder, row normalization, Adam, and checkpoints."""
 
+import dataclasses
 import math
 import struct
 
@@ -320,6 +321,22 @@ class TestCheckpoint:
         assert loaded_state.eps == state.eps
         assert loaded_state.prototypes_frozen == state.prototypes_frozen
         assert meta == {"temperature": 0.07, "normalized": False}
+
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path):
+        class FailsMidway:
+            # Stands in for b1: the header and w1 are written, then this raises.
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        params, state, path = self.saved(tmp_path)
+        before = path.read_bytes()
+        broken = dataclasses.replace(make_params(seed=31), b1=FailsMidway())
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(broken, state, path)
+        assert path.read_bytes() == before
+        loaded_params, _, _ = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded_params.w1, params.w1)
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.totc"]
 
     def test_save_creates_parent_directories(self, tmp_path):
         params = make_params(seed=30)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from totseg.evaluate import (
     UNMATCHED,
@@ -253,3 +255,29 @@ class TestEvaluateActivity:
         assert lines[4] == "video v0 acc = 1.0000 f1 = 1.0000"
         assert lines[5] == "video v1 acc = 1.0000 f1 = 1.0000"
         assert text.endswith("\n")
+
+
+@st.composite
+def label_pairs(draw):
+    """(pred, gt, permutation): two label sequences over ids 0..k-1."""
+    frames = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 6))
+    labels = st.lists(st.integers(0, k - 1), min_size=frames, max_size=frames)
+    permutation = draw(st.permutations(range(k)))
+    return np.array(draw(labels)), np.array(draw(labels)), np.array(permutation)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(label_pairs())
+def test_mof_is_a_fraction_and_f1_ignores_consistent_relabeling(case):
+    pred, gt, permutation = case
+    k = permutation.size
+    assert 0.0 <= mof(pred, gt) <= 1.0
+    report = evaluate_activity(["v"], [pred], [gt], k, k)
+    relabeled = evaluate_activity(["v"], [permutation[pred]], [gt], k, k)
+    assert 0.0 <= report.mof <= 1.0
+    assert relabeled.mof == report.mof
+    for overlap in ("gt", "iou"):
+        assert segment_f1(permutation[pred], permutation[gt], overlap) == segment_f1(
+            pred, gt, overlap
+        )

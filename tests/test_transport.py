@@ -236,3 +236,64 @@ def test_code_matrix_shape_property():
     solved = sinkhorn_ot(np.zeros((4, 2)), 0.5)
     assert isinstance(solved, CodeMatrix)
     assert solved.shape == (4, 2)
+
+
+def _random_transport_problem(rng):
+    """A B x K score matrix, a log-uniform weight and a prior with zeros.
+
+    Zeros are punched into a temporal prior at random, but each row keeps
+    its diagonal cell and each column one cell, so no row or column is
+    empty; some zero patterns leave the polytope unreachable, and those
+    solves never converge.
+    """
+    b = int(rng.integers(2, 41))
+    k = int(rng.integers(2, 9))
+    scores = rng.uniform(-1.0, 1.0, size=(b, k))
+    reg = float(np.exp(rng.uniform(np.log(1e-4), 0.0)))
+    prior = temporal_prior(b, k, float(rng.uniform(0.5, 3.0)))
+    keep = rng.random((b, k)) > 0.3
+    keep[np.arange(b), np.arange(b) * k // b] = True
+    keep[np.arange(k) * b // k, np.arange(k)] = True
+    return scores, reg, prior * keep
+
+
+def test_exp_domain_matches_log_domain_reference():
+    # Sharp kernels (weights down to 1e-4 on scores in [-1, 1]) overflow a
+    # plain exp-domain loop at once; the stabilized solver must stay finite
+    # and follow the log-domain iterates sweep for sweep.
+    rng = np.random.default_rng(17)
+    converged = 0
+    for index in range(240):
+        scores, reg, prior = _random_transport_problem(rng)
+        if index % 2 == 0:
+            solver, args = sinkhorn_ot, (scores, reg)
+            log_kernel = scores / reg
+        else:
+            solver, args = sinkhorn_tot, (scores, prior, reg)
+            with np.errstate(divide="ignore"):
+                log_kernel = scores / reg + np.log(prior)
+        for budget in (3, 50):
+            solved = solver(*args, budget)
+            reference = oracles.log_domain_sinkhorn(log_kernel, budget)
+            assert np.isfinite(solved.values).all()
+            assert solved.sweeps == budget
+            assert np.abs(solved.values - reference).max() <= 1e-12
+        solved = solver(*args, 500, 1e-9)
+        if solved.sweeps < 500:
+            converged += 1
+            assert max(solved.row_error, solved.col_error) <= 1e-9
+    assert converged >= 100
+
+
+def test_long_sharp_solves_absorb_scalings_and_match_reference():
+    # At weight 1e-4, scalings that are never folded into the potentials
+    # overflow or lose the coupling within a thousand sweeps on these
+    # problems.
+    prior = temporal_prior(12, 5, 1.0)
+    log_prior = np.log(prior)
+    for seed in range(3):
+        scores = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 5))
+        solved = sinkhorn_tot(scores, prior, 1e-4, iterations=1000)
+        reference = oracles.log_domain_sinkhorn(scores / 1e-4 + log_prior, 1000)
+        assert np.isfinite(solved.values).all()
+        assert np.abs(solved.values - reference).max() <= 1e-12
