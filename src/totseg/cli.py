@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 usage problem, 2 data problem, 3 numerical
 failure. ``segment`` fails with a data error, before writing any label
 file of the activity, when a video has fewer frames than the checkpoint
 has clusters: such a video has no ordered segmentation, and skipping it
-would leave ``eval`` a missing label file.
+would leave ``eval`` a missing label file. ``train`` fails with a data
+error when an activity has fewer videos of at least one block's length
+(batch / videos-per-batch frames) than a batch draws.
 """
 
 from __future__ import annotations
@@ -172,14 +174,13 @@ def _train_config(values: dict[str, Any]) -> trainer.TrainConfig:
 
 
 def _train_one_activity(
-    data: str, activity: str, values: dict[str, Any], out: str
+    data: str, activity: str, run_config: trainer.TrainConfig, values: dict[str, Any]
 ) -> str:
     """Train one activity and write its checkpoint and log; returns a summary."""
-    run_config = _train_config(values)
     catalog = dataio.load_catalog(
         data, activity, split_background=values["split-background"]
     )
-    out_dir = Path(out) / activity
+    out_dir = Path(values["out"]) / activity
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / LOG_NAME, "w") as log_stream:
         result = trainer.train(catalog, run_config, log_stream=log_stream)
@@ -201,6 +202,7 @@ def _train_one_activity(
 
 def cmd_train(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.TRAIN_OPTIONS)
+    run_config = _train_config(values)
     root = Path(args.data)
     if not root.is_dir():
         raise UsageError(f"dataset path does not exist: {root}")
@@ -211,19 +213,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     if workers > 1 and len(activities) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             jobs = [
-                pool.submit(_train_one_activity, args.data, name, values, values["out"])
+                pool.submit(_train_one_activity, args.data, name, run_config, values)
                 for name in activities
             ]
             for job in jobs:
                 print(job.result())
     else:
         for name in activities:
-            print(_train_one_activity(args.data, name, values, values["out"]))
+            print(_train_one_activity(args.data, name, run_config, values))
     return EXIT_OK
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.SEGMENT_OPTIONS)
+    if values["chunk-size"] < 1:
+        raise UsageError(f"chunk-size must be >= 1, got {values['chunk-size']}")
     root = Path(args.data)
     if not root.is_dir():
         raise UsageError(f"dataset path does not exist: {root}")
@@ -258,7 +262,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         ):
             result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
             with dataio.atomic_write(out_dir / f"{video_id}.txt") as fh:
-                fh.write("\n".join(str(int(label)) for label in result.labels) + "\n")
+                fh.write("\n".join(map(str, result.labels.tolist())) + "\n")
             if values["timeline"]:
                 lines = [f"{c},{s},{e}" for c, s, e in result.segments]
                 with dataio.atomic_write(out_dir / f"{video_id}.timeline.csv") as fh:

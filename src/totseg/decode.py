@@ -58,11 +58,25 @@ def segments_from_labels(labels) -> list[tuple[int, int, int]]:
 def viterbi_fixed_order(log_probs) -> SegmentationResult:
     """Best monotone full-traversal path through an F x K log lattice.
 
-    Dynamic program on suffix scores: best[t, k] is the top score of
-    frames t..F-1 given frame t sits in cluster k and the path still has
-    to reach K-1. The label walk then runs forward, staying in the current
-    cluster on ties, which pushes every boundary as late as the optimum
-    allows.
+    A path enters cluster j at frame b_j (b_0 = 0 < b_1 < ... < b_{K-1}).
+    With column suffix sums R_j(t) = sum over u >= t of lp[u, j], the best
+    score of frames t..F-1 when cluster j is entered at t is
+
+        best_j(t) = R_j(t) + max over s > t of (best_{j+1}(s) - R_j(s)),
+
+    and best_{K-1} = R_{K-1}. The decoder keeps the bracket as
+    entry_j(s) = best_j(s) - R_{j-1}(s): the suffix sum of the column
+    difference lp[:, j] - lp[:, j-1] from s on, plus the running maximum
+    of entry_{j+1} beyond s. So each cluster costs one cumulative sum and
+    one ``np.maximum.accumulate`` over the frames; no loop runs over them.
+
+    Ties: the boundaries are read off in order from frame 0, each as late
+    as the optimum allows. b_j is the latest s > b_{j-1} whose entry score
+    is within tol of the best, where tol = (F + K) * eps * sum |column
+    differences| bounds the rounding of the suffix sums. So paths that tie
+    in exact arithmetic tie here too, and a path that is better only by a
+    margin below tol can lose to a later one. ``log_score`` is the sum of
+    log_probs along the returned path, added from the last frame back.
 
     Args:
         log_probs: F x K matrix of finite log probabilities (clamp zeros
@@ -84,21 +98,24 @@ def viterbi_fixed_order(log_probs) -> SegmentationResult:
     if not np.isfinite(lp).all():
         raise ValueError("log_probs must be finite; clamp with log_probabilities")
 
-    best = np.full((f, k), -np.inf)
-    best[f - 1, k - 1] = lp[f - 1, k - 1]
-    for t in range(f - 2, -1, -1):
-        advance = np.concatenate([best[t + 1, 1:], [-np.inf]])
-        best[t] = lp[t] + np.maximum(best[t + 1], advance)
+    edges = np.zeros(k + 1, dtype=np.int64)  # entry frame per cluster, then F
+    edges[k] = f
+    if k > 1:
+        # Time runs backwards along these rows: column r is frame F-1-r.
+        gains = np.diff(np.ascontiguousarray(lp[::-1].T), axis=0)
+        tol = (f + k) * np.finfo(np.float64).eps * np.abs(gains).sum()
+        entry = np.cumsum(gains, axis=1, out=gains)  # [j-1, r]: cluster j entered at F-1-r
+        for j in range(k - 2, 0, -1):
+            entry[j - 1, 1:] += np.maximum.accumulate(entry[j, :-1])
+            entry[j - 1, 0] = -np.inf
+        for j, row in enumerate(entry, start=1):
+            candidates = row[: f - 1 - edges[j - 1]]
+            edges[j] = f - 1 - np.argmax(candidates >= candidates.max() - tol)
 
-    labels = np.empty(f, dtype=np.int64)
-    labels[0] = 0
-    cluster = 0
-    for t in range(1, f):
-        if cluster + 1 < k and best[t, cluster + 1] > best[t, cluster]:
-            cluster += 1
-        labels[t] = cluster
+    labels = np.repeat(np.arange(k), np.diff(edges))
+    path = lp.ravel()[np.arange(f) * k + labels]
     return SegmentationResult(
         labels=labels,
-        log_score=float(best[0, 0]),
-        segments=segments_from_labels(labels),
+        log_score=float(np.add.accumulate(path[::-1])[-1]),
+        segments=[(j, int(edges[j]), int(edges[j + 1])) for j in range(k)],
     )

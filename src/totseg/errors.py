@@ -31,6 +31,12 @@ class CatalogError(DataError):
     """Dataset directory layout is missing pieces or internally inconsistent."""
 
 
+class TooFewVideosError(DataError, ValueError):
+    """An activity has fewer videos of at least one block's length than a
+    batch draws. Also a ValueError, as for any argument of ``trainer.train``
+    that does not fit its catalog."""
+
+
 class UsageError(Exception):
     """Bad command-line arguments or configuration values."""
 

@@ -103,6 +103,23 @@ def eligible_videos(
     return keep
 
 
+def block_length(batch_size: int, videos_per_batch: int) -> int:
+    """Rows per video block: batch_size / videos_per_batch.
+
+    Raises:
+        ValueError: If videos_per_batch < 1, or batch_size is not a
+            positive multiple of it.
+    """
+    if videos_per_batch < 1:
+        raise ValueError(f"videos_per_batch must be >= 1, got {videos_per_batch}")
+    if batch_size < 1 or batch_size % videos_per_batch != 0:
+        raise ValueError(
+            f"batch_size ({batch_size}) must be a positive multiple of "
+            f"videos_per_batch ({videos_per_batch})"
+        )
+    return batch_size // videos_per_batch
+
+
 def build_batch(
     videos: list[FeatureSequence],
     videos_per_batch: int,
@@ -124,14 +141,7 @@ def build_batch(
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
     """
-    if videos_per_batch < 1:
-        raise ValueError(f"videos_per_batch must be >= 1, got {videos_per_batch}")
-    if batch_size < 1 or batch_size % videos_per_batch != 0:
-        raise ValueError(
-            f"batch_size ({batch_size}) must be a positive multiple of "
-            f"videos_per_batch ({videos_per_batch})"
-        )
-    block_len = batch_size // videos_per_batch
+    block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
     if too_short:
         raise ValueError(

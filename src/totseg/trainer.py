@@ -23,8 +23,8 @@ import numpy as np
 
 from . import encoder, losses, transport
 from .dataio import DatasetCatalog
-from .errors import NumericalError
-from .sampler import build_batch, eligible_videos
+from .errors import NumericalError, TooFewVideosError
+from .sampler import block_length, build_batch, eligible_videos
 
 MODES = ("ot", "ot+tcl", "tot", "tot+tcl")
 
@@ -69,6 +69,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
+        block_length(self.batch_size, self.videos_per_batch)  # raises on a bad split
         if self.freeze_iterations < 0:
             raise ValueError(
                 f"freeze_iterations must be >= 0, got {self.freeze_iterations}"
@@ -349,7 +350,9 @@ def train(
     """Run the full loop and return trained parameters plus the log.
 
     Deterministic for a fixed config seed on one thread. Raises
-    NumericalError naming the iteration if the loss leaves the reals.
+    NumericalError naming the iteration if the loss leaves the reals, and
+    TooFewVideosError when fewer than ``videos_per_batch`` videos are at
+    least one block (batch_size / videos_per_batch frames) long.
 
     Args:
         catalog: Videos of one activity.
@@ -364,12 +367,16 @@ def train(
         )
     clusters = catalog.num_actions
     block_len = config.batch_size // config.videos_per_batch
-    videos = eligible_videos(catalog, block_len)
-    if len(videos) < config.videos_per_batch:
-        raise ValueError(
-            f"need {config.videos_per_batch} videos with >= {block_len} frames, "
-            f"found {len(videos)}"
+    # Counted before eligible_videos warns about each short video, so a run
+    # that cannot train reports one line.
+    found = sum(video.num_frames >= block_len for video in catalog.videos)
+    if found < config.videos_per_batch:
+        raise TooFewVideosError(
+            f"activity {catalog.activity!r}: need {config.videos_per_batch} videos "
+            f"with >= {block_len} frames for batches of {config.batch_size}, "
+            f"found {found}"
         )
+    videos = eligible_videos(catalog, block_len)
     iterations = config.iterations
     if iterations is None:
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)

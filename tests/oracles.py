@@ -182,6 +182,34 @@ def viterbi_bruteforce(log_probs: np.ndarray) -> tuple[np.ndarray, float]:
     return labels, float(best_score)
 
 
+def viterbi_loop(log_probs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fixed-order Viterbi as two Python loops over frames.
+
+    best[t, k] is the top score of frames t..F-1 given frame t sits in
+    cluster k and the path still has to reach K-1, filled from the last
+    frame back. The label walk then runs forward and advances only when
+    advancing is strictly better, so every boundary goes as late as the
+    optimum allows. Returns (labels, best[0, 0]).
+    """
+    lp = np.asarray(log_probs, dtype=np.float64)
+    f, k = lp.shape
+    assert f >= k
+    best = np.full((f, k), -np.inf)
+    best[f - 1, k - 1] = lp[f - 1, k - 1]
+    for t in range(f - 2, -1, -1):
+        advance = np.concatenate([best[t + 1, 1:], [-np.inf]])
+        best[t] = lp[t] + np.maximum(best[t + 1], advance)
+
+    labels = np.empty(f, dtype=np.int64)
+    labels[0] = 0
+    cluster = 0
+    for t in range(1, f):
+        if cluster + 1 < k and best[t, cluster + 1] > best[t, cluster]:
+            cluster += 1
+        labels[t] = cluster
+    return labels, float(best[0, 0])
+
+
 def assignment_bruteforce(counts: np.ndarray) -> int:
     """Max total matched frames over all injective cluster-to-action maps."""
     counts = np.asarray(counts)

@@ -436,6 +436,11 @@ class TestExitCodes:
         argv = ["train", data, "--activity", "empty", "--iterations", "1"]
         return argv, "features: no .totf feature files"
 
+    @staticmethod
+    def videos_shorter_than_a_block(data, runs, tmp_path):
+        argv = ["train", data, "--batch", "1000", "--iterations", "1"]
+        return argv, "activity 'synthetic': need 2 videos with >= 500 frames"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -446,6 +451,7 @@ class TestExitCodes:
             blank_ground_truth,
             short_ground_truth,
             activity_without_features,
+            videos_shorter_than_a_block,
         ],
         ids=lambda case: case.__name__,
     )
@@ -457,5 +463,56 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ")
+        assert names in err
+        assert "Traceback" not in err
+
+    # Bad settings below each exit 1 with one stderr line, no traceback.
+
+    @pytest.mark.parametrize(
+        "command, flags, names",
+        [
+            pytest.param(
+                "train",
+                ["--videos-per-batch", "0"],
+                "videos_per_batch must be >= 1, got 0",
+                id="zero_videos_per_batch",
+            ),
+            pytest.param(
+                "train",
+                ["--videos-per-batch", "40", "--batch", "32"],
+                "batch_size (32) must be a positive multiple of videos_per_batch (40)",
+                id="batch_smaller_than_videos_per_batch",
+            ),
+            pytest.param(
+                "train",
+                ["--batch", "7"],
+                "batch_size (7) must be a positive multiple of videos_per_batch (2)",
+                id="batch_not_a_multiple",
+            ),
+            pytest.param(
+                "segment",
+                ["--chunk-size", "0"],
+                "chunk-size must be >= 1, got 0",
+                id="zero_chunk_size",
+            ),
+            pytest.param(
+                "segment",
+                ["--chunk-size", "-5"],
+                "chunk-size must be >= 1, got -5",
+                id="negative_chunk_size",
+            ),
+        ],
+    )
+    def test_usage_error_is_one_line(
+        self, trained, tmp_path, capsys, command, flags, names
+    ):
+        data, runs = trained
+        # Flags that make each run go on to train or decode without the check.
+        rest = ["--checkpoints", runs] if command == "segment" else ["--iterations", 1]
+        code = run(command, data, *flags, *rest, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
         assert names in err
         assert "Traceback" not in err

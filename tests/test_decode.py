@@ -167,6 +167,70 @@ class TestViterbiFixedOrder:
             viterbi_fixed_order(lp)
 
 
+def peaked_log_probs(frames, clusters, boost, rng):
+    """log_probabilities of softmax rows peaked on one cluster per run of frames.
+
+    Runs of 1..39 frames share a random peak cluster; ``boost`` (one value
+    per frame) is added to the peak's standard-normal logit.
+    """
+    peaks = np.repeat(rng.integers(0, clusters, size=frames), rng.integers(1, 40, size=frames))
+    logits = rng.normal(size=(frames, clusters))
+    logits[np.arange(frames), peaks[:frames]] += boost
+    weights = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return log_probabilities(weights / weights.sum(axis=1, keepdims=True))
+
+
+def seeded_lattice(kind, rng):
+    """F x K lattice with K in 1..8 and F log-uniform in [K, 3000)."""
+    clusters = int(rng.integers(1, 9))
+    frames = clusters + int(np.expm1(rng.uniform(0, np.log(3001 - clusters))))
+    if kind == "normal":
+        return rng.normal(size=(frames, clusters))
+    if kind == "integer":
+        return rng.integers(-2, 3, size=(frames, clusters)).astype(np.float64)
+    # Four rows in five are one-hot to the last bit: the peak probability
+    # rounds to exactly 1 and every other entry sits on the floor, so
+    # boundaries inside floored stretches tie exactly. The rest are soft.
+    hard = rng.random(frames) < 0.8
+    boost = np.where(hard, rng.uniform(60, 80, frames), rng.uniform(4, 12, frames))
+    return peaked_log_probs(frames, clusters, boost, rng)
+
+
+@pytest.mark.parametrize("kind", ["normal", "integer", "near_one_hot"])
+def test_matches_the_frame_loop_reference(kind):
+    rng = np.random.default_rng(["normal", "integer", "near_one_hot"].index(kind))
+    floored = 0
+    for _ in range(100):
+        lp = seeded_lattice(kind, rng)
+        result = viterbi_fixed_order(lp)
+        want_labels, want_score = oracles.viterbi_loop(lp)
+        np.testing.assert_array_equal(result.labels, want_labels)
+        assert result.log_score == pytest.approx(want_score, rel=1e-12)
+        floored += bool((lp == math.log(PROBABILITY_FLOOR)).any())
+    if kind == "near_one_hot":
+        assert floored >= 80
+
+
+def test_sub_rounding_peaks_still_give_an_optimal_path():
+    # Peak probabilities 1 - delta with 0 < delta < 1e-11 put log terms far
+    # below the rounding unit of the path sums. Paths that differ only by
+    # such terms are ordered by rounding, differently in any two orders of
+    # summation, so the labels may differ from the reference; the path's
+    # exact score may fall short of the reference path's only by rounding.
+    rng = np.random.default_rng(3)
+    for _ in range(100):
+        frames = int(rng.integers(8, 400))
+        lp = peaked_log_probs(frames, 7, rng.uniform(30, 36, frames), rng)
+        peaks = lp.max(axis=1)
+        assert ((peaks < 0) & (peaks > -1e-11)).mean() > 0.5
+        result = viterbi_fixed_order(lp)
+        want_labels, _ = oracles.viterbi_loop(lp)
+        got = math.fsum(lp[np.arange(frames), result.labels])
+        want = math.fsum(lp[np.arange(frames), want_labels])
+        assert got >= want - 1e-12 * abs(want)
+        assert result.log_score == pytest.approx(got, rel=1e-12)
+
+
 @st.composite
 def finite_lattices(draw):
     clusters = draw(st.integers(1, 6))

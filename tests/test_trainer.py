@@ -80,6 +80,9 @@ class TestTrainConfig:
             {"embed_dim": 0},
             {"hidden_dim": 0},
             {"prior_scope": "video"},
+            {"videos_per_batch": 0},
+            {"batch_size": 0},
+            {"batch_size": 7},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
