@@ -22,7 +22,7 @@ from .decode import SegmentationResult, log_probabilities, viterbi_fixed_order
 from .encoder import AdamState, EncoderParams, init_params, load_checkpoint, save_checkpoint
 from .errors import DataError, NumericalError, UsageError
 from .evaluate import EvalReport, evaluate_activity, hungarian_match, mof, segment_f1
-from .losses import LossConfig, cross_entropy, predicted_codes, temporal_coherence
+from .losses import LossConfig, cross_entropy, temporal_coherence
 from .sampler import Batch, build_batch, sample_ordered, sample_positive
 from .trainer import TrainConfig, TrainResult, embed_dataset, train
 from .transport import (
@@ -66,7 +66,6 @@ __all__ = [
     "log_probabilities",
     "marginal_error",
     "mof",
-    "predicted_codes",
     "read_features",
     "sample_ordered",
     "sample_positive",

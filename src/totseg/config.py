@@ -178,15 +178,6 @@ def resolve(
         else:
             values[option.name] = option.default
             provenance[option.name] = "default"
-        if (
-            option.choices
-            and values[option.name] is not None
-            and values[option.name] not in option.choices
-        ):
-            raise UsageError(
-                f"{option.name} must be one of {option.choices}, "
-                f"got {values[option.name]!r}"
-            )
     return values, provenance
 
 

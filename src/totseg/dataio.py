@@ -213,9 +213,16 @@ class LabelMapping:
             parts = line.split(maxsplit=1)
             if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
                 raise CatalogError(f"{path}:{lineno}: expected '<id> <name>', got {line!r}")
+            if parts[1] in names:
+                raise CatalogError(f"{path}:{lineno}: action {parts[1]!r} listed twice")
             names[parts[1]] = int(parts[0])
         if not names:
             raise CatalogError(f"{path}: empty label mapping")
+        ids = sorted(names.values())
+        if len(set(ids)) < len(ids):
+            raise CatalogError(f"{path}: label mapping assigns one id to several names")
+        if ids != list(range(len(ids))):
+            raise CatalogError(f"{path}: action ids must be 0..{len(ids) - 1}, got {ids}")
         return cls(names)
 
     def to_file(self, path) -> None:
@@ -254,15 +261,11 @@ def relabel_background_edges(
     leading rewrite wins and the whole sequence becomes ``start_id``.
     """
     labels = np.asarray(labels, dtype=np.int64).copy()
-    n = labels.size
-    i = 0
-    while i < n and labels[i] == background_id:
-        labels[i] = start_id
-        i += 1
-    j = n - 1
-    while j >= i and labels[j] == background_id:
-        labels[j] = end_id
-        j -= 1
+    action = np.flatnonzero(labels != background_id)
+    # All background: the leading run is the whole sequence.
+    first, last = (action[0], action[-1]) if action.size else (labels.size, labels.size)
+    labels[:first] = start_id
+    labels[last + 1 :] = end_id
     return labels
 
 

@@ -37,6 +37,12 @@ class TooFewVideosError(DataError, ValueError):
     that does not fit its catalog."""
 
 
+class NothingToScoreError(DataError, ValueError):
+    """Background exclusion drops every ground-truth frame of an activity.
+    Also a ValueError, as for any ``evaluate_activity`` argument that leaves
+    nothing to match."""
+
+
 class UsageError(Exception):
     """Bad command-line arguments or configuration values."""
 

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .decode import segments_from_labels
+from .errors import NothingToScoreError
 
 UNMATCHED = -1
 
@@ -199,6 +200,7 @@ def evaluate_activity(
 
     Raises:
         ValueError: Misaligned inputs or per-video length mismatches.
+        NothingToScoreError: ``exclude`` drops every ground-truth frame.
     """
     if not (len(video_ids) == len(predictions) == len(ground_truth)):
         raise ValueError(
@@ -226,7 +228,9 @@ def evaluate_activity(
     all_pred = np.concatenate(kept_pred)
     all_gt = np.concatenate(kept_gt)
     if all_gt.size == 0:
-        raise ValueError("no frames left to match after background exclusion")
+        raise NothingToScoreError(
+            f"activity {activity!r}: no frames left to match after background exclusion"
+        )
     pooled = contingency(all_pred, all_gt, num_clusters, num_actions)
     mapping = hungarian_match(pooled)
 

@@ -1,24 +1,19 @@
 """Clustering cross-entropy and temporal coherence, with analytic gradients.
 
 Both losses return their gradients alongside the value; nothing here calls
-an autograd engine. The clustering loss compares each frame's predicted
-cluster distribution against its transported code; the coherence loss asks
-each embedded frame to recognize its own temporal neighbor among the
-batch's positives.
+an autograd engine. Both are one softmax cross-entropy on scores: the
+clustering loss compares the softmax of each frame's prototype scores
+against its transported code, and the coherence loss asks each embedded
+frame to recognize its own temporal neighbor among the batch's positives.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, logsumexp_rows, matmul, row_softmax
-
-logger = logging.getLogger(__name__)
-
-_LOG_FLOOR = 1e-300
+from .numerics import as_matrix, log_softmax_rows
 
 
 @dataclass(frozen=True)
@@ -47,62 +42,42 @@ class LossConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
 
 
-def predicted_codes(embeddings, prototypes, temperature: float) -> np.ndarray:
-    """Row-stochastic cluster predictions from embedding/prototype similarity.
+def cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]:
+    """Mean per-row cross-entropy of softmax(scores / temperature) against codes.
+
+    With p the row softmax, the loss is -(1/B) sum_ij codes_ij * log(p_ij),
+    taken from the max-shifted log-softmax, so it stays exact (and finite)
+    however far apart the scores are. Codes are treated as constants: the
+    gradient with respect to the scores is
+
+        (1 / (B * temperature)) * (row_mass * p - codes),
+
+    where row_mass is each code row's sum. ``codes`` may instead be a
+    length-B vector of target columns: mass 1 on column codes[i] of row i,
+    read without building the one-hot matrix.
 
     Args:
-        embeddings: B x D matrix, rows expected to be unit norm.
-        prototypes: K x D matrix, rows expected to be unit norm.
-        temperature: Positive softmax sharpness.
+        scores: B x K pre-softmax scores.
+        codes: B x K nonnegative matrix (rows need not sum to one), or a
+            length-B integer vector of target columns.
+        temperature: Positive softmax temperature.
 
     Returns:
-        B x K matrix of probabilities, rows summing to one.
+        (loss value, B x K gradient w.r.t. the scores).
     """
-    scores = matmul(embeddings, as_matrix(prototypes).T)
-    return row_softmax(scores, temperature)
-
-
-def cross_entropy(
-    predictions, codes, temperature: float
-) -> tuple[float, np.ndarray]:
-    """Mean per-frame cross-entropy of predictions against fixed codes.
-
-    The loss is -(1/B) sum_ij codes_ij * log(predictions_ij). Codes are
-    treated as constants: the returned gradient is with respect to the
-    pre-softmax scores that produced ``predictions``, which for row
-    softmax at the given temperature is
-
-        (1 / (B * temperature)) * (row_mass * predictions - codes),
-
-    where row_mass is each code row's sum. Zero predictions facing
-    positive code mass are clamped at a log floor and logged, since they
-    signal saturated scores rather than a valid optimum.
-
-    Args:
-        predictions: B x K row-stochastic matrix.
-        codes: B x K nonnegative matrix (rows need not sum to one).
-        temperature: The softmax temperature used to build predictions.
-
-    Returns:
-        (loss value, B x K gradient w.r.t. the pre-softmax scores).
-    """
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-    p = as_matrix(predictions)
-    q = as_matrix(codes)
-    if p.shape != q.shape:
-        raise ValueError(f"predictions {p.shape} and codes {q.shape} differ in shape")
-    b = p.shape[0]
-    clamped = (p < _LOG_FLOOR) & (q > 0)
-    if clamped.any():
-        logger.warning(
-            "cross_entropy clamped %d zero predictions with positive code mass",
-            int(clamped.sum()),
-        )
-    loss = float(-(q * np.log(np.maximum(p, _LOG_FLOOR))).sum() / b)
+    s = as_matrix(scores)
+    b = s.shape[0]
+    targeted = np.ndim(codes) == 1
+    q = np.asarray(codes) if targeted else as_matrix(codes)
+    if q.shape != (s.shape[:1] if targeted else s.shape):
+        raise ValueError(f"scores {s.shape} and codes {q.shape} differ in shape")
+    log_p, p = log_softmax_rows(s, temperature)
+    if targeted:
+        hits = (np.arange(b), q)
+        p[hits] -= 1.0
+        return float(-log_p[hits].sum() / b), p / (b * temperature)
     row_mass = q.sum(axis=1, keepdims=True)
-    grad_scores = (row_mass * p - q) / (b * temperature)
-    return loss, grad_scores
+    return float(-(q * log_p).sum() / b), (row_mass * p - q) / (b * temperature)
 
 
 def temporal_coherence(
@@ -110,11 +85,11 @@ def temporal_coherence(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Each anchor should score its own positive above everyone else's.
 
-    With similarity A = anchors @ positives.T, the loss is the mean over
-    rows of  log(sum_j exp(A_ij)) - A_ii:  softmax cross-entropy with the
-    diagonal as the target and no temperature. Rows must be aligned
-    (anchor i's neighbor is positives row i) and both sides are expected
-    to be unit-norm embeddings.
+    The loss is cross_entropy on the similarities A = anchors @ positives.T
+    at temperature 1 with the diagonal as the target: the mean over rows of
+    log(sum_j exp(A_ij)) - A_ii. Rows must be aligned (anchor i's neighbor
+    is positives row i) and both sides are expected to be unit-norm
+    embeddings.
 
     Args:
         anchors: N x D matrix.
@@ -129,16 +104,8 @@ def temporal_coherence(
         raise ValueError(
             f"anchors {z.shape} and positives {mates.shape} differ in shape"
         )
-    n = z.shape[0]
-    sims = matmul(z, mates.T)
-    loss = float((logsumexp_rows(sims) - np.diag(sims)).mean())
-    # d loss / d sims = (softmax(rows) - I) / n
-    dsims = row_softmax(sims, 1.0)
-    np.fill_diagonal(dsims, np.diag(dsims) - 1.0)
-    dsims /= n
-    grad_anchors = dsims @ mates
-    grad_positives = dsims.T @ z
-    return loss, grad_anchors, grad_positives
+    loss, dsims = cross_entropy(z @ mates.T, np.arange(z.shape[0]), 1.0)
+    return loss, dsims @ mates, dsims.T @ z
 
 
 def total_loss(clustering: float, coherence: float, alpha: float) -> float:

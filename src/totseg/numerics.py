@@ -2,8 +2,8 @@
 
 The package's matrix type is a plain 2-D C-contiguous float64 numpy array.
 numpy supplies the arithmetic; this module pins down the contracts the rest
-of the code relies on: explicit shape checks and overflow-safe softmax and
-log-sum-exp.
+of the code relies on: an explicit shape check and one overflow-safe row
+softmax.
 """
 
 from __future__ import annotations
@@ -29,52 +29,35 @@ def as_matrix(values) -> np.ndarray:
     return matrix
 
 
-def matmul(a, b) -> np.ndarray:
-    """Dense product ``a @ b`` with an explicit inner-dimension check.
-
-    Raises:
-        ValueError: If ``a.shape[1] != b.shape[0]``, naming both shapes.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul inner dimensions differ: {a.shape} @ {b.shape} "
-            f"({a.shape[1]} != {b.shape[0]})"
-        )
-    return a @ b
-
-
-def row_softmax(matrix, temperature: float) -> np.ndarray:
-    """Softmax of each row of ``matrix / temperature``.
+def log_softmax_rows(matrix, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-softmax and softmax of each row of ``matrix / temperature``.
 
     The row maximum is subtracted before exponentiation, so entries around
-    +-1e3 and sharp temperatures stay finite.
+    +-1e3 and sharp temperatures stay finite, and the log-probabilities
+    are exact where the probabilities underflow to zero.
 
     Args:
         matrix: 2-D array of scores.
         temperature: Positive scale divisor; smaller means sharper.
 
     Returns:
-        Row-stochastic matrix of the same shape.
+        (log-probabilities, row-stochastic probabilities), both of the
+        input's shape.
 
     Raises:
         ValueError: If ``temperature <= 0``.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    scaled = as_matrix(matrix) / temperature
-    scaled -= scaled.max(axis=1, keepdims=True)
-    exps = np.exp(scaled)
-    return exps / exps.sum(axis=1, keepdims=True)
+    shifted = as_matrix(matrix) / temperature
+    shifted -= shifted.max(axis=1, keepdims=True)
+    probabilities = np.exp(shifted)
+    mass = probabilities.sum(axis=1, keepdims=True)
+    probabilities /= mass
+    shifted -= np.log(mass)
+    return shifted, probabilities
 
 
-def logsumexp_rows(matrix) -> np.ndarray:
-    """log(sum(exp(row))) per row, max-subtracted. -inf entries are allowed."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    peak = matrix.max(axis=1)
-    # Rows of all -inf would turn peak - peak into nan; pin them to -inf.
-    finite_peak = np.where(np.isfinite(peak), peak, 0.0)
-    with np.errstate(divide="ignore"):
-        out = finite_peak + np.log(np.exp(matrix - finite_peak[:, None]).sum(axis=1))
-    return np.where(np.isfinite(peak), out, -np.inf)
+def row_softmax(matrix, temperature: float) -> np.ndarray:
+    """Row-stochastic softmax of ``matrix / temperature``; see log_softmax_rows."""
+    return log_softmax_rows(matrix, temperature)[1]

@@ -24,6 +24,7 @@ import numpy as np
 from . import encoder, losses, transport
 from .dataio import DatasetCatalog
 from .errors import NumericalError, TooFewVideosError
+from .numerics import row_softmax
 from .sampler import block_length, build_batch, eligible_videos
 
 MODES = ("ot", "ot+tcl", "tot", "tot+tcl")
@@ -217,7 +218,9 @@ def _maybe_normalize_backward(
 
 
 class _Forward(NamedTuple):
-    """Forward half of a step: normalized anchor rows, then any positive rows."""
+    """Forward half of a step: normalized anchor rows, then any positive rows,
+    and the B x K anchor/prototype ``scores`` that transport, the clustering
+    loss and the predicted codes all read."""
 
     cache: encoder.ForwardCache
     embeddings: np.ndarray
@@ -225,11 +228,7 @@ class _Forward(NamedTuple):
     prototypes: np.ndarray
     prototype_norms: np.ndarray | None
     batch_size: int
-
-    @property
-    def scores(self) -> np.ndarray:
-        """B x K anchor/prototype similarities, the transport input."""
-        return self.embeddings[: self.batch_size] @ self.prototypes.T
+    scores: np.ndarray
 
 
 def _forward(
@@ -239,19 +238,21 @@ def _forward(
     normalize: bool,
     ledger: MatrixLedger | None = None,
 ) -> _Forward:
-    """Stacked encoder pass over anchors (and positives), then normalization."""
+    """Stacked encoder pass over anchors (and positives), normalization, scores."""
     batch_size = anchors.shape[0]
     stacked = anchors if positives is None else np.concatenate([anchors, positives])
     embeddings, cache = encoder.forward(params, stacked)
     normalized, norms = _maybe_normalize(embeddings, normalize)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
+    scores = normalized[:batch_size] @ protos.T
     if ledger is not None:
         ledger.record("batch_features", anchors)
         if positives is not None:
             ledger.record("positive_features", positives)
         ledger.record("embeddings", embeddings[:batch_size])
         ledger.record("hidden", cache.hidden)
-    return _Forward(cache, normalized, norms, protos, proto_norms, batch_size)
+        ledger.record("scores", scores)
+    return _Forward(cache, normalized, norms, protos, proto_norms, batch_size, scores)
 
 
 def _backward(
@@ -265,16 +266,13 @@ def _backward(
 
     The coherence term is on exactly when the forward half saw positives.
     """
-    cache, normalized, norms, protos, proto_norms, batch_size = step
+    cache, normalized, norms, protos, proto_norms, batch_size, scores = step
     anchor_rows = normalized[:batch_size]
 
     if loss_config.renormalize_codes:
         codes = codes / codes.sum(axis=1, keepdims=True)
-    predictions = losses.predicted_codes(
-        anchor_rows, protos, loss_config.temperature
-    )
     clustering, grad_scores = losses.cross_entropy(
-        predictions, codes, loss_config.temperature
+        scores, codes, loss_config.temperature
     )
 
     grad_normalized = np.zeros_like(normalized)
@@ -301,7 +299,6 @@ def _backward(
     grads["prototypes"] = _maybe_normalize_backward(grad_protos, protos, proto_norms)
 
     if ledger is not None:
-        ledger.record("predictions", predictions)
         ledger.record("grad_scores", grad_scores)
         ledger.record("grad_embeddings", grad_embeddings)
     return clustering, coherence, grads
@@ -408,9 +405,7 @@ def train(
         )
         positives = batch.positive_features if config.uses_coherence else None
         step = _forward(params, batch.features, positives, config.normalize, ledger)
-        scores = step.scores
-        ledger.record("scores", scores)
-        codes, row_err, col_err = solve_codes(scores, batch.blocks, config, ledger)
+        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config, ledger)
         clustering, coherence, grads = _backward(
             step, codes, batch.blocks, config.loss, ledger
         )
@@ -469,6 +464,6 @@ def embed_dataset(
         for start in range(0, video.num_frames, chunk_size):
             stop = min(start + chunk_size, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
-            _, embeddings, _, protos, _, _ = _forward(params, rows, None, normalize)
-            pieces.append(losses.predicted_codes(embeddings, protos, temperature))
+            scores = _forward(params, rows, None, normalize).scores
+            pieces.append(row_softmax(scores, temperature))
         yield video.video_id, np.concatenate(pieces, axis=0)

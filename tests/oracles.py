@@ -1,6 +1,6 @@
 """Independent reference implementations the tests check against.
 
-Everything here favors obvious-over-fast: triple loops, exhaustive
+Everything here favors obvious-over-fast: plain loops, exhaustive
 enumeration, arbitrary-precision arithmetic, or scipy's general-purpose
 constrained optimizer. Nothing imports from the package under test, so a
 bug cannot hide on both sides of a comparison.
@@ -14,21 +14,6 @@ import warnings
 import mpmath
 import numpy as np
 from scipy.optimize import minimize
-
-
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Triple-loop dense product."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    m, n = a.shape
-    n2, p = b.shape
-    assert n == n2
-    out = np.zeros((m, p))
-    for i in range(m):
-        for j in range(p):
-            for t in range(n):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
 
 
 def softmax_rows_highprec(matrix: np.ndarray, temperature: float, dps: int = 80) -> np.ndarray:
@@ -314,3 +299,17 @@ def f1_by_frame_counting(
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def relabel_edges_by_walking(labels, background_id: int, start_id: int, end_id: int) -> np.ndarray:
+    """Frame-by-frame walk: leading background run to start_id, trailing to end_id."""
+    labels = [int(v) for v in labels]
+    i = 0
+    while i < len(labels) and labels[i] == background_id:
+        labels[i] = start_id
+        i += 1
+    j = len(labels) - 1
+    while j >= i and labels[j] == background_id:
+        labels[j] = end_id
+        j -= 1
+    return np.array(labels, dtype=np.int64)

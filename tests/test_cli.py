@@ -127,6 +127,15 @@ class TestConfigResolution:
         assert run("train", tmp_path, "--mode", "kmeans") == 1
         capsys.readouterr()
 
+    def test_bad_choice_in_config_file_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_text("mode = kmeans\n")
+        assert run("train", tmp_path, "--config", config) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert "'mode' must be one of" in err
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -441,6 +450,18 @@ class TestExitCodes:
         argv = ["train", data, "--batch", "1000", "--iterations", "1"]
         return argv, "activity 'synthetic': need 2 videos with >= 500 frames"
 
+    @staticmethod
+    def mapping_with_an_id_gap(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        mapping = data / "synthetic" / "mapping.txt"
+        mapping.write_text("0 action_0\n1 action_1\n5 action_2\n")
+        return argv, f"{mapping}: action ids must be 0..2"
+
+    @staticmethod
+    def everything_excluded(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        return [*argv, "--exclude-background", "0", "1", "2"], "activity 'synthetic'"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -452,6 +473,8 @@ class TestExitCodes:
             short_ground_truth,
             activity_without_features,
             videos_shorter_than_a_block,
+            mapping_with_an_id_gap,
+            everything_excluded,
         ],
         ids=lambda case: case.__name__,
     )

@@ -165,6 +165,18 @@ class TestLabelMapping:
         with pytest.raises(CatalogError, match="one id to several names"):
             LabelMapping.from_file(path)
 
+    def test_ids_other_than_zero_to_k_rejected(self, tmp_path):
+        path = tmp_path / "gap.txt"
+        path.write_text("0 pour\n1 stir\n5 serve\n")
+        with pytest.raises(CatalogError, match=r"gap.txt: action ids must be 0..2, got \[0, 1, 5\]"):
+            LabelMapping.from_file(path)
+
+    def test_name_listed_twice_rejected(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("0 pour\n1 stir\n2 pour\n")
+        with pytest.raises(CatalogError, match="twice.txt:3: action 'pour' listed twice"):
+            LabelMapping.from_file(path)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 pour\nstir\n")
@@ -224,6 +236,15 @@ class TestRelabelBackgroundEdges:
         labels = np.array([0, 1, 0])
         relabel_background_edges(labels, 0, 5, 6)
         np.testing.assert_array_equal(labels, [0, 1, 0])
+
+    def test_matches_a_frame_by_frame_walk(self):
+        rng = np.random.default_rng(12)
+        for length in [0, 1, 2, 3, 5, 8, 13] * 20:
+            labels = rng.integers(0, 3, size=length) * rng.integers(0, 2, size=length)
+            np.testing.assert_array_equal(
+                relabel_background_edges(labels, 0, 3, 4),
+                oracles.relabel_edges_by_walking(labels, 0, 3, 4),
+            )
 
 
 class TestCatalog:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from totseg.errors import DataError
 from totseg.evaluate import (
     UNMATCHED,
     EvalReport,
@@ -228,6 +229,13 @@ class TestEvaluateActivity:
         with pytest.raises(ValueError, match="no frames left to match"):
             evaluate_activity(
                 ["v0"], [np.array([0, 1])], [np.array([9, 9])], 2, 10, exclude={9}
+            )
+
+    def test_everything_excluded_is_a_data_error_naming_the_activity(self):
+        with pytest.raises(DataError, match="activity 'cook': no frames left"):
+            evaluate_activity(
+                ["v0"], [np.array([0, 1])], [np.array([9, 9])], 2, 10,
+                activity="cook", exclude={9},
             )
 
     def test_video_length_mismatch_names_the_video(self):

@@ -9,55 +9,19 @@ import pytest
 from totseg.losses import (
     LossConfig,
     cross_entropy,
-    predicted_codes,
     temporal_coherence,
     total_loss,
 )
-from totseg.numerics import matmul, row_softmax
+from totseg.numerics import row_softmax
 
 import oracles
 
 
-class TestPredictedCodes:
-    def test_matches_matmul_plus_softmax(self):
-        rng = np.random.default_rng(0)
-        z = rng.normal(size=(7, 5))
-        c = rng.normal(size=(3, 5))
-        got = predicted_codes(z, c, 0.25)
-        want = row_softmax(matmul(z, c.T), 0.25)
-        np.testing.assert_allclose(got, want, rtol=0, atol=0)
-
-    def test_single_cluster_gives_certainty(self):
-        rng = np.random.default_rng(1)
-        z = rng.normal(size=(6, 4))
-        c = rng.normal(size=(1, 4))
-        p = predicted_codes(z, c, 0.1)
-        np.testing.assert_array_equal(p, np.ones((6, 1)))
-
-    def test_basis_embeddings_identity_prototypes_closed_form(self):
-        # Row i of Z is the standard basis vector e_i, prototypes are the
-        # identity, so scores are the identity matrix. At temperature 0.1
-        # the hot entry of each softmax row is e^10 / (e^10 + K - 1).
-        k = 4
-        z = np.eye(k)
-        p = predicted_codes(z, np.eye(k), 0.1)
-        hot = math.exp(10.0) / (math.exp(10.0) + (k - 1))
-        cold = 1.0 / (math.exp(10.0) + (k - 1))
-        want = np.full((k, k), cold)
-        np.fill_diagonal(want, hot)
-        np.testing.assert_allclose(p, want, rtol=1e-14)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        p = predicted_codes(rng.normal(size=(9, 6)), rng.normal(size=(5, 6)), 0.07)
-        np.testing.assert_allclose(p.sum(axis=1), np.ones(9), rtol=1e-12)
-
-
 class TestCrossEntropy:
     def test_uniform_two_way_is_log_two(self):
-        p = np.array([[0.5, 0.5]])
+        s = np.array([[0.3, 0.3]])
         q = np.array([[0.5, 0.5]])
-        loss, _ = cross_entropy(p, q, 0.1)
+        loss, _ = cross_entropy(s, q, 0.1)
         assert loss == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_codes_proportional_to_predictions_give_scaled_entropy(self):
@@ -65,10 +29,11 @@ class TestCrossEntropy:
         # the loss reduces to the mean row entropy divided by B, and the
         # score gradient vanishes: the predictions already match the codes.
         rng = np.random.default_rng(3)
-        b = 5
-        p = row_softmax(rng.normal(size=(b, 4)), 1.0)
+        b, tau = 5, 0.1
+        s = tau * rng.normal(size=(b, 4))
+        p = row_softmax(s, tau)
         q = p / b
-        loss, grad = cross_entropy(p, q, 0.1)
+        loss, grad = cross_entropy(s, q, tau)
         entropy = -(p * np.log(p)).sum(axis=1).mean()
         assert loss == pytest.approx(entropy / b, rel=1e-12)
         np.testing.assert_allclose(grad, np.zeros_like(p), atol=1e-16)
@@ -76,11 +41,11 @@ class TestCrossEntropy:
     def test_scalar_minimum_sits_at_the_code_ratio(self):
         # One frame, two clusters, codes (0.3, 0.7): the loss over the
         # prediction simplex is minimized where the prediction equals the
-        # code ratio.
+        # code ratio. Scores tau * log(x, 1 - x) predict exactly (x, 1 - x).
         q = np.array([[0.3, 0.7]])
         grid = np.linspace(0.01, 0.99, 9801)
         losses = [
-            cross_entropy(np.array([[x, 1.0 - x]]), q, 0.1)[0] for x in grid
+            cross_entropy(0.1 * np.log([[x, 1.0 - x]]), q, 0.1)[0] for x in grid
         ]
         assert grid[int(np.argmin(losses))] == pytest.approx(0.3, abs=1e-4)
 
@@ -91,33 +56,45 @@ class TestCrossEntropy:
         q = rng.dirichlet(np.ones(k), size=b) / b
 
         def fn(s):
-            return cross_entropy(row_softmax(s, tau), q, tau)[0]
+            return cross_entropy(s, q, tau)[0]
 
-        _, grad = cross_entropy(row_softmax(scores, tau), q, tau)
+        _, grad = cross_entropy(scores, q, tau)
         numeric = oracles.finite_difference(fn, scores)
         assert oracles.max_relative_error(grad, numeric) < 1e-6
 
     def test_gradient_formula_direct(self):
         rng = np.random.default_rng(5)
         b, k, tau = 8, 3, 0.25
-        p = row_softmax(rng.normal(size=(b, k)), 1.0)
+        s = rng.normal(size=(b, k))
         q = rng.uniform(size=(b, k))
-        _, grad = cross_entropy(p, q, tau)
+        _, grad = cross_entropy(s, q, tau)
+        p = row_softmax(s, tau)
         row_mass = q.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(grad, (row_mass * p - q) / (b * tau), rtol=1e-14)
 
-    def test_zero_prediction_clamped_and_logged(self, caplog):
-        p = np.array([[0.0, 1.0]])
+    def test_far_apart_scores_give_the_exact_loss(self):
+        # softmax([0, 100] / 0.1) underflows to (0, 1), yet the loss is the
+        # exact -0.5 * log p_0 = 0.5 * 1000 from the log-softmax.
+        s = np.array([[0.0, 100.0]])
         q = np.array([[0.5, 0.5]])
-        with caplog.at_level("WARNING", logger="totseg.losses"):
-            loss, _ = cross_entropy(p, q, 0.1)
-        assert math.isfinite(loss)
-        assert loss == pytest.approx(-0.5 * math.log(1e-300), rel=1e-12)
-        assert any("clamped" in rec.message for rec in caplog.records)
+        loss, grad = cross_entropy(s, q, 0.1)
+        assert loss == pytest.approx(500.0, rel=1e-15)
+        np.testing.assert_allclose(grad, [[-5.0, 5.0]], rtol=1e-15)
+
+    def test_target_columns_match_one_hot_codes(self):
+        rng = np.random.default_rng(8)
+        s = rng.normal(size=(5, 4))
+        targets = np.array([3, 0, 0, 2, 1])
+        loss, grad = cross_entropy(s, targets, 0.5)
+        want_loss, want_grad = cross_entropy(s, np.eye(4)[targets], 0.5)
+        assert loss == pytest.approx(want_loss, rel=1e-14)
+        np.testing.assert_array_equal(grad, want_grad)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
             cross_entropy(np.ones((2, 3)), np.ones((2, 2)), 0.1)
+        with pytest.raises(ValueError, match="differ in shape"):
+            cross_entropy(np.ones((2, 3)), np.zeros(3, dtype=int), 0.1)
 
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ValueError, match="temperature"):
@@ -180,6 +157,18 @@ class TestTemporalCoherence:
         loss_sep, _, _ = temporal_coherence(eye, eye)
         loss_clump, _, _ = temporal_coherence(clumped, clumped)
         assert loss_sep < loss_clump
+
+    def test_equals_cross_entropy_against_the_identity(self):
+        rng = np.random.default_rng(9)
+        n, d = 6, 4
+        z = rng.normal(size=(n, d))
+        m = rng.normal(size=(n, d))
+        sims = z @ m.T
+        loss, ga, gm = temporal_coherence(z, m)
+        want_loss, dsims = cross_entropy(sims, np.eye(n), 1.0)
+        assert loss == pytest.approx(want_loss, rel=1e-14)
+        np.testing.assert_allclose(ga, dsims @ m, rtol=1e-14)
+        np.testing.assert_allclose(gm, dsims.T @ z, rtol=1e-14)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):

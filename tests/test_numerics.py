@@ -1,4 +1,4 @@
-"""Matrix kernel contracts: shapes, softmax stability, normalization."""
+"""Matrix kernel contracts: shapes and softmax stability."""
 
 import numpy as np
 import pytest
@@ -22,43 +22,12 @@ def test_as_matrix_rejects_wrong_rank():
         numerics.as_matrix(np.zeros((2, 2, 2)))
 
 
-def test_matmul_identity():
-    a = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(numerics.matmul(np.eye(2), a), a)
-
-
-def test_matmul_zero_column():
-    out = numerics.matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [0.0]])
-    np.testing.assert_array_equal(out, [[0.0], [0.0]])
-
-
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(5, 3))
-    b = rng.normal(size=(3, 4))
-    np.testing.assert_allclose(
-        numerics.matmul(a, b), oracles.naive_matmul(a, b), rtol=0, atol=1e-12
-    )
-
-
-def test_matmul_associative_on_chains():
-    rng = np.random.default_rng(1)
-    a, b, c = (rng.normal(size=(8, 8)) for _ in range(3))
-    left = numerics.matmul(numerics.matmul(a, b), c)
-    right = numerics.matmul(a, numerics.matmul(b, c))
-    assert oracles.max_relative_error(left, right, floor=1e-9) < 1e-10
-    assert oracles.max_relative_error(left, oracles.naive_matmul(oracles.naive_matmul(a, b), c), floor=1e-9) < 1e-10
-
-
-def test_matmul_dimension_mismatch_names_both_shapes():
-    with pytest.raises(ValueError) as err:
-        numerics.matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
-
-
 def test_row_softmax_uniform_on_constant_row():
     out = numerics.row_softmax([[0.0, 0.0, 0.0]], temperature=1.0)
     np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]], rtol=0, atol=1e-15)
+    # A single column is constant in every row: certainty, exactly.
+    single = np.random.default_rng(1).normal(size=(6, 1))
+    np.testing.assert_array_equal(numerics.row_softmax(single, 0.1), np.ones((6, 1)))
 
 
 def test_row_softmax_two_class_closed_form():
@@ -71,6 +40,13 @@ def test_row_softmax_two_class_closed_form():
         np.testing.assert_allclose(
             out, [[logistic(-c / t), logistic(c / t)]], rtol=1e-12
         )
+    # Identity scores at temperature 0.1: the hot entry of each row is
+    # e^10 / (e^10 + K - 1), every other entry 1 / (e^10 + K - 1).
+    k = 4
+    out = numerics.row_softmax(np.eye(k), temperature=0.1)
+    want = np.full((k, k), 1.0 / (np.exp(10.0) + (k - 1)))
+    np.fill_diagonal(want, np.exp(10.0) / (np.exp(10.0) + (k - 1)))
+    np.testing.assert_allclose(out, want, rtol=1e-14)
 
 
 def test_row_softmax_extreme_scores_match_high_precision():
@@ -105,15 +81,17 @@ def test_row_softmax_rejects_nonpositive_temperature():
             numerics.row_softmax([[1.0, 2.0]], bad)
 
 
-def test_logsumexp_rows_matches_direct_evaluation():
+def test_log_softmax_rows_is_the_log_of_the_softmax():
     rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 5))
-    direct = np.log(np.exp(m).sum(axis=1))
-    np.testing.assert_allclose(numerics.logsumexp_rows(m), direct, rtol=1e-12)
+    m = rng.normal(scale=3.0, size=(3, 5))
+    log_p, p = numerics.log_softmax_rows(m, 0.5)
+    expected = oracles.softmax_rows_highprec(m, temperature=0.5)
+    np.testing.assert_allclose(p, expected, rtol=1e-14)
+    np.testing.assert_allclose(log_p, np.log(expected), rtol=1e-13, atol=1e-15)
+    np.testing.assert_array_equal(p, numerics.row_softmax(m, 0.5))
 
 
-def test_logsumexp_rows_handles_minus_inf():
-    m = np.array([[-np.inf, 0.0], [-np.inf, -np.inf]])
-    out = numerics.logsumexp_rows(m)
-    assert out[0] == 0.0
-    assert out[1] == -np.inf
+def test_log_softmax_rows_exact_where_softmax_underflows():
+    log_p, p = numerics.log_softmax_rows([[1000.0, 0.0]], temperature=0.1)
+    np.testing.assert_array_equal(p, [[1.0, 0.0]])
+    np.testing.assert_array_equal(log_p, [[0.0, -10000.0]])

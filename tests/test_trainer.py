@@ -5,10 +5,11 @@ import io
 import numpy as np
 import pytest
 
-from totseg import encoder, losses, transport
+from totseg import encoder, transport
 from totseg.dataio import SyntheticSpec, generate_synthetic
 from totseg.errors import NumericalError
 from totseg.losses import LossConfig
+from totseg.numerics import row_softmax
 from totseg.trainer import (
     LOG_HEADER,
     MODES,
@@ -467,7 +468,7 @@ class TestEmbedDataset:
         embeddings, _ = encoder.forward(params, video.load_features())
         normalized, _ = encoder.normalize_rows(embeddings)
         protos, _ = encoder.normalize_rows(params.prototypes)
-        want = losses.predicted_codes(normalized, protos, 0.1)
+        want = row_softmax(normalized @ protos.T, 0.1)
         np.testing.assert_allclose(probs, want, atol=1e-13)
 
     def test_normalize_flag_changes_the_scores(self):
