@@ -1,0 +1,109 @@
+"""Check that two source trees write byte-identical pipeline outputs.
+
+Usage: python3 scripts/same_outputs.py PARENT_SRC CHANGE_SRC [--seeds 101 7 202]
+
+Each SRC is the directory that holds the ``totseg`` package (a checkout's
+``src``). For every benchmark workload (``perfbench/pipeline.py``'s
+``WORKLOADS``, imported, so the flags are the benchmark's own) and every
+synth seed, both trees run ``synth -> train -> segment --timeline ->
+eval --out`` in a temporary directory, one child process per subcommand
+with ``OPENBLAS_NUM_THREADS=1`` and the tree alone on ``PYTHONPATH``. The
+two output trees (dataset, ``train.log`` files, checkpoints, label and
+timeline files, eval report) are then compared file by file.
+
+Prints ``identical`` and exits 0, or names the first differing file (or
+the subcommand that failed) and exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _workloads():
+    """The benchmark's workloads and training seed, imported without writing bytecode."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    import pipeline
+
+    return pipeline.WORKLOADS, pipeline.TRAIN_SEED
+
+
+def run_pipeline(src: Path, workload, seed: int, train_seed: str, out: Path) -> str | None:
+    """Write one workload's outputs under ``out``; a failure message or None."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    data, runs, segments = out / "data", out / "runs", out / "segments"
+    commands = [["synth", str(data), *flags] for flags in workload.synth_commands(seed)]
+    commands += [
+        [
+            "train", str(data), *workload.train,
+            "--iterations", str(workload.iterations), "--seed", train_seed,
+            "--out", str(runs),
+        ],
+        ["segment", str(data), "--checkpoints", str(runs), "--out", str(segments), "--timeline"],
+        ["eval", str(data), "--pred", str(segments), "--out", str(out / "report.txt")],
+    ]
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-m", "totseg.cli", *argv],
+            env=env, cwd=out, capture_output=True, text=True,
+        )
+        if done.returncode != 0:
+            last = done.stderr.strip().splitlines()[-1:] or [""]
+            return f"{argv[0]} exited {done.returncode} under {src}: {last[0]}"
+    return None
+
+
+def first_difference(a: Path, b: Path) -> str | None:
+    """Relative path of the first file present in one tree only or differing in bytes."""
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    for name in sorted(files_a | files_b):
+        if name not in files_a or name not in files_b:
+            return f"{name} (only in one tree)"
+        if (a / name).read_bytes() != (b / name).read_bytes():
+            return str(name)
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path, help="src directory of the first tree")
+    parser.add_argument("change", type=Path, help="src directory of the second tree")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[101, 7, 202])
+    args = parser.parse_args(argv)
+    for src in (args.parent, args.change):
+        if not (src / "totseg" / "cli.py").is_file():
+            parser.error(f"no totseg package under {src}")
+    workloads, train_seed = _workloads()
+    with tempfile.TemporaryDirectory(prefix="same_outputs_") as scratch:
+        for name, workload in workloads.items():
+            for seed in args.seeds:
+                case = f"{name} seed {seed}"
+                trees = []
+                for side, src in (("parent", args.parent), ("change", args.change)):
+                    out = Path(scratch) / name / str(seed) / side
+                    out.mkdir(parents=True)
+                    failure = run_pipeline(src.resolve(), workload, seed, train_seed, out)
+                    if failure:
+                        print(f"{case}: {failure}")
+                        return 1
+                    trees.append(out)
+                differs = first_difference(*trees)
+                if differs:
+                    print(f"{case}: {differs} differs")
+                    return 1
+                print(f"{case}: same", file=sys.stderr)
+    print("identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

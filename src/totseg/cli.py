@@ -54,7 +54,7 @@ def _add_registry_flags(parser: argparse.ArgumentParser, registry) -> None:
         if option.kind == "int":
             kwargs["type"] = int
         elif option.kind == "float":
-            kwargs["type"] = float
+            kwargs["type"] = cfg.finite_float
         elif option.kind == "bool":
             kwargs["action"] = argparse.BooleanOptionalAction
         elif option.kind == "int_list":
@@ -280,6 +280,8 @@ def _read_predictions(path: Path) -> np.ndarray:
         ids = np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
     except ValueError:
         raise DataError(f"{path}: prediction lines must be integer cluster ids") from None
+    except OverflowError:
+        raise DataError(f"{path}: prediction ids must be below 2**63") from None
     if ids.size and ids.min() < 0:
         raise DataError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
     return ids

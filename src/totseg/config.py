@@ -10,6 +10,7 @@ Unknown config-file keys are rejected against the registry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -18,6 +19,17 @@ from .errors import UsageError
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
+
+
+def finite_float(text: str) -> float:
+    """float(text), refusing nan and +-inf: no setting means either.
+
+    The one float parser of flags (argparse ``type=``) and config files.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -37,7 +49,7 @@ class Option:
             if self.kind == "int":
                 return int(text)
             if self.kind == "float":
-                return float(text)
+                return finite_float(text)
             if self.kind == "bool":
                 lowered = text.lower()
                 if lowered in _TRUE:

@@ -191,6 +191,14 @@ class AdamState:
     eps: float = 1e-8
     prototypes_frozen: bool = False
 
+    @staticmethod
+    def check_settings(learning_rate: float, weight_decay: float) -> None:
+        """Raise ValueError unless learning_rate > 0 and weight_decay >= 0."""
+        if learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+
     @classmethod
     def for_params(
         cls,
@@ -198,10 +206,7 @@ class AdamState:
         learning_rate: float = 1e-3,
         weight_decay: float = 1e-4,
     ) -> "AdamState":
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+        cls.check_settings(learning_rate, weight_decay)
         zeros = lambda: {k: np.zeros_like(v) for k, v in params.as_dict().items()}
         return cls(m=zeros(), v=zeros(), learning_rate=learning_rate, weight_decay=weight_decay)
 

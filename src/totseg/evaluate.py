@@ -29,8 +29,11 @@ from .errors import NothingToScoreError
 UNMATCHED = -1
 
 
-def contingency(pred, gt, num_pred: int, num_gt: int) -> np.ndarray:
+def contingency(pred, gt, num_pred: int, num_gt: int, frames=1) -> np.ndarray:
     """num_pred x num_gt table of co-occurring frame counts.
+
+    ``frames`` is how many frames each (pred[i], gt[i]) entry stands for,
+    such as the length of a run of equal pairs; one each by default.
 
     Raises:
         ValueError: On length mismatch or ids outside the stated ranges.
@@ -46,7 +49,7 @@ def contingency(pred, gt, num_pred: int, num_gt: int) -> np.ndarray:
     if gt.size and (gt.min() < 0 or gt.max() >= num_gt):
         raise ValueError(f"gt ids outside [0, {num_gt})")
     table = np.zeros((num_pred, num_gt), dtype=np.int64)
-    np.add.at(table, (pred, gt), 1)
+    np.add.at(table, (pred, gt), frames)
     return table
 
 
@@ -191,7 +194,9 @@ def evaluate_activity(
         video_ids: Names, aligned with predictions and ground_truth.
         predictions: Per-video cluster-id arrays.
         ground_truth: Per-video action-id arrays, same lengths.
-        num_clusters: Number of prediction clusters K.
+        num_clusters: Bound on the cluster ids: every id is in
+            [0, num_clusters). Only the ids that occur are matched, so
+            a cluster that predicts no frame stays unmapped.
         num_actions: Number of ground-truth action classes K'.
         activity: Name recorded in the report.
         exclude: Ground-truth ids to drop from both sides before anything
@@ -231,8 +236,26 @@ def evaluate_activity(
         raise NothingToScoreError(
             f"activity {activity!r}: no frames left to match after background exclusion"
         )
-    pooled = contingency(all_pred, all_gt, num_clusters, num_actions)
-    mapping = hungarian_match(pooled)
+    # Count runs of equal (prediction, truth) pairs, of which a segmentation
+    # has few, with a row per cluster id that occurs, so the table does not
+    # grow with the ids' values.
+    changes = all_pred[1:] != all_pred[:-1]
+    changes |= all_gt[1:] != all_gt[:-1]
+    starts = np.r_[0, np.flatnonzero(changes) + 1]
+    cluster_ids, rows = np.unique(all_pred[starts], return_inverse=True)
+    if cluster_ids[0] < 0 or cluster_ids[-1] >= num_clusters:
+        raise ValueError(f"pred ids outside [0, {num_clusters})")
+    pooled = contingency(
+        rows,
+        all_gt[starts],
+        cluster_ids.size,
+        num_actions,
+        frames=np.diff(np.r_[starts, all_gt.size]),
+    )
+    mapping = {
+        int(cluster_ids[row]): action
+        for row, action in hungarian_match(pooled).items()
+    }
 
     scores = []
     total_correct = 0

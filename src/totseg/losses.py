@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, log_softmax_rows
+from .numerics import _log_softmax_in_place, as_matrix, log_softmax_rows
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,27 @@ def cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]
     q = np.asarray(codes) if targeted else as_matrix(codes)
     if q.shape != (s.shape[:1] if targeted else s.shape):
         raise ValueError(f"scores {s.shape} and codes {q.shape} differ in shape")
-    log_p, p = log_softmax_rows(s, temperature)
     if targeted:
-        hits = (np.arange(b), q)
-        p[hits] -= 1.0
-        return float(-log_p[hits].sum() / b), p / (b * temperature)
-    row_mass = q.sum(axis=1, keepdims=True)
-    return float(-(q * log_p).sum() / b), (row_mass * p - q) / (b * temperature)
+        return _target_cross_entropy(*log_softmax_rows(s, temperature, q), q, temperature)
+    log_p, grad = log_softmax_rows(s, temperature)
+    grad *= q.sum(axis=1, keepdims=True)
+    grad -= q
+    grad /= b * temperature
+    return float(-(q * log_p).sum() / b), grad
+
+
+def _target_cross_entropy(
+    log_p: np.ndarray, p: np.ndarray, targets: np.ndarray, temperature: float
+) -> tuple[float, np.ndarray]:
+    """cross_entropy against target columns, from the kernel's output.
+
+    ``log_p`` holds each row's target log-probability; the softmax ``p``
+    is turned into the gradient in place.
+    """
+    b = p.shape[0]
+    p[np.arange(b), targets] -= 1.0
+    p /= b * temperature
+    return float(-log_p.sum() / b), p
 
 
 def temporal_coherence(
@@ -104,7 +118,11 @@ def temporal_coherence(
         raise ValueError(
             f"anchors {z.shape} and positives {mates.shape} differ in shape"
         )
-    loss, dsims = cross_entropy(z @ mates.T, np.arange(z.shape[0]), 1.0)
+    rows = np.arange(z.shape[0])
+    # The similarity matrix is ours, so the kernel may overwrite it.
+    loss, dsims = _target_cross_entropy(
+        *_log_softmax_in_place(z @ mates.T, rows), rows, 1.0
+    )
     return loss, dsims @ mates, dsims.T @ z
 
 

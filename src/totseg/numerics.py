@@ -29,33 +29,55 @@ def as_matrix(values) -> np.ndarray:
     return matrix
 
 
-def log_softmax_rows(matrix, temperature: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-softmax and softmax of each row of ``matrix / temperature``.
+def log_softmax_rows(
+    matrix, temperature: float, targets=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of each row of ``matrix / temperature``, with its logs where asked.
 
     The row maximum is subtracted before exponentiation, so entries around
-    +-1e3 and sharp temperatures stay finite, and the log-probabilities
-    are exact where the probabilities underflow to zero.
+    +-1e3 and sharp temperatures stay finite. The log-probabilities are
+    read off the shifted scores before the exp, so they are exact where
+    the probabilities underflow to zero. The input is never modified: the
+    one scaled copy is shifted, exponentiated and normalized in place and
+    returned as the probabilities.
 
     Args:
         matrix: 2-D array of scores.
         temperature: Positive scale divisor; smaller means sharper.
+        targets: None for every log-probability, or a length-B integer
+            vector of columns: then only log_p[i, targets[i]] is kept.
 
     Returns:
-        (log-probabilities, row-stochastic probabilities), both of the
-        input's shape.
+        (log-probabilities, row-stochastic probabilities). The
+        probabilities have the input's shape; the log-probabilities too,
+        or length B with ``targets``.
 
     Raises:
         ValueError: If ``temperature <= 0``.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    shifted = as_matrix(matrix) / temperature
-    shifted -= shifted.max(axis=1, keepdims=True)
-    probabilities = np.exp(shifted)
-    mass = probabilities.sum(axis=1, keepdims=True)
-    probabilities /= mass
-    shifted -= np.log(mass)
-    return shifted, probabilities
+    return _log_softmax_in_place(as_matrix(matrix) / temperature, targets)
+
+
+def _log_softmax_in_place(
+    buffer: np.ndarray, targets=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """log_softmax_rows at temperature 1 that overwrites ``buffer`` with the softmax.
+
+    Only for a C-contiguous float64 array the caller owns.
+    """
+    buffer -= buffer.max(axis=1, keepdims=True)
+    if targets is None:
+        log_p = buffer.copy()
+    else:
+        log_p = buffer[np.arange(buffer.shape[0]), targets]
+    np.exp(buffer, out=buffer)
+    mass = buffer.sum(axis=1, keepdims=True)
+    buffer /= mass
+    log_mass = np.log(mass)
+    log_p -= log_mass if targets is None else log_mass[:, 0]
+    return log_p, buffer
 
 
 def row_softmax(matrix, temperature: float) -> np.ndarray:

@@ -165,8 +165,10 @@ def build_batch(
         video = videos[int(idx)]
         anchors = sample_ordered(video.num_frames, block_len, rng)
         mates = sample_positive(anchors, window, video.num_frames, rng)
-        features[row : row + block_len] = video.load_feature_rows(anchors)
-        positive_features[row : row + block_len] = video.load_feature_rows(mates)
+        # Positives lie near their anchors, on the same pages: read both at once.
+        rows = video.load_feature_rows(np.concatenate([anchors, mates]))
+        features[row : row + block_len] = rows[:block_len]
+        positive_features[row : row + block_len] = rows[block_len:]
         positions[row : row + block_len] = anchors
         positive_positions[row : row + block_len] = mates
         blocks.append((video.video_id, row, block_len))

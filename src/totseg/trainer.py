@@ -79,6 +79,7 @@ class TrainConfig:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        encoder.AdamState.check_settings(self.learning_rate, self.weight_decay)
         if self.prior_scope not in ("block", "batch"):
             raise ValueError(
                 f"prior_scope must be 'block' or 'batch', got {self.prior_scope!r}"

@@ -313,3 +313,28 @@ def relabel_edges_by_walking(labels, background_id: int, start_id: int, end_id: 
         labels[j] = end_id
         j -= 1
     return np.array(labels, dtype=np.int64)
+
+
+def two_buffer_cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]:
+    """Softmax cross-entropy and its score gradient, one fresh array per step.
+
+    The shifted scores, their exponentials, the log-probabilities and the
+    gradient each get their own array; ``codes`` is a B x K matrix or a
+    length-B vector of target columns, as for ``losses.cross_entropy``.
+    The floating-point operations are the package's, in the same order,
+    so the two must agree bit for bit.
+    """
+    shifted = np.asarray(scores, dtype=np.float64) / temperature
+    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    mass = exps.sum(axis=1, keepdims=True)
+    p = exps / mass
+    log_p = shifted - np.log(mass)
+    b = p.shape[0]
+    if np.ndim(codes) == 1:
+        hits = (np.arange(b), np.asarray(codes))
+        p[hits] -= 1.0
+        return float(-log_p[hits].sum() / b), p / (b * temperature)
+    q = np.asarray(codes, dtype=np.float64)
+    row_mass = q.sum(axis=1, keepdims=True)
+    return float(-(q * log_p).sum() / b), (row_mass * p - q) / (b * temperature)

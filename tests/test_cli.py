@@ -136,6 +136,25 @@ class TestConfigResolution:
         assert err.startswith("usage error: ")
         assert "'mode' must be one of" in err
 
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            ("train", "marginal-tol = nan", "marginal-tol"),
+            ("train", "lr = -inf", "lr"),
+            ("synth", "noise = inf", "noise"),
+        ],
+    )
+    def test_non_finite_float_in_config_file_is_one_line(
+        self, tmp_path, capsys, command, line, key
+    ):
+        config = tmp_path / "bad.cfg"
+        config.write_text(line + "\n")
+        assert run(command, tmp_path / "data", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert f"config key {key!r}: not a finite number" in err
+
 
 class TestPipeline:
     @pytest.fixture()
@@ -253,6 +272,28 @@ class TestPipeline:
             == 0
         )
         assert "mof = 1.0000" in capsys.readouterr().out
+
+    def test_eval_counts_only_the_ids_that_occur(self, tmp_path, capsys):
+        # A table with a row per id up to the largest would need 10**12 rows.
+        from totseg.dataio import load_catalog
+
+        data = tmp_path / "data"
+        assert run(*synth_args(data, k=4)) == 0
+        catalog = load_catalog(data, "synthetic")
+        cluster_ids = np.array([0, 1, 2, 10**12])
+        pred_dir = tmp_path / "pred" / "synthetic"
+        pred_dir.mkdir(parents=True)
+        for video in catalog.videos:
+            labels = cluster_ids[catalog.video_labels(video)]
+            (pred_dir / f"{video.video_id}.txt").write_text(
+                "\n".join(str(int(l)) for l in labels) + "\n"
+            )
+        report = tmp_path / "report.txt"
+        assert run("eval", data, "--pred", tmp_path / "pred", "--out", report) == 0
+        capsys.readouterr()
+        text = report.read_text()
+        assert "mapping = 0:0 1:1 2:2 1000000000000:3\n" in text
+        assert "dataset_mof = 1.0000" in text
 
 
 class TestMultiActivity:
@@ -406,6 +447,13 @@ class TestExitCodes:
         return ["eval", data, "--pred", tmp_path / "pred"], "video_000.txt"
 
     @staticmethod
+    def prediction_beyond_64_bits(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        path = tmp_path / "pred" / "synthetic" / "video_000.txt"
+        path.write_text(f"{10**20}\n" + path.read_text().split("\n", 1)[1])
+        return argv, "video_000.txt: prediction ids must be below 2**63"
+
+    @staticmethod
     def short_video(data, runs, tmp_path):
         write_features(
             FeatureSequence(video_id="tiny", num_frames=2, dim=6, array=np.ones((2, 6))),
@@ -466,6 +514,7 @@ class TestExitCodes:
         "corrupt",
         [
             negative_prediction,
+            prediction_beyond_64_bits,
             short_video,
             truncated_features,
             bad_magic_features,
@@ -523,6 +572,36 @@ class TestExitCodes:
                 ["--chunk-size", "-5"],
                 "chunk-size must be >= 1, got -5",
                 id="negative_chunk_size",
+            ),
+            pytest.param(
+                "train",
+                ["--lr", "0"],
+                "learning_rate must be positive, got 0.0",
+                id="zero_learning_rate",
+            ),
+            pytest.param(
+                "train",
+                ["--wd", "-1"],
+                "weight_decay must be >= 0, got -1.0",
+                id="negative_weight_decay",
+            ),
+            pytest.param(
+                "train",
+                ["--marginal-tol", "nan"],
+                "argument --marginal-tol: invalid finite_float value: 'nan'",
+                id="nan_marginal_tolerance",
+            ),
+            pytest.param(
+                "train",
+                ["--rho", "inf"],
+                "argument --rho: invalid finite_float value: 'inf'",
+                id="infinite_rho",
+            ),
+            pytest.param(
+                "train",
+                ["--tau", "nan"],
+                "argument --tau: invalid finite_float value: 'nan'",
+                id="nan_temperature",
             ),
         ],
     )

@@ -12,7 +12,7 @@ from totseg.losses import (
     temporal_coherence,
     total_loss,
 )
-from totseg.numerics import row_softmax
+from totseg.numerics import log_softmax_rows, row_softmax
 
 import oracles
 
@@ -173,6 +173,60 @@ class TestTemporalCoherence:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
             temporal_coherence(np.ones((3, 2)), np.ones((2, 2)))
+
+
+def _oracle_shapes(count=200):
+    """Seeded (rng, a, b) cases: two n x d matrices, about a tenth of a's rows x50."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(2, 301))
+        d = int(rng.integers(1, 41))
+        a = rng.normal(size=(n, d))
+        b = rng.normal(size=(n, d))
+        loud = rng.random(n) < 0.1
+        a[loud] *= 50.0
+        yield rng, a, b
+
+
+class TestOneBufferKernel:
+    def test_cross_entropy_matches_the_two_buffer_oracle_bit_for_bit(self):
+        for rng, a, _ in _oracle_shapes():
+            n, k = a.shape
+            tau = float(rng.choice([0.05, 0.1, 1.0, 2.5]))
+            codes = rng.random((n, k)) / n
+            targets = rng.integers(0, k, size=n)
+            for q in (codes, targets):
+                loss, grad = cross_entropy(a, q, tau)
+                want_loss, want_grad = oracles.two_buffer_cross_entropy(a, q, tau)
+                assert loss == want_loss
+                assert np.array_equal(grad, want_grad)
+
+    def test_temporal_coherence_matches_the_two_buffer_oracle_bit_for_bit(self):
+        for _, z, m in _oracle_shapes():
+            loss, ga, gm = temporal_coherence(z, m)
+            want_loss, dsims = oracles.two_buffer_cross_entropy(
+                z @ m.T, np.arange(z.shape[0]), 1.0
+            )
+            assert loss == want_loss
+            assert np.array_equal(ga, dsims @ m)
+            assert np.array_equal(gm, dsims.T @ z)
+
+    def test_inputs_are_left_unchanged(self):
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=(7, 4))
+        codes = rng.random((7, 4)) / 7
+        targets = rng.integers(0, 4, size=7)
+        z = rng.normal(size=(7, 3))
+        m = rng.normal(size=(7, 3))
+        inputs = (scores, codes, targets, z, m)
+        copies = [x.copy() for x in inputs]
+        cross_entropy(scores, codes, 1.0)
+        cross_entropy(scores, targets, 1.0)
+        log_softmax_rows(scores, 1.0)
+        log_softmax_rows(scores, 1.0, targets)
+        temporal_coherence(z, m)
+        for x, before in zip(inputs, copies):
+            np.testing.assert_array_equal(x, before)
 
 
 class TestTotalLoss:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from totseg.dataio import DatasetCatalog, FeatureSequence, LabelMapping
+from totseg.dataio import DatasetCatalog, FeatureSequence, LabelMapping, write_features
 from totseg.sampler import (
     build_batch,
     eligible_videos,
@@ -202,6 +202,39 @@ class TestBuildBatch:
         np.testing.assert_array_equal(a.positive_features, b.positive_features)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.positive_positions, b.positive_positions)
+
+    def test_disk_pool_reads_each_block_once_and_matches_memory(
+        self, tmp_path, monkeypatch
+    ):
+        # Features are float32 on disk, so round the in-memory pool to it.
+        in_memory = []
+        for video in self.pool([90, 120, 150], dim=4):
+            video.array = video.array.astype(np.float32).astype(np.float64)
+            in_memory.append(video)
+        on_disk = []
+        for video in in_memory:
+            path = tmp_path / f"{video.video_id}.totf"
+            write_features(video, path)
+            on_disk.append(
+                FeatureSequence(video.video_id, video.num_frames, video.dim, path=path)
+            )
+        reads = []
+        load = FeatureSequence.load_feature_rows
+
+        def counted(video, rows):
+            reads.append(video.video_id)
+            return load(video, rows)
+
+        monkeypatch.setattr(FeatureSequence, "load_feature_rows", counted)
+        want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6)
+        reads.clear()
+        got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6)
+        assert reads == [video_id for video_id, _, _ in got.blocks]
+        assert got.blocks == want.blocks
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.positive_features, want.positive_features)
+        np.testing.assert_array_equal(got.positions, want.positions)
+        np.testing.assert_array_equal(got.positive_positions, want.positive_positions)
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="positive multiple"):

@@ -84,6 +84,8 @@ class TestTrainConfig:
             {"videos_per_batch": 0},
             {"batch_size": 0},
             {"batch_size": 7},
+            {"learning_rate": 0.0},
+            {"weight_decay": -1.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
