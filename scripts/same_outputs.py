@@ -11,8 +11,11 @@ with ``OPENBLAS_NUM_THREADS=1`` and the tree alone on ``PYTHONPATH``. The
 two output trees (dataset, ``train.log`` files, checkpoints, label and
 timeline files, eval report) are then compared file by file.
 
-Prints ``identical`` and exits 0, or names the first differing file (or
-the subcommand that failed) and exits 1.
+Prints ``identical`` and exits 0. Otherwise it names every differing file
+(or file present in one tree only), ends with a count of differing and
+compared files per kind (dataset, checkpoint, train.log, labels,
+timelines, report), and exits 1. A failed subcommand is named and ends the
+run at once, also with exit 1.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -61,16 +65,37 @@ def run_pipeline(src: Path, workload, seed: int, train_seed: str, out: Path) -> 
     return None
 
 
-def first_difference(a: Path, b: Path) -> str | None:
-    """Relative path of the first file present in one tree only or differing in bytes."""
+KINDS = ("dataset", "checkpoint", "train.log", "labels", "timelines", "report")
+
+
+def kind_of(name: Path) -> str:
+    """Which pipeline output a file under one case's tree is."""
+    if name.parts[0] == "data":
+        return "dataset"
+    if name.name == "checkpoint.totc":
+        return "checkpoint"
+    if name.name == "train.log":
+        return "train.log"
+    if name.name.endswith(".timeline.csv"):
+        return "timelines"
+    if name.parts[0] == "segments":
+        return "labels"
+    return "report"
+
+
+def differences(a: Path, b: Path) -> tuple[list[tuple[Path, str]], Counter]:
+    """Every file present in one tree only or differing in bytes, with how,
+    and the number of files compared per kind."""
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    found, compared = [], Counter()
     for name in sorted(files_a | files_b):
+        compared[kind_of(name)] += 1
         if name not in files_a or name not in files_b:
-            return f"{name} (only in one tree)"
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            return str(name)
-    return None
+            found.append((name, "is only in one tree"))
+        elif (a / name).read_bytes() != (b / name).read_bytes():
+            found.append((name, "differs"))
+    return found, compared
 
 
 def main(argv=None) -> int:
@@ -83,6 +108,7 @@ def main(argv=None) -> int:
         if not (src / "totseg" / "cli.py").is_file():
             parser.error(f"no totseg package under {src}")
     workloads, train_seed = _workloads()
+    differing, compared = Counter(), Counter()
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as scratch:
         for name, workload in workloads.items():
             for seed in args.seeds:
@@ -96,13 +122,21 @@ def main(argv=None) -> int:
                         print(f"{case}: {failure}")
                         return 1
                     trees.append(out)
-                differs = first_difference(*trees)
-                if differs:
-                    print(f"{case}: {differs} differs")
-                    return 1
-                print(f"{case}: same", file=sys.stderr)
-    print("identical")
-    return 0
+                found, counts = differences(*trees)
+                compared.update(counts)
+                for path, how in found:
+                    differing[kind_of(path)] += 1
+                    print(f"{case}: {path} {how}")
+                if not found:
+                    print(f"{case}: same", file=sys.stderr)
+    if not differing:
+        print("identical")
+        return 0
+    print(
+        "differing files: "
+        + ", ".join(f"{kind} {differing[kind]} of {compared[kind]}" for kind in KINDS)
+    )
+    return 1
 
 
 if __name__ == "__main__":

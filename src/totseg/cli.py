@@ -262,7 +262,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
         ):
             result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
             with dataio.atomic_write(out_dir / f"{video_id}.txt") as fh:
-                fh.write("\n".join(map(str, result.labels.tolist())) + "\n")
+                fh.write(
+                    "".join(f"{c}\n" * (end - start) for c, start, end in result.segments)
+                )
             if values["timeline"]:
                 lines = [f"{c},{s},{e}" for c, s, e in result.segments]
                 with dataio.atomic_write(out_dir / f"{video_id}.timeline.csv") as fh:
@@ -312,7 +314,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             video_ids.append(video.video_id)
             predictions.append(pred)
             ground_truth.append(gt)
-        num_clusters = max(int(p.max()) for p in predictions if p.size) + 1
+        # An activity whose videos have no frames has no ids; evaluate_activity
+        # then reports that it has nothing to score.
+        num_clusters = 1 + max(
+            (int(p.max()) for p in predictions if p.size), default=-1
+        )
         report = evaluate.evaluate_activity(
             video_ids,
             predictions,

@@ -19,6 +19,7 @@ stays proportional to the batch rather than the dataset.
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from contextlib import contextmanager
@@ -68,6 +69,8 @@ class FeatureSequence:
     def load_feature_rows(self, rows) -> np.ndarray:
         """Only the requested frame rows, via a per-call memory map when disk-backed.
 
+        The map is closed before returning; the rows come back as a copy.
+
         Args:
             rows: 1-D integer array of frame indices in [0, num_frames).
 
@@ -83,20 +86,25 @@ class FeatureSequence:
         if self.array is not None:
             return self.array[rows]
         if not (rows.size and self.dim):
-            # Nothing to read, and np.memmap refuses to map zero bytes.
+            # Nothing to read, and a zero dim gives no row width to count by.
             return np.empty((rows.size, self.dim), dtype=np.float64)
-        payload_bytes = self.path.stat().st_size - _FEATURE_HEADER.size
-        present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
-        missing = rows[rows >= present]
-        if missing.size:
-            raise TruncatedPayloadError(
-                f"{self.path}: row {int(missing[0])} extends past end of file"
-            )
-        payload = np.memmap(
-            self.path, dtype="<f4", mode="r", offset=_FEATURE_HEADER.size,
-            shape=(present, self.dim),
-        )
-        return payload[rows].astype(np.float64)
+        with open(self.path, "rb") as fh:
+            payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
+            present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
+            missing = rows[rows >= present]
+            if missing.size:
+                raise TruncatedPayloadError(
+                    f"{self.path}: row {int(missing[0])} extends past end of file"
+                )
+            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                payload = np.frombuffer(
+                    view, dtype="<f4", count=present * self.dim,
+                    offset=_FEATURE_HEADER.size,
+                )
+                gathered = payload.reshape(present, self.dim)[rows].astype(np.float64)
+                # The map cannot close while an array still exports its buffer.
+                del payload
+        return gathered
 
 
 @contextmanager

@@ -12,6 +12,11 @@ prototypes before any dot products. Prototypes are ordinary parameters
 that can be frozen for the opening iterations of training so the encoder
 adapts to them first.
 
+The logistic is computed in place as ``1 / (1 + exp(-x))``. Its tails are
+exact: 1.0 for x above ~37, and 0.0 for x below ~-709.78, where
+``exp(-x)`` overflows. So logistic values below ~1e-308 (about 6e-309 and
+less, already subnormal) round to 0.
+
 Checkpoints are a fixed little-endian binary format (magic ``TOTC``); see
 docs/file-formats.md.
 """
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .dataio import atomic_write
 from .errors import BadMagicError, TruncatedPayloadError, VersionMismatchError
@@ -94,8 +98,22 @@ def init_params(
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Overflow-safe logistic function in float64, with exact tails."""
-    return expit(np.asarray(x, dtype=np.float64))
+    """Logistic function of a float64 copy of ``x``; the input is left as it is."""
+    return _sigmoid_in_place(np.array(x, dtype=np.float64))
+
+
+def _sigmoid_in_place(buffer: np.ndarray) -> np.ndarray:
+    """Overwrite a float64 array the caller owns with its logistic; returns it.
+
+    ``exp(-x)`` overflows to inf for x below ~-709.78, which gives an exact
+    0; the warning for that is silenced here, not raised.
+    """
+    np.negative(buffer, out=buffer)
+    with np.errstate(over="ignore"):
+        np.exp(buffer, out=buffer)
+    buffer += 1.0
+    np.reciprocal(buffer, out=buffer)
+    return buffer
 
 
 @dataclass
@@ -123,8 +141,12 @@ def forward(params: EncoderParams, x) -> tuple[np.ndarray, ForwardCache]:
         raise ValueError(
             f"encoder expects rows of dim {params.w1.shape[0]}, got shape {x.shape}"
         )
-    hidden = sigmoid(x @ params.w1 + params.b1)
-    outputs = sigmoid(hidden @ params.w2 + params.b2)
+    hidden = x @ params.w1
+    hidden += params.b1
+    _sigmoid_in_place(hidden)
+    outputs = hidden @ params.w2
+    outputs += params.b2
+    _sigmoid_in_place(outputs)
     return outputs, ForwardCache(inputs=x, hidden=hidden, outputs=outputs, params=params)
 
 

@@ -38,9 +38,9 @@ class TooFewVideosError(DataError, ValueError):
 
 
 class NothingToScoreError(DataError, ValueError):
-    """Background exclusion drops every ground-truth frame of an activity.
-    Also a ValueError, as for any ``evaluate_activity`` argument that leaves
-    nothing to match."""
+    """An activity has no ground-truth frame to score: its videos have no
+    frames, or background exclusion drops every one. Also a ValueError, as
+    for any ``evaluate_activity`` argument that leaves nothing to match."""
 
 
 class UsageError(Exception):

@@ -205,7 +205,8 @@ def evaluate_activity(
 
     Raises:
         ValueError: Misaligned inputs or per-video length mismatches.
-        NothingToScoreError: ``exclude`` drops every ground-truth frame.
+        NothingToScoreError: No ground-truth frame is left: the videos
+            have none, or ``exclude`` drops every one.
     """
     if not (len(video_ids) == len(predictions) == len(ground_truth)):
         raise ValueError(
@@ -233,9 +234,11 @@ def evaluate_activity(
     all_pred = np.concatenate(kept_pred)
     all_gt = np.concatenate(kept_gt)
     if all_gt.size == 0:
-        raise NothingToScoreError(
-            f"activity {activity!r}: no frames left to match after background exclusion"
-        )
+        if any(np.size(gt) for gt in ground_truth):
+            reason = "no frames left to match after background exclusion"
+        else:
+            reason = "its videos have no frames to match"
+        raise NothingToScoreError(f"activity {activity!r}: {reason}")
     # Count runs of equal (prediction, truth) pairs, of which a segmentation
     # has few, with a row per cluster id that occurs, so the table does not
     # grow with the ids' values.

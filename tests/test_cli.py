@@ -221,6 +221,56 @@ class TestPipeline:
         capsys.readouterr()
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "k, tiny_video, chunk",
+        [
+            pytest.param(1, False, 4096, id="one_cluster"),
+            pytest.param(3, True, 4096, id="video_of_k_frames"),
+            # Synth writes videos of about 60 frames: several chunks of 7.
+            pytest.param(3, False, 7, id="several_chunks"),
+        ],
+    )
+    def test_label_file_holds_one_line_per_decoded_frame(
+        self, tmp_path, capsys, monkeypatch, k, tiny_video, chunk
+    ):
+        from totseg import decode, encoder
+        from totseg.dataio import load_catalog
+
+        data, runs, seg = tmp_path / "data", tmp_path / "runs", tmp_path / "seg"
+        assert run(*synth_args(data)) == 0
+        # Synth writes two actions at least; an untrained checkpoint sets K.
+        params = encoder.init_params(6, 8, 4, k, np.random.default_rng(1))
+        encoder.save_checkpoint(
+            params,
+            encoder.AdamState.for_params(params),
+            runs / "synthetic" / cli.CHECKPOINT_NAME,
+        )
+        if tiny_video:
+            frames = np.random.default_rng(2).normal(size=(k, 6))
+            write_features(
+                FeatureSequence(video_id="tiny", num_frames=k, dim=6, array=frames),
+                data / "synthetic" / "features" / "tiny.totf",
+            )
+        decoded = []
+        viterbi = decode.viterbi_fixed_order
+
+        def recording_viterbi(log_probs):
+            decoded.append(viterbi(log_probs))
+            return decoded[-1]
+
+        monkeypatch.setattr(decode, "viterbi_fixed_order", recording_viterbi)
+        argv = ["segment", data, "--checkpoints", runs, "--out", seg]
+        assert run(*argv, "--chunk-size", chunk) == 0
+        capsys.readouterr()
+
+        videos = load_catalog(data, "synthetic").videos
+        assert len(decoded) == len(videos)
+        for video, result in zip(videos, decoded):
+            labels = result.labels
+            assert labels.size == video.num_frames
+            written = (seg / "synthetic" / f"{video.video_id}.txt").read_bytes()
+            assert written == ("\n".join(map(str, labels)) + "\n").encode()
+
     def test_eval_reports_and_writes_the_summary(self, trained, tmp_path, capsys):
         data, runs = trained
         seg = tmp_path / "segments"
@@ -510,6 +560,22 @@ class TestExitCodes:
         argv = zero_predictions(data, tmp_path)
         return [*argv, "--exclude-background", "0", "1", "2"], "activity 'synthetic'"
 
+    @staticmethod
+    def videos_without_frames(data, runs, tmp_path):
+        base, pred = data / "hollow", tmp_path / "pred" / "hollow"
+        (base / "groundTruth").mkdir(parents=True)
+        pred.mkdir(parents=True)
+        (base / "mapping.txt").write_text("0 a\n1 b\n")
+        for name in ("v0", "v1"):
+            write_features(
+                FeatureSequence(video_id=name, num_frames=0, dim=6, array=np.zeros((0, 6))),
+                base / "features" / f"{name}.totf",
+            )
+            (base / "groundTruth" / f"{name}.txt").write_text("")
+            (pred / f"{name}.txt").write_text("")
+        argv = ["eval", data, "--activity", "hollow", "--pred", tmp_path / "pred"]
+        return argv, "activity 'hollow': its videos have no frames"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -524,6 +590,7 @@ class TestExitCodes:
             videos_shorter_than_a_block,
             mapping_with_an_id_gap,
             everything_excluded,
+            videos_without_frames,
         ],
         ids=lambda case: case.__name__,
     )

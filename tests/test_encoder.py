@@ -49,6 +49,32 @@ class TestSigmoid:
         x = np.linspace(-5, 5, 51)
         np.testing.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), atol=1e-15)
 
+    def test_agrees_with_scipy_expit_up_to_700(self):
+        expit = pytest.importorskip("scipy.special").expit
+        rng = np.random.default_rng(3)
+        x = np.concatenate(
+            [np.linspace(-700, 700, 140_001), rng.normal(scale=8.0, size=20_000)]
+        )
+        np.testing.assert_allclose(sigmoid(x), expit(x), rtol=1e-15, atol=0)
+
+    def test_exact_tails_beyond_exp_overflow(self):
+        x = np.array([709.79, 710.0, 745.5, 1e4, 1e308, np.inf])
+        np.testing.assert_array_equal(sigmoid(x), np.ones_like(x))
+        np.testing.assert_array_equal(sigmoid(-x), np.zeros_like(x))
+
+    def test_leaves_its_input_unchanged(self):
+        x = np.linspace(-50, 50, 41)
+        before = x.copy()
+        sigmoid(x)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
+    def test_other_dtypes_give_float64(self, dtype):
+        x = np.arange(-6, 7).astype(dtype)
+        out = sigmoid(x)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, sigmoid(x.astype(np.float64)))
+
 
 class TestForward:
     def test_zero_parameters_give_half_everywhere(self):

@@ -91,6 +91,22 @@ def test_log_softmax_rows_is_the_log_of_the_softmax():
     np.testing.assert_array_equal(p, numerics.row_softmax(m, 0.5))
 
 
+def test_row_softmax_is_bitwise_the_probabilities_of_log_softmax_rows():
+    rng = np.random.default_rng(17)
+    for case in range(200):
+        rows, cols = rng.integers(1, 50, size=2)
+        m = rng.normal(scale=rng.choice([0.1, 3.0, 300.0]), size=(rows, cols))
+        if case % 3 == 0:
+            m = np.asfortranarray(m)
+        if case % 5 == 0:
+            m = m.astype(np.float32)
+        temperature = rng.choice([0.05, 0.1, 1.0, 7.0])
+        np.testing.assert_array_equal(
+            numerics.row_softmax(m, temperature),
+            numerics.log_softmax_rows(m, temperature)[1],
+        )
+
+
 def test_log_softmax_rows_exact_where_softmax_underflows():
     log_p, p = numerics.log_softmax_rows([[1000.0, 0.0]], temperature=0.1)
     np.testing.assert_array_equal(p, [[1.0, 0.0]])
