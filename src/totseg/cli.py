@@ -13,14 +13,20 @@ file of the activity, when a video has fewer frames than the checkpoint
 has clusters: such a video has no ordered segmentation, and skipping it
 would leave ``eval`` a missing label file. ``train`` fails with a data
 error when an activity has fewer videos of at least one block's length
-(batch / videos-per-batch frames) than a batch draws.
+(batch / videos-per-batch frames) than a batch draws. A checkpoint whose
+header has a dimension below 1, or a temperature that is not finite and
+positive, is a data error; so is a ground-truth, ``mapping.txt`` or
+prediction file that is not UTF-8 text, and a directory where a
+prediction file should be. A ``--config`` file that is not UTF-8 text is
+a usage error, and so is an output path that cannot be created because a
+file is in the way (``--out``, or ``synth``'s OUT, naming a file or a path
+under one).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -98,6 +104,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _output_dir(path: Path) -> Path:
+    """Create an output directory and its parents; a file in the way is a
+    usage error naming the path."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise UsageError(
+            f"cannot create output directory {path}: {err.strerror}"
+        ) from None
+    return path
+
+
 def _activities(root: Path, requested: str | None) -> list[str]:
     if requested:
         names = [name.strip() for name in requested.split(",") if name.strip()]
@@ -132,6 +150,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise UsageError(str(err)) from None
     catalog = dataio.generate_synthetic(spec)
     catalog.activity = values["activity"]
+    _output_dir(Path(args.out) / catalog.activity)
     base = dataio.write_catalog(catalog, args.out)
     print(
         f"wrote {len(catalog.videos)} videos, {catalog.total_frames} frames to {base}"
@@ -150,11 +169,9 @@ def _train_config(values: dict[str, Any]) -> trainer.TrainConfig:
             freeze_iterations=values["freeze-iters"],
             seed=values["seed"],
             embed_dim=values["embed-dim"],
-            hidden_dim=values["hidden-dim"],
             learning_rate=values["lr"],
             weight_decay=values["wd"],
             normalize=values["normalize"],
-            prior_scope=values["prior-scope"],
             loss=losses.LossConfig(
                 temperature=values["tau"],
                 alpha=values["alpha"],
@@ -173,54 +190,33 @@ def _train_config(values: dict[str, Any]) -> trainer.TrainConfig:
         raise UsageError(str(err)) from None
 
 
-def _train_one_activity(
-    data: str, activity: str, run_config: trainer.TrainConfig, values: dict[str, Any]
-) -> str:
-    """Train one activity and write its checkpoint and log; returns a summary."""
-    catalog = dataio.load_catalog(
-        data, activity, split_background=values["split-background"]
-    )
-    out_dir = Path(values["out"]) / activity
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / LOG_NAME, "w") as log_stream:
-        result = trainer.train(catalog, run_config, log_stream=log_stream)
-    encoder.save_checkpoint(
-        result.params,
-        result.state,
-        out_dir / CHECKPOINT_NAME,
-        temperature=values["tau"],
-        normalized=values["normalize"],
-    )
-    last = result.records[-1]
-    return (
-        f"{activity}: {len(result.records)} iterations in "
-        f"{result.elapsed_seconds:.1f}s, final L={last.total_loss:.4f} "
-        f"(L_CE={last.clustering_loss:.4f}, L_TC={last.coherence_loss:.4f}), "
-        f"peak batch matrix {result.ledger.max_dimension()} rows"
-    )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.TRAIN_OPTIONS)
     run_config = _train_config(values)
     root = Path(args.data)
     if not root.is_dir():
         raise UsageError(f"dataset path does not exist: {root}")
-    activities = _activities(root, values["activity"])
-    workers = values["parallel-activities"]
-    if workers < 1:
-        raise UsageError(f"parallel-activities must be >= 1, got {workers}")
-    if workers > 1 and len(activities) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [
-                pool.submit(_train_one_activity, args.data, name, run_config, values)
-                for name in activities
-            ]
-            for job in jobs:
-                print(job.result())
-    else:
-        for name in activities:
-            print(_train_one_activity(args.data, name, run_config, values))
+    for activity in _activities(root, values["activity"]):
+        catalog = dataio.load_catalog(
+            root, activity, split_background=values["split-background"]
+        )
+        out_dir = _output_dir(Path(values["out"]) / activity)
+        with open(out_dir / LOG_NAME, "w") as log_stream:
+            result = trainer.train(catalog, run_config, log_stream=log_stream)
+        encoder.save_checkpoint(
+            result.params,
+            result.state,
+            out_dir / CHECKPOINT_NAME,
+            temperature=values["tau"],
+            normalized=values["normalize"],
+        )
+        last = result.records[-1]
+        print(
+            f"{activity}: {len(result.records)} iterations in "
+            f"{result.elapsed_seconds:.1f}s, final L={last.total_loss:.4f} "
+            f"(L_CE={last.clustering_loss:.4f}, L_TC={last.coherence_loss:.4f}), "
+            f"peak batch matrix {result.ledger.max_dimension()} rows"
+        )
     return EXIT_OK
 
 
@@ -251,8 +247,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
                     f"{video.num_frames} frames, fewer than the {clusters} "
                     f"clusters of {checkpoint_path}"
                 )
-        out_dir = Path(values["out"]) / activity
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir = _output_dir(Path(values["out"]) / activity)
         for video_id, probs in trainer.embed_dataset(
             params,
             catalog,
@@ -274,10 +269,17 @@ def cmd_segment(args: argparse.Namespace) -> int:
 
 
 def _read_predictions(path: Path) -> np.ndarray:
+    """Cluster ids of a prediction file, one per non-blank line.
+
+    ``int`` parses the file's bytes directly, so no decode step can fail:
+    any line that is not an integer, UTF-8 or not, is a data error.
+    """
     try:
-        lines = path.read_text().splitlines()
+        lines = path.read_bytes().splitlines()
     except FileNotFoundError:
         raise DataError(f"missing prediction file: {path}") from None
+    except IsADirectoryError:
+        raise DataError(f"{path}: a directory, not a prediction file") from None
     try:
         ids = np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
     except ValueError:
@@ -340,7 +342,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     print(summary, end="")
     if values["out"]:
         out_path = Path(values["out"])
-        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _output_dir(out_path.parent)
+        if out_path.is_dir():
+            raise UsageError(f"cannot write the report to {out_path}: a directory")
         with dataio.atomic_write(out_path) as fh:
             fh.write("".join(report_lines) + summary)
     return EXIT_OK

@@ -78,7 +78,6 @@ TRAIN_OPTIONS = (
     Option("freeze-iters", "int", 100, "iterations with prototypes frozen"),
     Option("seed", "int", 0, "rng seed for init and sampling"),
     Option("embed-dim", "int", 30, "output embedding dimension"),
-    Option("hidden-dim", "int", None, "hidden layer width, default 2x embed-dim"),
     Option("lr", "float", 1e-3, "Adam learning rate"),
     Option("wd", "float", 1e-4, "decoupled weight decay"),
     Option("tau", "float", 0.1, "prediction softmax temperature"),
@@ -90,12 +89,10 @@ TRAIN_OPTIONS = (
     Option("sinkhorn-iters", "int", 3, "scaling sweeps per transport solve"),
     Option("marginal-tol", "float", 0.0, "early-stop tolerance, 0 disables"),
     Option("normalize", "bool", True, "L2-normalize embeddings and prototypes"),
-    Option("prior-scope", "str", "block", "prior span for tot modes", ("block", "batch")),
     Option("renormalize-q", "bool", False, "rescale code rows to sum 1 before the loss"),
     Option("split-background", "str", None, "background action to split into edge classes"),
     Option("activity", "str", None, "comma-separated activities, default all"),
     Option("out", "str", "runs", "output directory for checkpoints and logs"),
-    Option("parallel-activities", "int", 1, "activities trained concurrently"),
 )
 
 SYNTH_OPTIONS = (
@@ -134,14 +131,18 @@ def parse_config_file(path, registry: tuple[Option, ...]) -> dict[str, Any]:
     """Read and validate a ``key = value`` file against a registry.
 
     Raises:
-        UsageError: Missing file, malformed lines, or unknown keys.
+        UsageError: Missing or non-UTF-8 file, malformed lines, or unknown keys.
     """
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not UTF-8 text (byte {err.start})") from None
     by_name = {option.name: option for option in registry}
     values: dict[str, Any] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

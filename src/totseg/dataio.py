@@ -32,6 +32,7 @@ import numpy as np
 from .errors import (
     BadMagicError,
     CatalogError,
+    DataError,
     TruncatedPayloadError,
     UnknownLabelError,
     VersionMismatchError,
@@ -126,6 +127,14 @@ def atomic_write(path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
+def _read_text(path: Path) -> str:
+    """A text input's contents; bytes that are not UTF-8 are a DataError."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"{path}: not UTF-8 text (byte {err.start})") from None
+
+
 def write_features(seq: FeatureSequence, path) -> None:
     """Write a feature sequence to ``path`` in the binary feature format."""
     matrix = as_matrix(seq.load_features())
@@ -214,7 +223,7 @@ class LabelMapping:
     def from_file(cls, path) -> "LabelMapping":
         path = Path(path)
         names: dict[str, int] = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -245,10 +254,11 @@ def read_labels(path, mapping: LabelMapping) -> np.ndarray:
 
     Raises:
         UnknownLabelError: Naming the file, line number, and unknown name.
+        DataError: The file is not UTF-8 text.
     """
     path = Path(path)
     ids = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         name = line.strip()
         if not name:
             continue

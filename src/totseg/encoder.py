@@ -23,6 +23,7 @@ docs/file-formats.md.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import atomic_write
-from .errors import BadMagicError, TruncatedPayloadError, VersionMismatchError
+from .errors import BadMagicError, DataError, TruncatedPayloadError, VersionMismatchError
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "prototypes")
 
@@ -318,6 +319,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
     Raises:
         BadMagicError / VersionMismatchError / TruncatedPayloadError:
             On files that are not, or are no longer, valid checkpoints.
+        DataError: A header dimension below 1, or a temperature that is
+            not finite and positive.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -345,6 +348,16 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
     if version != CHECKPOINT_VERSION:
         raise VersionMismatchError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
+        )
+    if min(d_in, hidden, d_embed, clusters) < 1:
+        raise DataError(
+            f"{path}: checkpoint dimensions must be >= 1, got input {d_in}, "
+            f"hidden {hidden}, embedding {d_embed}, clusters {clusters}"
+        )
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise DataError(
+            f"{path}: checkpoint temperature must be finite and positive, "
+            f"got {temperature}"
         )
 
     shapes = {

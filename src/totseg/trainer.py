@@ -37,9 +37,9 @@ class TrainConfig:
     """Everything that determines a training run besides the data.
 
     ``iterations`` overrides the epoch-derived budget when set. One epoch
-    is len(videos) // videos_per_batch iterations. ``num_clusters``
-    defaults to the catalog's action count and, when given, must agree
-    with it.
+    is len(videos) // videos_per_batch iterations. The encoder's hidden
+    layer is ``2 * embed_dim`` wide, and there is one prototype per action
+    of the catalog.
     """
 
     mode: str = "tot"
@@ -49,13 +49,10 @@ class TrainConfig:
     videos_per_batch: int = 2
     freeze_iterations: int = 100
     seed: int = 0
-    num_clusters: int | None = None
     embed_dim: int = 30
-    hidden_dim: int | None = None
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
     normalize: bool = True
-    prior_scope: str = "block"
     loss: losses.LossConfig = field(default_factory=losses.LossConfig)
     transport: transport.TransportConfig = field(
         default_factory=transport.TransportConfig
@@ -77,13 +74,7 @@ class TrainConfig:
             )
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.hidden_dim is not None and self.hidden_dim < 1:
-            raise ValueError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
         encoder.AdamState.check_settings(self.learning_rate, self.weight_decay)
-        if self.prior_scope not in ("block", "batch"):
-            raise ValueError(
-                f"prior_scope must be 'block' or 'batch', got {self.prior_scope!r}"
-            )
 
     @property
     def uses_prior(self) -> bool:
@@ -158,19 +149,15 @@ def solve_codes(
 ) -> tuple[np.ndarray, float, float]:
     """Pseudo-label codes for a batch, one transport solve per video block.
 
-    Temporal order only means something inside a video, so by default each
-    block of ``scores`` is solved on its own equal-partition polytope
-    (with its own prior in tot modes). Block solutions are scaled by
-    block_len / B so the assembled batch matrix again has rows summing to
-    1/B and columns to 1/K. ``prior_scope="batch"`` instead treats the
-    concatenated batch as one sequence: a single solve, single prior.
+    Temporal order only means something inside a video, so each block of
+    ``scores`` is solved on its own equal-partition polytope (with its own
+    prior in tot modes). Block solutions are scaled by block_len / B so the
+    assembled batch matrix again has rows summing to 1/B and columns to 1/K.
 
     Returns:
         (B x K codes, max row error, max col error) across block solves.
     """
     total = scores.shape[0]
-    if config.prior_scope == "batch":
-        blocks = [("batch", 0, total)]
     codes = np.empty_like(scores)
     row_err = 0.0
     col_err = 0.0
@@ -358,12 +345,6 @@ def train(
         log_stream: Optional text sink receiving LOG_HEADER and one line
             per iteration.
     """
-    if config.num_clusters is not None and config.num_clusters != catalog.num_actions:
-        raise ValueError(
-            f"config asks for {config.num_clusters} prototypes but catalog "
-            f"{catalog.activity!r} has {catalog.num_actions} actions"
-        )
-    clusters = catalog.num_actions
     block_len = config.batch_size // config.videos_per_batch
     # Counted before eligible_videos warns about each short video, so a run
     # that cannot train reports one line.
@@ -380,9 +361,8 @@ def train(
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)
 
     rng = np.random.default_rng(config.seed)
-    hidden_dim = config.hidden_dim or 2 * config.embed_dim
     params = encoder.init_params(
-        catalog.dim, hidden_dim, config.embed_dim, clusters, rng
+        catalog.dim, 2 * config.embed_dim, config.embed_dim, catalog.num_actions, rng
     )
     state = encoder.AdamState.for_params(
         params,

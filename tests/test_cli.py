@@ -1,6 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
-import filecmp
+import struct
 
 import numpy as np
 import pytest
@@ -52,6 +52,21 @@ def tree_bytes(root):
         for path in sorted(root.rglob("*"))
         if path.is_file()
     }
+
+
+def checkpoint_header_case(name, offset, fmt, value):
+    """A corrupt() case of TestExitCodes that overwrites one checkpoint header
+    field (offsets as in docs/file-formats.md)."""
+
+    def corrupt(data, runs, tmp_path):
+        path = runs / "synthetic" / cli.CHECKPOINT_NAME
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(raw)
+        return ["segment", data, "--checkpoints", runs], f"{path}: checkpoint"
+
+    corrupt.__name__ = name
+    return corrupt
 
 
 def zero_predictions(data, tmp_path):
@@ -126,6 +141,13 @@ class TestConfigResolution:
     def test_bad_choice_value_rejected(self, tmp_path, capsys):
         assert run("train", tmp_path, "--mode", "kmeans") == 1
         capsys.readouterr()
+
+    def test_config_file_that_is_not_utf8_is_one_line(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"# caf\xe9\nvideos = 3\n")
+        assert run("synth", tmp_path / "data", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err == f"usage error: {config}: not UTF-8 text (byte 5)\n"
 
     def test_bad_choice_in_config_file_is_one_line(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -374,29 +396,23 @@ class TestMultiActivity:
         assert not (runs / "cooking").exists()
         assert (runs / "repair" / "checkpoint.totc").is_file()
 
-    def test_parallel_training_matches_serial_output(
+    def test_outputs_do_not_depend_on_the_other_activities(
         self, two_activities, tmp_path, capsys
     ):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert run(*train_args(two_activities, serial, iterations=2)) == 0
-        assert (
-            run(
-                *train_args(two_activities, parallel, iterations=2),
-                "--parallel-activities",
-                "2",
-            )
-            == 0
-        )
+        together, alone = tmp_path / "together", tmp_path / "alone"
+        assert run(*train_args(two_activities, together, iterations=2)) == 0
+        for activity in ("repair", "cooking"):
+            argv = train_args(two_activities, alone, iterations=2, activity=activity)
+            assert run(*argv) == 0
         capsys.readouterr()
-        match, mismatch, errors = filecmp.cmpfiles(
-            serial,
-            parallel,
-            ["cooking/checkpoint.totc", "repair/checkpoint.totc"],
-            shallow=False,
-        )
-        assert mismatch == []
-        assert errors == []
-        assert len(match) == 2
+        written = tree_bytes(together)
+        assert sorted(map(str, written)) == [
+            "cooking/checkpoint.totc",
+            "cooking/train.log",
+            "repair/checkpoint.totc",
+            "repair/train.log",
+        ]
+        assert written == tree_bytes(alone)
 
     def test_unknown_activity_is_a_data_error(self, two_activities, capsys):
         assert run("eval", two_activities, "--activity", "nope") == 2
@@ -576,6 +592,35 @@ class TestExitCodes:
         argv = ["eval", data, "--activity", "hollow", "--pred", tmp_path / "pred"]
         return argv, "activity 'hollow': its videos have no frames"
 
+    @staticmethod
+    def prediction_not_utf8(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        path = tmp_path / "pred" / "synthetic" / "video_000.txt"
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        return argv, "video_000.txt: prediction lines must be integer cluster ids"
+
+    @staticmethod
+    def prediction_is_a_directory(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        path = tmp_path / "pred" / "synthetic" / "video_001.txt"
+        path.unlink()
+        path.mkdir()
+        return argv, f"{path}: a directory, not a prediction file"
+
+    @staticmethod
+    def ground_truth_not_utf8(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        truth = data / "synthetic" / "groundTruth" / "video_002.txt"
+        truth.write_bytes(truth.read_bytes().replace(b"action_1", b"acci\xf3n_1", 1))
+        return argv, f"{truth}: not UTF-8 text"
+
+    @staticmethod
+    def mapping_not_utf8(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        mapping = data / "synthetic" / "mapping.txt"
+        mapping.write_bytes(b"0 action_0\n1 action_1\n2 acci\xf3n_2\n")
+        return argv, f"{mapping}: not UTF-8 text"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -591,6 +636,16 @@ class TestExitCodes:
             mapping_with_an_id_gap,
             everything_excluded,
             videos_without_frames,
+            checkpoint_header_case("checkpoint_zero_clusters", 18, "<I", 0),
+            checkpoint_header_case("checkpoint_zero_embedding_dim", 14, "<I", 0),
+            checkpoint_header_case("checkpoint_zero_hidden_width", 10, "<I", 0),
+            checkpoint_header_case("checkpoint_zero_temperature", 23, "<d", 0.0),
+            checkpoint_header_case("checkpoint_negative_temperature", 23, "<d", -0.1),
+            checkpoint_header_case("checkpoint_nan_temperature", 23, "<d", np.nan),
+            prediction_not_utf8,
+            prediction_is_a_directory,
+            ground_truth_not_utf8,
+            mapping_not_utf8,
         ],
         ids=lambda case: case.__name__,
     )
@@ -684,4 +739,38 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("usage error: ")
         assert names in err
+        assert "Traceback" not in err
+
+    # An output path with a file in the way exits 1 with one line naming it.
+
+    @pytest.mark.parametrize(
+        "command, out, names",
+        [
+            ("synth", "a_file", "directory {tmp}/a_file/synthetic"),
+            ("train", "a_file", "directory {tmp}/a_file/synthetic"),
+            ("segment", "a_file", "directory {tmp}/a_file/synthetic"),
+            ("eval", "a_file/report.txt", "directory {tmp}/a_file: "),
+            ("eval", "a_dir", "report to {tmp}/a_dir: a directory"),
+        ],
+        ids=["synth", "train", "segment", "eval", "eval_into_a_directory"],
+    )
+    def test_output_path_that_cannot_be_created_is_one_line(
+        self, trained, tmp_path, capsys, command, out, names
+    ):
+        data, runs = trained
+        (tmp_path / "a_file").write_text("")
+        (tmp_path / "a_dir").mkdir()
+        argv = {
+            "synth": ["synth", tmp_path / out],
+            "train": ["train", data, "--iterations", 1],
+            "segment": ["segment", data, "--checkpoints", runs],
+        }.get(command) or zero_predictions(data, tmp_path)
+        if command != "synth":
+            argv += ["--out", tmp_path / out]
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("usage error: ")
+        assert names.format(tmp=tmp_path) in err
         assert "Traceback" not in err

@@ -79,8 +79,6 @@ class TestTrainConfig:
             {"iterations": 0},
             {"freeze_iterations": -1},
             {"embed_dim": 0},
-            {"hidden_dim": 0},
-            {"prior_scope": "video"},
             {"videos_per_batch": 0},
             {"batch_size": 0},
             {"batch_size": 7},
@@ -109,10 +107,9 @@ class TestMatrixLedger:
 
 
 class TestSolveCodes:
-    def config(self, mode="tot", scope="block", tolerance=0.0, iterations=3):
+    def config(self, mode="tot", tolerance=0.0, iterations=3):
         return small_config(
             mode=mode,
-            prior_scope=scope,
             transport=TransportConfig(
                 iterations=iterations, marginal_tolerance=tolerance
             ),
@@ -156,16 +153,6 @@ class TestSolveCodes:
                 part.values * (length / 10),
                 rtol=1e-15,
             )
-
-    def test_batch_scope_solves_the_batch_as_one_sequence(self):
-        rng = np.random.default_rng(3)
-        scores = rng.uniform(-1, 1, size=(12, 3))
-        blocks = [("a", 0, 6), ("b", 6, 6)]
-        config = self.config(scope="batch")
-        codes, _, _ = solve_codes(scores, blocks, config)
-        prior = transport.temporal_prior(12, 3, config.transport.sigma)
-        direct = transport.sinkhorn_tot(scores, prior, config.transport.rho)
-        np.testing.assert_array_equal(codes, direct.values)
 
     def test_ot_mode_ignores_the_prior(self):
         rng = np.random.default_rng(4)
@@ -385,9 +372,8 @@ class TestTrain:
         config = small_config(iterations=4, freeze_iterations=4)
         result = train(catalog, config)
         rng = np.random.default_rng(config.seed)
-        hidden = config.hidden_dim or 2 * config.embed_dim
         reference = encoder.init_params(
-            catalog.dim, hidden, config.embed_dim, catalog.num_actions, rng
+            catalog.dim, 2 * config.embed_dim, config.embed_dim, catalog.num_actions, rng
         )
         np.testing.assert_array_equal(
             result.params.prototypes, reference.prototypes
@@ -415,16 +401,6 @@ class TestTrain:
         # Stacked anchor+positive activations are the largest anything gets.
         assert ledger.max_dimension() == 64
         assert ledger.max_dimension() < catalog.total_frames
-
-    def test_num_clusters_mismatch_rejected(self):
-        catalog = small_catalog()
-        with pytest.raises(ValueError, match="4 prototypes but catalog"):
-            train(catalog, small_config(num_clusters=4))
-
-    def test_matching_num_clusters_accepted(self):
-        catalog = small_catalog()
-        result = train(catalog, small_config(iterations=1, num_clusters=3))
-        assert result.params.prototypes.shape == (3, 6)
 
     def test_pool_too_small_rejected(self):
         catalog = small_catalog(num_videos=2)
