@@ -84,6 +84,8 @@ class TestTrainConfig:
             {"batch_size": 7},
             {"learning_rate": 0.0},
             {"weight_decay": -1.0},
+            {"learning_rate": -1e-3},
+            {"batch_size": 512, "videos_per_batch": 3},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
