@@ -20,7 +20,8 @@ prediction file that is not UTF-8 text, and a directory where a
 prediction file should be. A ``--config`` file that is not UTF-8 text is
 a usage error, and so is an output path that cannot be created because a
 file is in the way (``--out``, or ``synth``'s OUT, naming a file or a path
-under one).
+under one), or an output file path that names a directory (``train.log``,
+the checkpoint, a label or timeline file, the ``eval --out`` report).
 """
 
 from __future__ import annotations
@@ -116,6 +117,14 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
+def _output_file(path: Path, what: str) -> Path:
+    """``path``, checked before the ``what`` is written there: a directory in
+    the way is a usage error naming the path."""
+    if path.is_dir():
+        raise UsageError(f"cannot write the {what} to {path}: a directory")
+    return path
+
+
 def _activities(root: Path, requested: str | None) -> list[str]:
     if requested:
         names = [name.strip() for name in requested.split(",") if name.strip()]
@@ -176,7 +185,6 @@ def _train_config(values: dict[str, Any]) -> trainer.TrainConfig:
                 temperature=values["tau"],
                 alpha=values["alpha"],
                 window=values["lambda"],
-                renormalize_codes=values["renormalize-q"],
             ),
             transport=transport.TransportConfig(
                 epsilon=values["epsilon"],
@@ -201,12 +209,14 @@ def cmd_train(args: argparse.Namespace) -> int:
             root, activity, split_background=values["split-background"]
         )
         out_dir = _output_dir(Path(values["out"]) / activity)
-        with open(out_dir / LOG_NAME, "w") as log_stream:
+        log_path = _output_file(out_dir / LOG_NAME, "training log")
+        checkpoint_path = _output_file(out_dir / CHECKPOINT_NAME, "checkpoint")
+        with open(log_path, "w") as log_stream:
             result = trainer.train(catalog, run_config, log_stream=log_stream)
         encoder.save_checkpoint(
             result.params,
             result.state,
-            out_dir / CHECKPOINT_NAME,
+            checkpoint_path,
             temperature=values["tau"],
             normalized=values["normalize"],
         )
@@ -256,13 +266,15 @@ def cmd_segment(args: argparse.Namespace) -> int:
             normalize=meta["normalized"],
         ):
             result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
-            with dataio.atomic_write(out_dir / f"{video_id}.txt") as fh:
+            labels_path = _output_file(out_dir / f"{video_id}.txt", "label file")
+            with dataio.atomic_write(labels_path) as fh:
                 fh.write(
                     "".join(f"{c}\n" * (end - start) for c, start, end in result.segments)
                 )
             if values["timeline"]:
                 lines = [f"{c},{s},{e}" for c, s, e in result.segments]
-                with dataio.atomic_write(out_dir / f"{video_id}.timeline.csv") as fh:
+                timeline = _output_file(out_dir / f"{video_id}.timeline.csv", "timeline")
+                with dataio.atomic_write(timeline) as fh:
                     fh.write("\n".join(lines) + "\n")
         print(f"{activity}: wrote {len(catalog.videos)} label files to {out_dir}")
     return EXIT_OK
@@ -343,9 +355,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if values["out"]:
         out_path = Path(values["out"])
         _output_dir(out_path.parent)
-        if out_path.is_dir():
-            raise UsageError(f"cannot write the report to {out_path}: a directory")
-        with dataio.atomic_write(out_path) as fh:
+        with dataio.atomic_write(_output_file(out_path, "report")) as fh:
             fh.write("".join(report_lines) + summary)
     return EXIT_OK
 

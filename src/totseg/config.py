@@ -89,7 +89,6 @@ TRAIN_OPTIONS = (
     Option("sinkhorn-iters", "int", 3, "scaling sweeps per transport solve"),
     Option("marginal-tol", "float", 0.0, "early-stop tolerance, 0 disables"),
     Option("normalize", "bool", True, "L2-normalize embeddings and prototypes"),
-    Option("renormalize-q", "bool", False, "rescale code rows to sum 1 before the loss"),
     Option("split-background", "str", None, "background action to split into edge classes"),
     Option("activity", "str", None, "comma-separated activities, default all"),
     Option("out", "str", "runs", "output directory for checkpoints and logs"),

@@ -319,8 +319,8 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
     Raises:
         BadMagicError / VersionMismatchError / TruncatedPayloadError:
             On files that are not, or are no longer, valid checkpoints.
-        DataError: A header dimension below 1, or a temperature that is
-            not finite and positive.
+        DataError: A header dimension below 1, a temperature that is not
+            finite and positive, or bytes past the promised payload.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -369,10 +369,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
     }
     total = sum(int(np.prod(s)) for s in shapes.values())
     expected = _CKPT_HEADER.size + 3 * total * 8
-    if len(raw) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: checkpoint promises {expected} bytes, file has {len(raw)}"
-        )
+    if len(raw) != expected:
+        error = TruncatedPayloadError if len(raw) < expected else DataError
+        raise error(f"{path}: checkpoint promises {expected} bytes, file has {len(raw)}")
 
     offset = _CKPT_HEADER.size
 

@@ -20,18 +20,20 @@ from .numerics import _log_softmax_in_place, as_matrix, log_softmax_rows
 class LossConfig:
     """Loss hyperparameters.
 
+    The clustering loss reads each frame's code row as a distribution, as
+    SwAV does: training scales every row to sum to 1, so the clustering
+    loss is the per-frame mean cross-entropy, on the coherence loss's
+    scale, and ``alpha`` weighs two per-frame means.
+
     Attributes:
         temperature: Softmax sharpness of the predicted codes.
         alpha: Weight of the temporal coherence term in the total loss.
         window: Half-width (in frames) of the positive sampling window.
-        renormalize_codes: Rescale each code row to sum to 1 before the
-            clustering loss, instead of consuming rows that sum to 1/B.
     """
 
     temperature: float = 0.1
     alpha: float = 1.0
     window: int = 30
-    renormalize_codes: bool = False
 
     def __post_init__(self) -> None:
         if self.temperature <= 0:
@@ -52,27 +54,21 @@ def cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]
 
         (1 / (B * temperature)) * (row_mass * p - codes),
 
-    where row_mass is each code row's sum. ``codes`` may instead be a
-    length-B vector of target columns: mass 1 on column codes[i] of row i,
-    read without building the one-hot matrix.
+    where row_mass is each code row's sum.
 
     Args:
         scores: B x K pre-softmax scores.
-        codes: B x K nonnegative matrix (rows need not sum to one), or a
-            length-B integer vector of target columns.
+        codes: B x K nonnegative matrix (rows need not sum to one).
         temperature: Positive softmax temperature.
 
     Returns:
         (loss value, B x K gradient w.r.t. the scores).
     """
     s = as_matrix(scores)
-    b = s.shape[0]
-    targeted = np.ndim(codes) == 1
-    q = np.asarray(codes) if targeted else as_matrix(codes)
-    if q.shape != (s.shape[:1] if targeted else s.shape):
+    q = as_matrix(codes)
+    if q.shape != s.shape:
         raise ValueError(f"scores {s.shape} and codes {q.shape} differ in shape")
-    if targeted:
-        return _target_cross_entropy(*log_softmax_rows(s, temperature, q), q, temperature)
+    b = s.shape[0]
     log_p, grad = log_softmax_rows(s, temperature)
     grad *= q.sum(axis=1, keepdims=True)
     grad -= q
@@ -83,7 +79,8 @@ def cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]
 def _target_cross_entropy(
     log_p: np.ndarray, p: np.ndarray, targets: np.ndarray, temperature: float
 ) -> tuple[float, np.ndarray]:
-    """cross_entropy against target columns, from the kernel's output.
+    """cross_entropy against one-hot codes given as target columns (mass 1
+    on column targets[i] of row i), from the kernel's output.
 
     ``log_p`` holds each row's target log-probability; the softmax ``p``
     is turned into the gradient in place.

@@ -29,10 +29,8 @@ def as_matrix(values) -> np.ndarray:
     return matrix
 
 
-def log_softmax_rows(
-    matrix, temperature: float, targets=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Softmax of each row of ``matrix / temperature``, with its logs where asked.
+def log_softmax_rows(matrix, temperature: float) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax of each row of ``matrix / temperature``, with its logs.
 
     The row maximum is subtracted before exponentiation, so entries around
     +-1e3 and sharp temperatures stay finite. The log-probabilities are
@@ -44,18 +42,15 @@ def log_softmax_rows(
     Args:
         matrix: 2-D array of scores.
         temperature: Positive scale divisor; smaller means sharper.
-        targets: None for every log-probability, or a length-B integer
-            vector of columns: then only log_p[i, targets[i]] is kept.
 
     Returns:
-        (log-probabilities, row-stochastic probabilities). The
-        probabilities have the input's shape; the log-probabilities too,
-        or length B with ``targets``.
+        (log-probabilities, row-stochastic probabilities), both of the
+        input's shape.
 
     Raises:
         ValueError: If ``temperature <= 0``.
     """
-    return _log_softmax_in_place(_scaled(matrix, temperature), targets)
+    return _log_softmax_in_place(_scaled(matrix, temperature))
 
 
 def row_softmax(matrix, temperature: float) -> np.ndarray:
@@ -82,7 +77,8 @@ def _log_softmax_in_place(
 ) -> tuple[np.ndarray, np.ndarray]:
     """log_softmax_rows at temperature 1 that overwrites ``buffer`` with the softmax.
 
-    Only for a C-contiguous float64 array the caller owns.
+    Only for a C-contiguous float64 array the caller owns. With ``targets``,
+    a length-B integer vector of columns, only log_p[i, targets[i]] is kept.
     """
     buffer -= buffer.max(axis=1, keepdims=True)
     if targets is None:

@@ -105,11 +105,13 @@ class TrainRecord:
 
 
 class MatrixLedger:
-    """Peak sizes of every matrix the training loop allocates.
+    """Peak sizes of the batch matrices a training step holds.
 
-    ``record`` keeps, per name, the largest observed byte count and shape.
-    ``max_dimension`` is the largest single axis seen anywhere, which is
-    what the online-memory property constrains.
+    ``train`` records each step's features, hidden activations, embeddings
+    (before normalization), scores and codes. ``record`` keeps, per name,
+    the largest observed byte count and shape. ``max_dimension`` is the
+    largest single axis seen anywhere, which is what the online-memory
+    property constrains.
     """
 
     def __init__(self) -> None:
@@ -145,7 +147,6 @@ def solve_codes(
     scores: np.ndarray,
     blocks: list[tuple[str, int, int]],
     config: TrainConfig,
-    ledger: MatrixLedger | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Pseudo-label codes for a batch, one transport solve per video block.
 
@@ -166,8 +167,6 @@ def solve_codes(
         block_scores = scores[start : start + length]
         if config.uses_prior:
             prior = transport.temporal_prior(length, scores.shape[1], cfg.sigma)
-            if ledger is not None:
-                ledger.record("prior", prior)
             solved = transport.sinkhorn_tot(
                 block_scores,
                 prior,
@@ -185,8 +184,6 @@ def solve_codes(
         codes[start : start + length] = solved.values * (length / total)
         row_err = max(row_err, solved.row_error)
         col_err = max(col_err, solved.col_error)
-    if ledger is not None:
-        ledger.record("codes", codes)
     return codes, row_err, col_err
 
 
@@ -224,7 +221,6 @@ def _forward(
     anchors: np.ndarray,
     positives: np.ndarray | None,
     normalize: bool,
-    ledger: MatrixLedger | None = None,
 ) -> _Forward:
     """Stacked encoder pass over anchors (and positives), normalization, scores."""
     batch_size = anchors.shape[0]
@@ -233,13 +229,6 @@ def _forward(
     normalized, norms = _maybe_normalize(embeddings, normalize)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
     scores = normalized[:batch_size] @ protos.T
-    if ledger is not None:
-        ledger.record("batch_features", anchors)
-        if positives is not None:
-            ledger.record("positive_features", positives)
-        ledger.record("embeddings", embeddings[:batch_size])
-        ledger.record("hidden", cache.hidden)
-        ledger.record("scores", scores)
     return _Forward(cache, normalized, norms, protos, proto_norms, batch_size, scores)
 
 
@@ -248,17 +237,18 @@ def _backward(
     codes: np.ndarray,
     blocks: list[tuple[str, int, int]],
     loss_config: losses.LossConfig,
-    ledger: MatrixLedger | None = None,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses and parameter gradients of a forward half, codes held fixed.
 
-    The coherence term is on exactly when the forward half saw positives.
+    Each code row is scaled to sum to 1 before the clustering loss, so the
+    loss reads it as the frame's target distribution whatever its mass on
+    the transport polytope. The coherence term is on exactly when the
+    forward half saw positives.
     """
     cache, normalized, norms, protos, proto_norms, batch_size, scores = step
     anchor_rows = normalized[:batch_size]
 
-    if loss_config.renormalize_codes:
-        codes = codes / codes.sum(axis=1, keepdims=True)
+    codes = codes / codes.sum(axis=1, keepdims=True)
     clustering, grad_scores = losses.cross_entropy(
         scores, codes, loss_config.temperature
     )
@@ -285,10 +275,6 @@ def _backward(
     grad_embeddings = _maybe_normalize_backward(grad_normalized, normalized, norms)
     grads = encoder.backward(cache, grad_embeddings)
     grads["prototypes"] = _maybe_normalize_backward(grad_protos, protos, proto_norms)
-
-    if ledger is not None:
-        ledger.record("grad_scores", grad_scores)
-        ledger.record("grad_embeddings", grad_embeddings)
     return clustering, coherence, grads
 
 
@@ -307,16 +293,18 @@ def loss_and_grads(
     ``train`` runs the same two halves with the transport solve between
     them: stacked forward pass over anchors (and positives when given),
     row normalization of embeddings and prototypes inside the graph
-    (unless disabled), the clustering loss on anchor rows, and the
+    (unless disabled), the clustering loss on anchor rows against code
+    rows scaled to sum to 1 (the per-frame mean cross-entropy), and the
     per-block coherence loss between anchor and positive rows.
 
     Args:
         params: Current encoder parameters.
         anchors: B x D_in anchor features.
         positives: B x D_in positive features, or None to skip coherence.
-        codes: B x K pseudo-label codes, treated as constants.
+        codes: B x K pseudo-label codes with positive row sums, treated
+            as constants; only each row's proportions matter.
         blocks: (video_id, start, length) spans of ``anchors``.
-        loss_config: Temperature, alpha, renormalization flag.
+        loss_config: Temperature and alpha.
         normalize: Row-normalize embeddings and prototypes before dots.
 
     Returns:
@@ -385,11 +373,14 @@ def train(
             window=config.loss.window,
         )
         positives = batch.positive_features if config.uses_coherence else None
-        step = _forward(params, batch.features, positives, config.normalize, ledger)
-        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config, ledger)
-        clustering, coherence, grads = _backward(
-            step, codes, batch.blocks, config.loss, ledger
-        )
+        step = _forward(params, batch.features, positives, config.normalize)
+        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config)
+        clustering, coherence, grads = _backward(step, codes, batch.blocks, config.loss)
+        ledger.record("batch_features", batch.features)
+        ledger.record("hidden", step.cache.hidden)
+        ledger.record("embeddings", step.cache.outputs[: step.batch_size])
+        ledger.record("scores", step.scores)
+        ledger.record("codes", codes)
         total = losses.total_loss(clustering, coherence, config.loss.alpha)
         if not np.isfinite(total):
             raise NumericalError(

@@ -319,8 +319,9 @@ def two_buffer_cross_entropy(scores, codes, temperature: float) -> tuple[float, 
     """Softmax cross-entropy and its score gradient, one fresh array per step.
 
     The shifted scores, their exponentials, the log-probabilities and the
-    gradient each get their own array; ``codes`` is a B x K matrix or a
-    length-B vector of target columns, as for ``losses.cross_entropy``.
+    gradient each get their own array; ``codes`` is a B x K matrix, as for
+    ``losses.cross_entropy``, or a length-B vector of target columns, as
+    ``losses.temporal_coherence`` scores its diagonal.
     The floating-point operations are the package's, in the same order,
     so the two must agree bit for bit.
     """

@@ -593,6 +593,14 @@ class TestExitCodes:
         return argv, "activity 'hollow': its videos have no frames"
 
     @staticmethod
+    def checkpoint_with_trailing_bytes(data, runs, tmp_path):
+        path = runs / "synthetic" / cli.CHECKPOINT_NAME
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"junk")
+        argv = ["segment", data, "--checkpoints", runs]
+        return argv, f"{path}: checkpoint promises {size} bytes, file has {size + 4}"
+
+    @staticmethod
     def prediction_not_utf8(data, runs, tmp_path):
         argv = zero_predictions(data, tmp_path)
         path = tmp_path / "pred" / "synthetic" / "video_000.txt"
@@ -642,6 +650,7 @@ class TestExitCodes:
             checkpoint_header_case("checkpoint_zero_temperature", 23, "<d", 0.0),
             checkpoint_header_case("checkpoint_negative_temperature", 23, "<d", -0.1),
             checkpoint_header_case("checkpoint_nan_temperature", 23, "<d", np.nan),
+            checkpoint_with_trailing_bytes,
             prediction_not_utf8,
             prediction_is_a_directory,
             ground_truth_not_utf8,
@@ -741,7 +750,8 @@ class TestExitCodes:
         assert names in err
         assert "Traceback" not in err
 
-    # An output path with a file in the way exits 1 with one line naming it.
+    # An output path with a file in the way, or an output file path that is a
+    # directory, exits 1 with one line naming it.
 
     @pytest.mark.parametrize(
         "command, out, names",
@@ -751,8 +761,28 @@ class TestExitCodes:
             ("segment", "a_file", "directory {tmp}/a_file/synthetic"),
             ("eval", "a_file/report.txt", "directory {tmp}/a_file: "),
             ("eval", "a_dir", "report to {tmp}/a_dir: a directory"),
+            ("train", "log_dir", "training log to {tmp}/log_dir/synthetic/train.log: a"),
+            (
+                "train",
+                "checkpoint_dir",
+                "checkpoint to {tmp}/checkpoint_dir/synthetic/checkpoint.totc: a",
+            ),
+            (
+                "segment",
+                "labels_dir",
+                "label file to {tmp}/labels_dir/synthetic/video_000.txt: a",
+            ),
         ],
-        ids=["synth", "train", "segment", "eval", "eval_into_a_directory"],
+        ids=[
+            "synth",
+            "train",
+            "segment",
+            "eval",
+            "eval_into_a_directory",
+            "train_log_into_a_directory",
+            "checkpoint_into_a_directory",
+            "label_file_into_a_directory",
+        ],
     )
     def test_output_path_that_cannot_be_created_is_one_line(
         self, trained, tmp_path, capsys, command, out, names
@@ -760,6 +790,12 @@ class TestExitCodes:
         data, runs = trained
         (tmp_path / "a_file").write_text("")
         (tmp_path / "a_dir").mkdir()
+        for blocked in (
+            "log_dir/synthetic/train.log",
+            "checkpoint_dir/synthetic/checkpoint.totc",
+            "labels_dir/synthetic/video_000.txt",
+        ):
+            (tmp_path / blocked).mkdir(parents=True)
         argv = {
             "synth": ["synth", tmp_path / out],
             "train": ["train", data, "--iterations", 1],

@@ -164,13 +164,6 @@ class TestSolveCodes:
         direct = transport.sinkhorn_ot(scores, config.transport.epsilon)
         np.testing.assert_array_equal(codes, direct.values)
 
-    def test_ledger_sees_prior_and_codes(self):
-        ledger = MatrixLedger()
-        scores = np.zeros((6, 3))
-        solve_codes(scores, [("v", 0, 6)], self.config(), ledger)
-        assert ledger.shape("prior") == (6, 3)
-        assert ledger.shape("codes") == (6, 3)
-
 
 class TestLossAndGrads:
     def setup_problem(self, seed=5, batch=8, clusters=3):
@@ -233,16 +226,26 @@ class TestLossAndGrads:
                 grads_zero[key], grads_without[key], atol=1e-15
             )
 
-    def test_renormalized_codes_change_the_loss(self):
+    def test_clustering_loss_reads_each_code_row_as_a_distribution(self):
+        # Only each code row's proportions matter: positive row factors
+        # change neither the loss nor any gradient, and against unit-sum
+        # rows the loss is the mean over frames of -sum_j q_ij log p_ij.
         params, anchors, _, codes, blocks = self.setup_problem()
-        plain, _, _ = loss_and_grads(
-            params, anchors, None, codes, blocks, LossConfig()
+        loss_config = LossConfig(temperature=0.2)
+        unit = codes / codes.sum(axis=1, keepdims=True)
+        factors = np.random.default_rng(6).uniform(0.01, 100.0, size=(8, 1))
+        loss, _, grads = loss_and_grads(params, anchors, None, unit, blocks, loss_config)
+        scaled_loss, _, scaled_grads = loss_and_grads(
+            params, anchors, None, unit * factors, blocks, loss_config
         )
-        renorm, _, _ = loss_and_grads(
-            params, anchors, None, codes, blocks, LossConfig(renormalize_codes=True)
-        )
-        # Row masses go from 1/B to 1, scaling the loss accordingly.
-        assert renorm == pytest.approx(8 * plain, rel=1e-12)
+        assert scaled_loss == pytest.approx(loss, rel=1e-12)
+        for key in encoder.PARAM_KEYS:
+            np.testing.assert_allclose(scaled_grads[key], grads[key], rtol=1e-12)
+        embeddings, _ = encoder.forward(params, anchors)
+        rows, _ = encoder.normalize_rows(embeddings)
+        protos, _ = encoder.normalize_rows(params.prototypes)
+        log_p = np.log(row_softmax(rows @ protos.T, 0.2))
+        assert loss == pytest.approx(-(unit * log_p).sum(axis=1).mean(), rel=1e-12)
 
 
 class TestTrainRunsTheOracleStep:
