@@ -7,21 +7,25 @@ Each SRC is the directory that holds the ``totseg`` package (a checkout's
 ``WORKLOADS``, imported, so the flags are the benchmark's own) and every
 synth seed, both trees run ``synth -> train -> segment --timeline ->
 eval --out`` in a temporary directory, one child process per subcommand
-with ``OPENBLAS_NUM_THREADS=1`` and the tree alone on ``PYTHONPATH``. The
-two output trees (dataset, ``train.log`` files, checkpoints, label and
-timeline files, eval report) are then compared file by file.
+with ``OPENBLAS_NUM_THREADS=1``, the tree alone on ``PYTHONPATH`` and
+paths relative to the case's directory. Each subcommand's resolved-settings
+lines (``name = value  (flag|default)``) are kept in a ``settings/`` file
+per subcommand. The two output trees (dataset, ``train.log`` files,
+checkpoints, label and timeline files, eval report, settings) are then
+compared file by file.
 
 Prints ``identical`` and exits 0. Otherwise it names every differing file
 (or file present in one tree only), ends with a count of differing and
 compared files per kind (dataset, checkpoint, train.log, labels,
-timelines, report), and exits 1. A failed subcommand is named and ends the
-run at once, also with exit 1.
+timelines, report, settings), and exits 1. A failed subcommand is named
+and ends the run at once, also with exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -40,21 +44,24 @@ def _workloads():
     return pipeline.WORKLOADS, pipeline.TRAIN_SEED
 
 
+SETTING_LINE = re.compile(r"^[\w-]+ = .*  \(\w+\)$")
+
+
 def run_pipeline(src: Path, workload, seed: int, train_seed: str, out: Path) -> str | None:
     """Write one workload's outputs under ``out``; a failure message or None."""
     env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
-    data, runs, segments = out / "data", out / "runs", out / "segments"
-    commands = [["synth", str(data), *flags] for flags in workload.synth_commands(seed)]
+    commands = [["synth", "data", *flags] for flags in workload.synth_commands(seed)]
     commands += [
         [
-            "train", str(data), *workload.train,
+            "train", "data", *workload.train,
             "--iterations", str(workload.iterations), "--seed", train_seed,
-            "--out", str(runs),
+            "--out", "runs",
         ],
-        ["segment", str(data), "--checkpoints", str(runs), "--out", str(segments), "--timeline"],
-        ["eval", str(data), "--pred", str(segments), "--out", str(out / "report.txt")],
+        ["segment", "data", "--checkpoints", "runs", "--out", "segments", "--timeline"],
+        ["eval", "data", "--pred", "segments", "--out", "report.txt"],
     ]
-    for argv in commands:
+    (out / "settings").mkdir()
+    for index, argv in enumerate(commands):
         done = subprocess.run(
             [sys.executable, "-m", "totseg.cli", *argv],
             env=env, cwd=out, capture_output=True, text=True,
@@ -62,16 +69,20 @@ def run_pipeline(src: Path, workload, seed: int, train_seed: str, out: Path) -> 
         if done.returncode != 0:
             last = done.stderr.strip().splitlines()[-1:] or [""]
             return f"{argv[0]} exited {done.returncode} under {src}: {last[0]}"
+        settings = [line for line in done.stdout.splitlines() if SETTING_LINE.match(line)]
+        (out / "settings" / f"{index}-{argv[0]}.txt").write_text("\n".join(settings) + "\n")
     return None
 
 
-KINDS = ("dataset", "checkpoint", "train.log", "labels", "timelines", "report")
+KINDS = ("dataset", "checkpoint", "train.log", "labels", "timelines", "report", "settings")
 
 
 def kind_of(name: Path) -> str:
     """Which pipeline output a file under one case's tree is."""
     if name.parts[0] == "data":
         return "dataset"
+    if name.parts[0] == "settings":
+        return "settings"
     if name.name == "checkpoint.totc":
         return "checkpoint"
     if name.name == "train.log":

@@ -17,11 +17,14 @@ error when an activity has fewer videos of at least one block's length
 header has a dimension below 1, or a temperature that is not finite and
 positive, is a data error; so is a ground-truth, ``mapping.txt`` or
 prediction file that is not UTF-8 text, and a directory where a
-prediction file should be. A ``--config`` file that is not UTF-8 text is
-a usage error, and so is an output path that cannot be created because a
-file is in the way (``--out``, or ``synth``'s OUT, naming a file or a path
-under one), or an output file path that names a directory (``train.log``,
-the checkpoint, a label or timeline file, the ``eval --out`` report).
+prediction file should be. An ``--activity`` list that names no activity
+is a usage error, and so is an output path that cannot be created because
+a file is in the way (``--out``, or ``synth``'s OUT, naming a file or a
+path under one), or an output file path that names a directory
+(``train.log``, the checkpoint, a label or timeline file, the ``eval
+--out`` report). Non-finite values in training, and non-finite frame
+scores in ``segment`` (from NaN features or checkpoint weights), are
+numerical failures.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_registry_flags(parser: argparse.ArgumentParser, registry) -> None:
-    parser.add_argument("--config", help="key = value config file")
     for option in registry:
         flag = f"--{option.name}"
         kwargs: dict[str, Any] = {"dest": option.name, "default": None, "help": option.help}
@@ -73,8 +75,7 @@ def _add_registry_flags(parser: argparse.ArgumentParser, registry) -> None:
 
 
 def _resolve(args: argparse.Namespace, registry) -> dict[str, Any]:
-    flag_values = {option.name: getattr(args, option.name) for option in registry}
-    values, provenance = cfg.resolve(registry, flag_values, args.config)
+    values, provenance = cfg.resolve(registry, vars(args))
     print(cfg.describe(values, provenance))
     return values
 
@@ -126,8 +127,10 @@ def _output_file(path: Path, what: str) -> Path:
 
 
 def _activities(root: Path, requested: str | None) -> list[str]:
-    if requested:
+    if requested is not None:
         names = [name.strip() for name in requested.split(",") if name.strip()]
+        if not names:
+            raise UsageError(f"--activity {requested!r} names no activity")
         for name in names:
             if not (root / name / "features").is_dir():
                 raise DataError(f"activity {name!r} not found under {root}")
@@ -140,10 +143,9 @@ def _activities(root: Path, requested: str | None) -> list[str]:
     return found
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    values = _resolve(args, cfg.SYNTH_OPTIONS)
+def _synthetic_spec(values: dict[str, Any]) -> dataio.SyntheticSpec:
     try:
-        spec = dataio.SyntheticSpec(
+        return dataio.SyntheticSpec(
             num_videos=values["videos"],
             num_actions=values["k"],
             dim=values["dim"],
@@ -157,7 +159,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
-    catalog = dataio.generate_synthetic(spec)
+
+
+def cmd_synth(args: argparse.Namespace) -> int:
+    values = _resolve(args, cfg.SYNTH_OPTIONS)
+    catalog = dataio.generate_synthetic(_synthetic_spec(values))
     catalog.activity = values["activity"]
     _output_dir(Path(args.out) / catalog.activity)
     base = dataio.write_catalog(catalog, args.out)
@@ -265,7 +271,13 @@ def cmd_segment(args: argparse.Namespace) -> int:
             chunk_size=values["chunk-size"],
             normalize=meta["normalized"],
         ):
-            result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
+            try:
+                result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
+            except ValueError:  # videos too short for the path were rejected above
+                raise NumericalError(
+                    f"activity {activity!r}, video {video_id}: frame scores are not "
+                    "finite (NaN in the features or the checkpoint)"
+                ) from None
             labels_path = _output_file(out_dir / f"{video_id}.txt", "label file")
             with dataio.atomic_write(labels_path) as fh:
                 fh.write(

@@ -228,7 +228,7 @@ class LabelMapping:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(maxsplit=1)
-            if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
+            if len(parts) != 2 or not parts[0].removeprefix("-").isdecimal():
                 raise CatalogError(f"{path}:{lineno}: expected '<id> <name>', got {line!r}")
             if parts[1] in names:
                 raise CatalogError(f"{path}:{lineno}: action {parts[1]!r} listed twice")
@@ -343,7 +343,8 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
 
     Raises:
         CatalogError: Missing directories, no feature files, inconsistent
-            feature dimensions, or an unknown ``split_background`` name.
+            or zero feature dimensions, or an unknown ``split_background``
+            name.
     """
     base = Path(root) / activity
     features_dir = base / "features"
@@ -375,6 +376,8 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
         raise CatalogError(
             f"{features_dir}: feature dimensions differ across videos: {sorted(dims)}"
         )
+    if 0 in dims:
+        raise CatalogError(f"{features_dir}: feature files have 0 columns")
 
     background_split = None
     if split_background is not None:

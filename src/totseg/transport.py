@@ -29,6 +29,8 @@ the returned matrix, and nothing here is differentiable.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,9 @@ from .numerics import as_matrix
 _ABSORB_ABOVE = 1e50
 _ABSORB_EVERY = 8
 
+# The widest temporal prior whose variance sigma**2 is a finite float.
+MAX_SIGMA = math.sqrt(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class TransportConfig:
@@ -52,7 +57,7 @@ class TransportConfig:
         epsilon: Entropy weight for the plain solver.
         rho: Prior (KL) weight for the temporally regularized solver.
         sigma: Width of the Gaussian temporal prior, in normalized
-            diagonal-distance units.
+            diagonal-distance units, at most ``MAX_SIGMA``.
         iterations: Sinkhorn sweep budget per solve.
         marginal_tolerance: If positive, stop sweeping early once both
             marginal errors fall below it.
@@ -71,6 +76,11 @@ class TransportConfig:
             raise ValueError(f"rho must be positive, got {self.rho}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma > MAX_SIGMA:
+            raise ValueError(
+                f"sigma must be at most {MAX_SIGMA:.6g} (a finite square), "
+                f"got {self.sigma}"
+            )
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.marginal_tolerance < 0:

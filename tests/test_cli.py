@@ -5,8 +5,9 @@ import struct
 import numpy as np
 import pytest
 
-from totseg import cli
-from totseg.dataio import FeatureSequence, write_features
+from totseg import cli, config
+from totseg.dataio import FeatureSequence, SyntheticSpec, write_features
+from totseg.trainer import TrainConfig
 
 
 def run(*argv):
@@ -107,75 +108,25 @@ class TestSynth:
 
 
 class TestConfigResolution:
-    def test_flag_beats_file_beats_default(self, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("# generator knobs\ndim = 5\nvideos = 3\n")
-        assert (
-            run("synth", tmp_path / "data", "--config", config, "--dim", "6") == 0
-        )
+    def test_flag_beats_default(self, tmp_path, capsys):
+        assert run("synth", tmp_path / "data", "--dim", "6", "--videos", "3") == 0
         out = capsys.readouterr().out
         assert "dim = 6  (flag)" in out
-        assert "videos = 3  (file)" in out
+        assert "videos = 3  (flag)" in out
         assert "k = 5  (default)" in out
         features = list((tmp_path / "data" / "synthetic" / "features").glob("*.totf"))
         assert len(features) == 3
-
-    def test_unknown_key_names_file_and_line(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("videos = 3\nbogus = 1\n")
-        assert run("synth", tmp_path / "data", "--config", config) == 1
-        err = capsys.readouterr().err
-        assert f"{config}:2" in err
-        assert "unknown config key 'bogus'" in err
-
-    def test_malformed_line_rejected(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("videos 3\n")
-        assert run("synth", tmp_path / "data", "--config", config) == 1
-        assert f"{config}:1" in capsys.readouterr().err
-
-    def test_missing_config_file_rejected(self, tmp_path, capsys):
-        assert run("synth", tmp_path / "data", "--config", tmp_path / "no.cfg") == 1
-        assert "config file not found" in capsys.readouterr().err
 
     def test_bad_choice_value_rejected(self, tmp_path, capsys):
         assert run("train", tmp_path, "--mode", "kmeans") == 1
         capsys.readouterr()
 
-    def test_config_file_that_is_not_utf8_is_one_line(self, tmp_path, capsys):
-        config = tmp_path / "latin1.cfg"
-        config.write_bytes(b"# caf\xe9\nvideos = 3\n")
-        assert run("synth", tmp_path / "data", "--config", config) == 1
-        err = capsys.readouterr().err
-        assert err == f"usage error: {config}: not UTF-8 text (byte 5)\n"
+    def test_registry_defaults_are_the_library_defaults(self):
+        def defaults(registry):
+            return {option.name: option.default for option in registry}
 
-    def test_bad_choice_in_config_file_is_one_line(self, tmp_path, capsys):
-        config = tmp_path / "bad.cfg"
-        config.write_text("mode = kmeans\n")
-        assert run("train", tmp_path, "--config", config) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("usage error: ")
-        assert "'mode' must be one of" in err
-
-    @pytest.mark.parametrize(
-        "command, line, key",
-        [
-            ("train", "marginal-tol = nan", "marginal-tol"),
-            ("train", "lr = -inf", "lr"),
-            ("synth", "noise = inf", "noise"),
-        ],
-    )
-    def test_non_finite_float_in_config_file_is_one_line(
-        self, tmp_path, capsys, command, line, key
-    ):
-        config = tmp_path / "bad.cfg"
-        config.write_text(line + "\n")
-        assert run(command, tmp_path / "data", "--config", config) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("usage error: ")
-        assert f"config key {key!r}: not a finite number" in err
+        assert cli._train_config(defaults(config.TRAIN_OPTIONS)) == TrainConfig()
+        assert cli._synthetic_spec(defaults(config.SYNTH_OPTIONS)) == SyntheticSpec()
 
 
 class TestPipeline:
@@ -629,6 +580,33 @@ class TestExitCodes:
         mapping.write_bytes(b"0 action_0\n1 action_1\n2 acci\xf3n_2\n")
         return argv, f"{mapping}: not UTF-8 text"
 
+    @staticmethod
+    def mapping_id_with_two_signs(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        mapping = data / "synthetic" / "mapping.txt"
+        mapping.write_text("0 action_0\n--1 action_1\n2 action_2\n")
+        return argv, f"{mapping}:2: expected '<id> <name>'"
+
+    @staticmethod
+    def mapping_id_in_superscript(data, runs, tmp_path):
+        argv = zero_predictions(data, tmp_path)
+        mapping = data / "synthetic" / "mapping.txt"
+        mapping.write_text("0 action_0\n1 action_1\n\u00b2 action_2\n", encoding="utf-8")
+        return argv, f"{mapping}:3: expected '<id> <name>'"
+
+    @staticmethod
+    def features_without_columns(data, runs, tmp_path):
+        base = data / "flat"
+        (base / "features").mkdir(parents=True)
+        (base / "mapping.txt").write_text("0 a\n1 b\n")
+        for name in ("v0", "v1"):
+            write_features(
+                FeatureSequence(video_id=name, num_frames=40, dim=0, array=np.empty((40, 0))),
+                base / "features" / f"{name}.totf",
+            )
+        argv = ["train", data, "--activity", "flat", "--batch", "8", "--iterations", "1"]
+        return argv, "flat/features: feature files have 0 columns"
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -655,6 +633,9 @@ class TestExitCodes:
             prediction_is_a_directory,
             ground_truth_not_utf8,
             mapping_not_utf8,
+            mapping_id_with_two_signs,
+            mapping_id_in_superscript,
+            features_without_columns,
         ],
         ids=lambda case: case.__name__,
     )
@@ -667,6 +648,39 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("data error: ")
         assert names in err
+        assert "Traceback" not in err
+
+    # Non-finite frame scores in segment exit 3 with one line naming the video.
+
+    @pytest.mark.parametrize(
+        "where, fmt, offset, video",
+        [
+            # Frame 5 of a 6-column feature file (offsets as in docs/file-formats.md).
+            pytest.param(
+                "data/synthetic/features/video_001.totf", "<f", 14 + 4 * 6 * 5, "video_001",
+                id="nan_feature_row",
+            ),
+            # The first encoder weight, w1[0, 0], spoils every frame.
+            pytest.param(
+                "runs/synthetic/checkpoint.totc", "<d", 80, "video_000",
+                id="nan_checkpoint_weight",
+            ),
+        ],
+    )
+    def test_non_finite_scores_in_segment_are_one_line(
+        self, trained, tmp_path, capsys, where, fmt, offset, video
+    ):
+        data, runs = trained
+        path = tmp_path / where
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, np.nan)
+        path.write_bytes(raw)
+        code = run("segment", data, "--checkpoints", runs, "--out", tmp_path / "out")
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: ")
+        assert f"activity 'synthetic', video {video}: frame scores are not finite" in err
         assert "Traceback" not in err
 
     # Bad settings below each exit 1 with one stderr line, no traceback.
@@ -734,15 +748,61 @@ class TestExitCodes:
                 "argument --tau: invalid finite_float value: 'nan'",
                 id="nan_temperature",
             ),
+            pytest.param(
+                "train",
+                ["--sigma", "1e155"],
+                "sigma must be at most 1.34078e+154 (a finite square), got 1e+155",
+                id="sigma_whose_square_overflows",
+            ),
+            pytest.param(
+                "train",
+                ["--config", "x.cfg"],
+                "unrecognized arguments: --config",
+                id="config_file_flag",
+            ),
+            pytest.param(
+                "train",
+                ["--mode", "kmeans"],
+                "argument --mode: invalid choice: 'kmeans'",
+                id="bad_mode_choice",
+            ),
+            pytest.param(
+                "synth",
+                ["--noise", "inf"],
+                "argument --noise: invalid finite_float value: 'inf'",
+                id="infinite_noise",
+            ),
+            pytest.param(
+                "train",
+                ["--activity", ","],
+                "--activity ',' names no activity",
+                id="train_activity_list_without_a_name",
+            ),
+            pytest.param(
+                "segment",
+                ["--activity", ","],
+                "--activity ',' names no activity",
+                id="segment_activity_list_without_a_name",
+            ),
+            pytest.param(
+                "eval",
+                ["--activity", ","],
+                "--activity ',' names no activity",
+                id="eval_activity_list_without_a_name",
+            ),
         ],
     )
     def test_usage_error_is_one_line(
         self, trained, tmp_path, capsys, command, flags, names
     ):
         data, runs = trained
-        # Flags that make each run go on to train or decode without the check.
-        rest = ["--checkpoints", runs] if command == "segment" else ["--iterations", 1]
-        code = run(command, data, *flags, *rest, "--out", tmp_path / "out")
+        # Arguments that make each run go on to its work without the check.
+        argv = {
+            "synth": ["synth", tmp_path / "out"],
+            "train": ["train", data, "--iterations", 1, "--out", tmp_path / "out"],
+            "segment": ["segment", data, "--checkpoints", runs, "--out", tmp_path / "out"],
+        }.get(command) or zero_predictions(data, tmp_path)
+        code = run(*argv, *flags)
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1

@@ -5,6 +5,7 @@ import pytest
 
 from totseg.errors import NumericalError
 from totseg.transport import (
+    MAX_SIGMA,
     CodeMatrix,
     TransportConfig,
     marginal_error,
@@ -230,6 +231,16 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError):
             TransportConfig(**kwargs)
+
+
+def test_sigma_bound_is_the_widest_prior_with_a_finite_square():
+    wider = float(np.nextafter(MAX_SIGMA, np.inf))
+    with pytest.raises(OverflowError):
+        wider**2
+    with pytest.raises(ValueError, match="sigma must be at most"):
+        TransportConfig(sigma=wider)
+    cfg = TransportConfig(sigma=MAX_SIGMA)
+    assert np.isfinite(temporal_prior(4, 3, cfg.sigma)).all()
 
 
 def test_code_matrix_shape_property():
