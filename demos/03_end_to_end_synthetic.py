@@ -74,7 +74,6 @@ def main() -> None:
 
     report = evaluate.evaluate_activity(
         ids, preds, gts,
-        num_clusters=catalog.num_actions,
         num_actions=catalog.num_actions,
         activity=catalog.activity,
     )

@@ -72,8 +72,8 @@ def run(catalog, mode: str, sigma: float) -> dict[str, float]:
         argmax.append(probs.argmax(axis=1))
         truth.append(catalog.video_labels(video))
     k = catalog.num_actions
-    viterbi = evaluate.evaluate_activity(ids, decoded, truth, num_clusters=k, num_actions=k)
-    frames = evaluate.evaluate_activity(ids, argmax, truth, num_clusters=k, num_actions=k)
+    viterbi = evaluate.evaluate_activity(ids, decoded, truth, num_actions=k)
+    frames = evaluate.evaluate_activity(ids, argmax, truth, num_actions=k)
     # Solves run per block, whose rows aim at 1 / block length.
     block = BATCH_SIZE // VIDEOS_PER_BATCH
     return {

@@ -14,7 +14,6 @@ from .dataio import (
     SyntheticSpec,
     generate_synthetic,
     load_catalog,
-    read_features,
     write_catalog,
     write_features,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "log_probabilities",
     "marginal_error",
     "mof",
-    "read_features",
     "sample_ordered",
     "sample_positive",
     "save_checkpoint",

@@ -22,9 +22,11 @@ is a usage error, and so is an output path that cannot be created because
 a file is in the way (``--out``, or ``synth``'s OUT, naming a file or a
 path under one), or an output file path that names a directory
 (``train.log``, the checkpoint, a label or timeline file, the ``eval
---out`` report). Non-finite values in training, and non-finite frame
-scores in ``segment`` (from NaN features or checkpoint weights), are
-numerical failures.
+--out`` report). A non-finite feature value that a training batch reads
+is a data error naming the feature file and frame, and no checkpoint is
+written. A non-finite training loss, and non-finite frame scores in
+``segment`` (from NaN features or checkpoint weights), are numerical
+failures.
 """
 
 from __future__ import annotations
@@ -340,16 +342,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             video_ids.append(video.video_id)
             predictions.append(pred)
             ground_truth.append(gt)
-        # An activity whose videos have no frames has no ids; evaluate_activity
-        # then reports that it has nothing to score.
-        num_clusters = 1 + max(
-            (int(p.max()) for p in predictions if p.size), default=-1
-        )
         report = evaluate.evaluate_activity(
             video_ids,
             predictions,
             ground_truth,
-            num_clusters=num_clusters,
             num_actions=catalog.num_actions,
             activity=activity,
             exclude=set(values["exclude-background"]),

@@ -65,7 +65,7 @@ class FeatureSequence:
         """Full num_frames x dim float64 matrix."""
         if self.array is not None:
             return self.array
-        return read_features(self.path).array
+        return self.load_feature_rows(np.arange(self.num_frames))
 
     def load_feature_rows(self, rows) -> np.ndarray:
         """Only the requested frame rows, via a per-call memory map when disk-backed.
@@ -164,35 +164,6 @@ def read_feature_header(path) -> tuple[int, int]:
             f"{path}: feature format version {version}, expected {FEATURE_VERSION}"
         )
     return rows, cols
-
-
-def read_features(path, video_id: str | None = None) -> FeatureSequence:
-    """Read a whole feature file into memory.
-
-    Raises:
-        BadMagicError / VersionMismatchError: Wrong file type or version.
-        TruncatedPayloadError: Header promises more bytes than exist,
-            naming the file and both byte counts.
-    """
-    path = Path(path)
-    rows, cols = read_feature_header(path)
-    with open(path, "rb") as fh:
-        fh.seek(_FEATURE_HEADER.size)
-        payload = fh.read()
-    expected = rows * cols * 4
-    if len(payload) < expected:
-        raise TruncatedPayloadError(
-            f"{path}: header promises {expected} payload bytes, file has {len(payload)}"
-        )
-    matrix = np.frombuffer(payload[:expected], dtype="<f4").astype(np.float64)
-    matrix = matrix.reshape(rows, cols)
-    return FeatureSequence(
-        video_id=video_id or path.stem,
-        num_frames=rows,
-        dim=cols,
-        array=matrix,
-        path=path,
-    )
 
 
 @dataclass

@@ -98,12 +98,7 @@ def init_params(
     )
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function of a float64 copy of ``x``; the input is left as it is."""
-    return _sigmoid_in_place(np.array(x, dtype=np.float64))
-
-
-def _sigmoid_in_place(buffer: np.ndarray) -> np.ndarray:
+def sigmoid_in_place(buffer: np.ndarray) -> np.ndarray:
     """Overwrite a float64 array the caller owns with its logistic; returns it.
 
     ``exp(-x)`` overflows to inf for x below ~-709.78, which gives an exact
@@ -144,10 +139,10 @@ def forward(params: EncoderParams, x) -> tuple[np.ndarray, ForwardCache]:
         )
     hidden = x @ params.w1
     hidden += params.b1
-    _sigmoid_in_place(hidden)
+    sigmoid_in_place(hidden)
     outputs = hidden @ params.w2
     outputs += params.b2
-    _sigmoid_in_place(outputs)
+    sigmoid_in_place(outputs)
     return outputs, ForwardCache(inputs=x, hidden=hidden, outputs=outputs, params=params)
 
 

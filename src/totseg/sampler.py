@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DatasetCatalog, FeatureSequence
+from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -38,10 +39,6 @@ class Batch:
     blocks: list[tuple[str, int, int]]
     positions: np.ndarray
     positive_positions: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
 
 
 def sample_ordered(num_frames: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -140,6 +137,8 @@ def build_batch(
     Raises:
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
+        DataError: A row read holds a non-finite value; names the feature
+            file (or the in-memory video) and the lowest such frame read.
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
@@ -166,7 +165,13 @@ def build_batch(
         anchors = sample_ordered(video.num_frames, block_len, rng)
         mates = sample_positive(anchors, window, video.num_frames, rng)
         # Positives lie near their anchors, on the same pages: read both at once.
-        rows = video.load_feature_rows(np.concatenate([anchors, mates]))
+        frames = np.concatenate([anchors, mates])
+        rows = video.load_feature_rows(frames)
+        finite = np.isfinite(rows)
+        if not finite.all():
+            bad = int(frames[~finite.all(axis=1)].min())
+            source = video.path or f"video {video.video_id}"
+            raise DataError(f"{source}: non-finite feature value in frame {bad}")
         features[row : row + block_len] = rows[:block_len]
         positive_features[row : row + block_len] = rows[block_len:]
         positions[row : row + block_len] = anchors

@@ -130,9 +130,6 @@ class MatrixLedger:
     def peak_bytes(self, name: str) -> int:
         return self.entries[name][1]
 
-    def shape(self, name: str) -> tuple[int, ...]:
-        return self.entries[name][0]
-
 
 @dataclass
 class TrainResult:
@@ -202,7 +199,7 @@ def _maybe_normalize_backward(
     return encoder.normalize_rows_backward(grad, normalized, norms)
 
 
-class _Forward(NamedTuple):
+class Step(NamedTuple):
     """Forward half of a step: normalized anchor rows, then any positive rows,
     and the B x K anchor/prototype ``scores`` that transport, the clustering
     loss and the predicted codes all read."""
@@ -216,34 +213,49 @@ class _Forward(NamedTuple):
     scores: np.ndarray
 
 
-def _forward(
+def forward(
     params: encoder.EncoderParams,
     anchors: np.ndarray,
     positives: np.ndarray | None,
     normalize: bool,
-) -> _Forward:
-    """Stacked encoder pass over anchors (and positives), normalization, scores."""
+) -> Step:
+    """Stacked encoder pass over B x D_in anchors (and positives, or None),
+    row normalization of embeddings and prototypes inside the graph unless
+    ``normalize`` is off, and the anchor/prototype scores."""
     batch_size = anchors.shape[0]
     stacked = anchors if positives is None else np.concatenate([anchors, positives])
     embeddings, cache = encoder.forward(params, stacked)
     normalized, norms = _maybe_normalize(embeddings, normalize)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
     scores = normalized[:batch_size] @ protos.T
-    return _Forward(cache, normalized, norms, protos, proto_norms, batch_size, scores)
+    return Step(cache, normalized, norms, protos, proto_norms, batch_size, scores)
 
 
-def _backward(
-    step: _Forward,
+def backward(
+    step: Step,
     codes: np.ndarray,
     blocks: list[tuple[str, int, int]],
     loss_config: losses.LossConfig,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses and parameter gradients of a forward half, codes held fixed.
 
-    Each code row is scaled to sum to 1 before the clustering loss, so the
-    loss reads it as the frame's target distribution whatever its mass on
-    the transport polytope. The coherence term is on exactly when the
-    forward half saw positives.
+    ``train`` runs this after the transport solve; with ``forward`` it is
+    the complete differentiable path of a step. Each code row is scaled to
+    sum to 1 before the clustering loss, so the loss reads it as the
+    frame's target distribution whatever its mass on the transport
+    polytope (the per-frame mean cross-entropy). The per-block coherence
+    term is on exactly when the forward half saw positives.
+
+    Args:
+        step: The forward half.
+        codes: B x K pseudo-label codes with positive row sums, treated
+            as constants; only each row's proportions matter.
+        blocks: (video_id, start, length) spans of the anchors.
+        loss_config: Temperature and alpha.
+
+    Returns:
+        (clustering loss, coherence loss, gradient dict covering every
+        parameter including prototypes).
     """
     cache, normalized, norms, protos, proto_norms, batch_size, scores = step
     anchor_rows = normalized[:batch_size]
@@ -278,43 +290,6 @@ def _backward(
     return clustering, coherence, grads
 
 
-def loss_and_grads(
-    params: encoder.EncoderParams,
-    anchors: np.ndarray,
-    positives: np.ndarray | None,
-    codes: np.ndarray,
-    blocks: list[tuple[str, int, int]],
-    loss_config: losses.LossConfig,
-    normalize: bool = True,
-) -> tuple[float, float, dict[str, np.ndarray]]:
-    """Losses and analytic gradients for one batch with codes held fixed.
-
-    This is the complete differentiable path of a training step, and
-    ``train`` runs the same two halves with the transport solve between
-    them: stacked forward pass over anchors (and positives when given),
-    row normalization of embeddings and prototypes inside the graph
-    (unless disabled), the clustering loss on anchor rows against code
-    rows scaled to sum to 1 (the per-frame mean cross-entropy), and the
-    per-block coherence loss between anchor and positive rows.
-
-    Args:
-        params: Current encoder parameters.
-        anchors: B x D_in anchor features.
-        positives: B x D_in positive features, or None to skip coherence.
-        codes: B x K pseudo-label codes with positive row sums, treated
-            as constants; only each row's proportions matter.
-        blocks: (video_id, start, length) spans of ``anchors``.
-        loss_config: Temperature and alpha.
-        normalize: Row-normalize embeddings and prototypes before dots.
-
-    Returns:
-        (clustering loss, coherence loss, gradient dict covering every
-        parameter including prototypes).
-    """
-    step = _forward(params, anchors, positives, normalize)
-    return _backward(step, codes, blocks, loss_config)
-
-
 def train(
     catalog: DatasetCatalog,
     config: TrainConfig,
@@ -323,7 +298,8 @@ def train(
     """Run the full loop and return trained parameters plus the log.
 
     Deterministic for a fixed config seed on one thread. Raises
-    NumericalError naming the iteration if the loss leaves the reals, and
+    NumericalError naming the iteration if the loss leaves the reals,
+    DataError when a batch reads a non-finite feature value, and
     TooFewVideosError when fewer than ``videos_per_batch`` videos are at
     least one block (batch_size / videos_per_batch frames) long.
 
@@ -373,9 +349,9 @@ def train(
             window=config.loss.window,
         )
         positives = batch.positive_features if config.uses_coherence else None
-        step = _forward(params, batch.features, positives, config.normalize)
+        step = forward(params, batch.features, positives, config.normalize)
         codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config)
-        clustering, coherence, grads = _backward(step, codes, batch.blocks, config.loss)
+        clustering, coherence, grads = backward(step, codes, batch.blocks, config.loss)
         ledger.record("batch_features", batch.features)
         ledger.record("hidden", step.cache.hidden)
         ledger.record("embeddings", step.cache.outputs[: step.batch_size])
@@ -436,6 +412,6 @@ def embed_dataset(
         for start in range(0, video.num_frames, chunk_size):
             stop = min(start + chunk_size, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
-            scores = _forward(params, rows, None, normalize).scores
+            scores = forward(params, rows, None, normalize).scores
             pieces.append(row_softmax(scores, temperature))
         yield video.video_id, np.concatenate(pieces, axis=0)

@@ -105,10 +105,6 @@ class CodeMatrix:
     col_error: float
     sweeps: int
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
 
 def marginal_error(q) -> tuple[float, float]:
     """Max abs deviation of (row sums, column sums) from 1/B and 1/K."""

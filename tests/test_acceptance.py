@@ -17,7 +17,7 @@ import pytest
 from totseg import decode, encoder, evaluate
 from totseg.dataio import SyntheticSpec, generate_synthetic, load_catalog
 from totseg.losses import LossConfig
-from totseg.trainer import TrainConfig, embed_dataset, loss_and_grads, train
+from totseg.trainer import TrainConfig, backward, embed_dataset, forward, train
 from totseg.transport import (
     TransportConfig,
     sinkhorn_ot,
@@ -193,15 +193,13 @@ def test_gradients_match_finite_differences_end_to_end(capsys):
         blocks = [("a", 0, b // 2), ("b", b // 2, b // 2)]
         loss_config = LossConfig(temperature=0.2, alpha=0.5, window=5)
         normalize = index % 4 != 3
-        _, _, grads = loss_and_grads(
-            params, anchors, positives, codes, blocks, loss_config, normalize
-        )
+        step = forward(params, anchors, positives, normalize)
+        _, _, grads = backward(step, codes, blocks, loss_config)
 
         def objective(key, value):
             trial = encoder.EncoderParams(**{**params.as_dict(), key: value})
-            clustering, coherence, _ = loss_and_grads(
-                trial, anchors, positives, codes, blocks, loss_config, normalize
-            )
+            step = forward(trial, anchors, positives, normalize)
+            clustering, coherence, _ = backward(step, codes, blocks, loss_config)
             return clustering + loss_config.alpha * coherence
 
         for key in encoder.PARAM_KEYS:
@@ -296,7 +294,7 @@ def test_training_memory_stays_batch_sized(capsys):
     )
     result = train(catalog, config)
     ledger = result.ledger
-    shape = ledger.shape("embeddings")
+    shape = ledger.entries["embeddings"][0]
     peak = ledger.peak_bytes("embeddings")
     largest = ledger.max_dimension()
     ok = (
@@ -329,7 +327,7 @@ def test_synthetic_end_to_end_segmentation(capsys):
     result = train(catalog, bench_config("tot", seed=0))
     ids, preds, gts = segment_catalog(result.params, catalog)
     report = evaluate.evaluate_activity(
-        ids, preds, gts, num_clusters=5, num_actions=5, activity="synthetic"
+        ids, preds, gts, num_actions=5, activity="synthetic"
     )
     elapsed = time.perf_counter() - started
     ok = (
@@ -364,7 +362,7 @@ def test_temporal_prior_improves_over_plain_transport(capsys):
             result = train(catalog, bench_config(mode, seed))
             ids, preds, gts = segment_catalog(result.params, catalog)
             report = evaluate.evaluate_activity(
-                ids, preds, gts, num_clusters=5, num_actions=5
+                ids, preds, gts, num_actions=5
             )
             scores.append(report.mof)
         return float(np.mean(scores))
@@ -416,7 +414,6 @@ def test_fifty_salads_reproduction(capsys):
             ids,
             preds,
             gts,
-            num_clusters=catalog.num_actions,
             num_actions=catalog.num_actions,
             activity=activity,
         )

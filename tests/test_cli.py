@@ -410,7 +410,7 @@ class TestExitCodes:
         assert run("segment", data5, "--checkpoints", runs) == 2
         assert "expects 6-dim features" in capsys.readouterr().err
 
-    def test_nan_features_are_a_numerical_failure(self, tmp_path, capsys):
+    def test_nan_features_are_a_data_error(self, tmp_path, capsys):
         base = tmp_path / "data" / "broken"
         (base / "features").mkdir(parents=True)
         (base / "mapping.txt").write_text("0 a\n1 b\n")
@@ -435,8 +435,10 @@ class TestExitCodes:
             "--out",
             tmp_path / "runs",
         )
-        assert code == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "v0.totf: non-finite feature value in frame " in err
 
     def test_unknown_subcommand_is_usage(self, capsys):
         assert run("frobnicate") == 1
@@ -483,6 +485,16 @@ class TestExitCodes:
         path = data / "synthetic" / "features" / "video_001.totf"
         path.write_bytes(path.read_bytes()[:-4])
         return ["segment", data, "--checkpoints", runs], "video_001.totf"
+
+    @staticmethod
+    def inf_feature_in_training(data, runs, tmp_path):
+        # One inf frame used to train on silently into a NaN checkpoint.
+        path = data / "synthetic" / "features" / "video_001.totf"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 14 + 4 * 6 * 5, np.inf)  # frame 5, column 0
+        path.write_bytes(raw)
+        argv = train_args(data, tmp_path / "out")
+        return argv, "video_001.totf: non-finite feature value in frame 5"
 
     @staticmethod
     def bad_magic_features(data, runs, tmp_path):
@@ -614,6 +626,7 @@ class TestExitCodes:
             prediction_beyond_64_bits,
             short_video,
             truncated_features,
+            inf_feature_in_training,
             bad_magic_features,
             blank_ground_truth,
             short_ground_truth,
@@ -649,6 +662,7 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert names in err
         assert "Traceback" not in err
+        assert not list(tmp_path.glob("out/**/*.totc"))
 
     # Non-finite frame scores in segment exit 3 with one line naming the video.
 

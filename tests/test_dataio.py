@@ -14,7 +14,6 @@ from totseg.dataio import (
     generate_synthetic,
     load_catalog,
     read_feature_header,
-    read_features,
     read_labels,
     relabel_background_edges,
     write_catalog,
@@ -46,11 +45,10 @@ class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.totf"
         write_features(in_memory(self.SAMPLE), path)
-        seq = read_features(path)
-        assert seq.video_id == "a"
-        assert (seq.num_frames, seq.dim) == (3, 2)
-        np.testing.assert_array_equal(seq.array, self.SAMPLE)
-        assert seq.array.dtype == np.float64
+        assert read_feature_header(path) == (3, 2)
+        features = FeatureSequence("a", 3, 2, path=path).load_features()
+        np.testing.assert_array_equal(features, self.SAMPLE)
+        assert features.dtype == np.float64
 
     def test_file_size_is_header_plus_payload(self, tmp_path):
         path = tmp_path / "big.totf"
@@ -70,7 +68,7 @@ class TestFeatureFiles:
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
         with pytest.raises(BadMagicError, match="bad.totf"):
-            read_features(path)
+            read_feature_header(path)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "v9.totf"
@@ -79,22 +77,13 @@ class TestFeatureFiles:
         raw[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatchError, match="version 9"):
-            read_features(path)
-
-    def test_rejects_truncated_payload_with_byte_counts(self, tmp_path):
-        path = tmp_path / "cut.totf"
-        write_features(in_memory(self.SAMPLE), path)
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(
-            TruncatedPayloadError, match="promises 24 payload bytes, file has 20"
-        ):
-            read_features(path)
+            read_feature_header(path)
 
     def test_rejects_file_shorter_than_header(self, tmp_path):
         path = tmp_path / "stub.totf"
         path.write_bytes(FEATURE_MAGIC + b"\x01")
         with pytest.raises(TruncatedPayloadError, match="shorter than the header"):
-            read_features(path)
+            read_feature_header(path)
 
     def test_write_creates_parent_directories(self, tmp_path):
         path = tmp_path / "x" / "y" / "c.totf"
@@ -142,6 +131,8 @@ class TestLoadFeatureRows:
         np.testing.assert_array_equal(seq.load_feature_rows([3]), np.ones((1, 3)))
         with pytest.raises(TruncatedPayloadError, match="row 4 extends past end"):
             seq.load_feature_rows([4])
+        with pytest.raises(TruncatedPayloadError, match="row 4 extends past end"):
+            seq.load_features()
 
 
 class TestLabelMapping:

@@ -20,7 +20,7 @@ from totseg.encoder import (
     normalize_rows,
     normalize_rows_backward,
     save_checkpoint,
-    sigmoid,
+    sigmoid_in_place,
 )
 from totseg.errors import BadMagicError, TruncatedPayloadError, VersionMismatchError
 
@@ -31,23 +31,28 @@ def make_params(seed=0, dims=(4, 5, 3, 2)):
     return init_params(*dims, rng=np.random.default_rng(seed))
 
 
+def logistic(x):
+    """The in-place kernel ``forward`` runs, on a float64 copy of ``x``."""
+    return sigmoid_in_place(np.array(x, dtype=np.float64))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
-        assert sigmoid(np.array([0.0]))[0] == 0.5
+        assert logistic(np.array([0.0]))[0] == 0.5
 
     def test_matches_naive_formula_in_safe_range(self):
         x = np.linspace(-30, 30, 101)
-        np.testing.assert_allclose(sigmoid(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
+        np.testing.assert_allclose(logistic(x), 1.0 / (1.0 + np.exp(-x)), rtol=1e-15)
 
     def test_extreme_inputs_do_not_overflow(self):
         with np.errstate(over="raise"):
-            out = sigmoid(np.array([-1000.0, 1000.0]))
+            out = logistic(np.array([-1000.0, 1000.0]))
         assert out[0] == 0.0
         assert out[1] == 1.0
 
     def test_symmetry(self):
         x = np.linspace(-5, 5, 51)
-        np.testing.assert_allclose(sigmoid(-x), 1.0 - sigmoid(x), atol=1e-15)
+        np.testing.assert_allclose(logistic(-x), 1.0 - logistic(x), atol=1e-15)
 
     def test_agrees_with_scipy_expit_up_to_700(self):
         expit = pytest.importorskip("scipy.special").expit
@@ -55,25 +60,27 @@ class TestSigmoid:
         x = np.concatenate(
             [np.linspace(-700, 700, 140_001), rng.normal(scale=8.0, size=20_000)]
         )
-        np.testing.assert_allclose(sigmoid(x), expit(x), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(logistic(x), expit(x), rtol=1e-15, atol=0)
 
     def test_exact_tails_beyond_exp_overflow(self):
         x = np.array([709.79, 710.0, 745.5, 1e4, 1e308, np.inf])
-        np.testing.assert_array_equal(sigmoid(x), np.ones_like(x))
-        np.testing.assert_array_equal(sigmoid(-x), np.zeros_like(x))
+        np.testing.assert_array_equal(logistic(x), np.ones_like(x))
+        np.testing.assert_array_equal(logistic(-x), np.zeros_like(x))
 
-    def test_leaves_its_input_unchanged(self):
+    def test_overwrites_and_returns_its_buffer(self):
         x = np.linspace(-50, 50, 41)
-        before = x.copy()
-        sigmoid(x)
-        np.testing.assert_array_equal(x, before)
+        want = 1.0 / (1.0 + np.exp(-x))
+        assert sigmoid_in_place(x) is x
+        np.testing.assert_allclose(x, want, rtol=1e-15)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32])
     def test_other_dtypes_give_float64(self, dtype):
-        x = np.arange(-6, 7).astype(dtype)
-        out = sigmoid(x)
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(out, sigmoid(x.astype(np.float64)))
+        # forward casts its input to float64 before the kernel runs.
+        params = make_params()
+        x = np.arange(-6, 6).reshape(3, 4).astype(dtype)
+        out, cache = forward(params, x)
+        assert out.dtype == cache.hidden.dtype == np.float64
+        np.testing.assert_array_equal(out, forward(params, x.astype(np.float64))[0])
 
 
 class TestForward:

@@ -164,7 +164,7 @@ class TestEvaluateActivity:
 
     def test_ground_truth_scores_itself_perfectly(self):
         ids, gts = self.two_videos()
-        report = evaluate_activity(ids, gts, gts, 3, 3, activity="toy")
+        report = evaluate_activity(ids, gts, gts, 3, activity="toy")
         assert report.mof == 1.0
         assert report.f1 == 1.0
         assert report.mapping == {0: 0, 1: 1, 2: 2}
@@ -174,7 +174,7 @@ class TestEvaluateActivity:
     def test_cluster_relabeling_changes_nothing(self):
         ids, gts = self.two_videos()
         renamed = [(gt + 2) % 3 for gt in gts]
-        report = evaluate_activity(ids, renamed, gts, 3, 3)
+        report = evaluate_activity(ids, renamed, gts, 3)
         assert report.mof == 1.0
         assert report.f1 == 1.0
         assert report.mapping == {0: 1, 1: 2, 2: 0}
@@ -185,7 +185,7 @@ class TestEvaluateActivity:
         ids = ["a", "b"]
         gts = [np.array([0] * 8 + [1] * 2), np.array([0] * 2 + [1] * 2)]
         preds = [np.array([0] * 10), np.array([1] * 4)]
-        report = evaluate_activity(ids, preds, gts, 2, 2)
+        report = evaluate_activity(ids, preds, gts, 2)
         assert report.mapping == {0: 0, 1: 1}
         assert report.mof == pytest.approx(10 / 14)
 
@@ -196,7 +196,7 @@ class TestEvaluateActivity:
         ids = ["short", "long"]
         gts = [np.zeros(2, dtype=int), np.zeros(8, dtype=int)]
         preds = [np.zeros(2, dtype=int), np.ones(8, dtype=int)]
-        report = evaluate_activity(ids, preds, gts, 2, 1)
+        report = evaluate_activity(ids, preds, gts, 1)
         assert report.mapping == {1: 0}
         assert report.mof == pytest.approx(0.8)
         assert report.videos[0].frame_accuracy == 0.0
@@ -208,7 +208,7 @@ class TestEvaluateActivity:
         base = None
         for junk in (0, 1):
             pred = [np.array([junk, junk, 0, 0, 1, 1, junk])]
-            report = evaluate_activity(ids, pred, gt, 2, 10, exclude={9})
+            report = evaluate_activity(ids, pred, gt, 10, exclude={9})
             if base is None:
                 base = report
             assert report.mof == base.mof == 1.0
@@ -219,7 +219,7 @@ class TestEvaluateActivity:
         ids = ["all_bg", "real"]
         gts = [np.array([9, 9, 9]), np.array([0, 0, 1, 1])]
         preds = [np.array([0, 1, 0]), np.array([0, 0, 1, 1])]
-        report = evaluate_activity(ids, preds, gts, 2, 10, exclude={9})
+        report = evaluate_activity(ids, preds, gts, 10, exclude={9})
         assert report.mof == 1.0
         assert report.videos[0].frame_accuracy == 0.0
         assert report.videos[0].f1 == 0.0
@@ -228,13 +228,13 @@ class TestEvaluateActivity:
     def test_everything_excluded_rejected(self):
         with pytest.raises(ValueError, match="no frames left to match"):
             evaluate_activity(
-                ["v0"], [np.array([0, 1])], [np.array([9, 9])], 2, 10, exclude={9}
+                ["v0"], [np.array([0, 1])], [np.array([9, 9])], 10, exclude={9}
             )
 
     def test_everything_excluded_is_a_data_error_naming_the_activity(self):
         with pytest.raises(DataError, match="activity 'cook': no frames left"):
             evaluate_activity(
-                ["v0"], [np.array([0, 1])], [np.array([9, 9])], 2, 10,
+                ["v0"], [np.array([0, 1])], [np.array([9, 9])], 10,
                 activity="cook", exclude={9},
             )
 
@@ -242,19 +242,25 @@ class TestEvaluateActivity:
         ids, gts = self.two_videos()
         preds = [gts[0], gts[1][:-1]]
         with pytest.raises(ValueError, match="video v1: 9 predicted frames vs 10"):
-            evaluate_activity(ids, preds, gts, 3, 3)
+            evaluate_activity(ids, preds, gts, 3)
+
+    def test_negative_cluster_id_rejected(self):
+        ids, gts = self.two_videos()
+        preds = [gts[0], gts[1] - 1]
+        with pytest.raises(ValueError, match="pred ids must be >= 0, got -1"):
+            evaluate_activity(ids, preds, gts, 3)
 
     def test_misaligned_lists_rejected(self):
         with pytest.raises(ValueError, match="got 2 ids, 1 predictions"):
-            evaluate_activity(["a", "b"], [np.zeros(1)], [np.zeros(1), np.zeros(1)], 1, 1)
+            evaluate_activity(["a", "b"], [np.zeros(1)], [np.zeros(1), np.zeros(1)], 1)
 
     def test_empty_video_list_rejected(self):
         with pytest.raises(ValueError, match="nothing to evaluate"):
-            evaluate_activity([], [], [], 1, 1)
+            evaluate_activity([], [], [], 1)
 
     def test_report_text_layout(self):
         ids, gts = self.two_videos()
-        text = evaluate_activity(ids, gts, gts, 3, 3, activity="toy").to_text()
+        text = evaluate_activity(ids, gts, gts, 3, activity="toy").to_text()
         lines = text.splitlines()
         assert lines[0] == "activity = toy"
         assert lines[1] == "mof = 1.0000"
@@ -281,8 +287,8 @@ def test_mof_is_a_fraction_and_f1_ignores_consistent_relabeling(case):
     pred, gt, permutation = case
     k = permutation.size
     assert 0.0 <= mof(pred, gt) <= 1.0
-    report = evaluate_activity(["v"], [pred], [gt], k, k)
-    relabeled = evaluate_activity(["v"], [permutation[pred]], [gt], k, k)
+    report = evaluate_activity(["v"], [pred], [gt], k)
+    relabeled = evaluate_activity(["v"], [permutation[pred]], [gt], k)
     assert 0.0 <= report.mof <= 1.0
     assert relabeled.mof == report.mof
     for overlap in ("gt", "iou"):

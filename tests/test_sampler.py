@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from totseg.dataio import DatasetCatalog, FeatureSequence, LabelMapping, write_features
+from totseg.errors import DataError
 from totseg.sampler import (
     build_batch,
     eligible_videos,
@@ -146,7 +147,7 @@ class TestBuildBatch:
     def test_two_blocks_cover_the_batch(self):
         videos = self.pool([300, 280, 400])
         batch = build_batch(videos, 2, 512, np.random.default_rng(8))
-        assert batch.size == 512
+        assert batch.features.shape == batch.positive_features.shape == (512, 3)
         assert len(batch.blocks) == 2
         assert [b[1] for b in batch.blocks] == [0, 256]
         assert [b[2] for b in batch.blocks] == [256, 256]
@@ -192,6 +193,17 @@ class TestBuildBatch:
         videos = self.pool([128])
         batch = build_batch(videos, 1, 128, np.random.default_rng(12))
         assert batch.blocks == [("v0", 0, 128)]
+
+    def test_non_finite_row_names_the_file_and_frame(self, tmp_path):
+        values = np.zeros((16, 3))
+        values[[7, 12], 1] = [np.inf, np.nan]
+        path = tmp_path / "bad.totf"
+        write_features(FeatureSequence("bad", 16, 3, array=values), path)
+        videos = [FeatureSequence("bad", 16, 3, path=path)]
+        # A 16-row block of a 16-frame video reads every frame.
+        message = r"bad\.totf: non-finite feature value in frame 7$"
+        with pytest.raises(DataError, match=message):
+            build_batch(videos, 1, 16, np.random.default_rng(0))
 
     def test_deterministic_under_seed(self):
         videos = self.pool([80, 90, 100])

@@ -7,7 +7,7 @@ import pytest
 
 from totseg import encoder, transport
 from totseg.dataio import SyntheticSpec, generate_synthetic
-from totseg.errors import NumericalError
+from totseg.errors import DataError, NumericalError
 from totseg.losses import LossConfig
 from totseg.numerics import row_softmax
 from totseg.trainer import (
@@ -15,8 +15,9 @@ from totseg.trainer import (
     MODES,
     MatrixLedger,
     TrainConfig,
+    backward,
     embed_dataset,
-    loss_and_grads,
+    forward,
     solve_codes,
     train,
 )
@@ -100,7 +101,7 @@ class TestMatrixLedger:
         ledger.record("a", np.zeros((10, 3)))
         ledger.record("a", np.zeros((2, 2)))
         ledger.record("b", np.zeros(7))
-        assert ledger.shape("a") == (10, 3)
+        assert ledger.entries["a"][0] == (10, 3)
         assert ledger.peak_bytes("a") == 10 * 3 * 8
         assert ledger.max_dimension() == 10
 
@@ -165,6 +166,12 @@ class TestSolveCodes:
         np.testing.assert_array_equal(codes, direct.values)
 
 
+def step_losses(params, anchors, positives, codes, blocks, loss_config, normalize=True):
+    """Both halves of a training step with the codes held fixed."""
+    step = forward(params, anchors, positives, normalize)
+    return backward(step, codes, blocks, loss_config)
+
+
 class TestLossAndGrads:
     def setup_problem(self, seed=5, batch=8, clusters=3):
         rng = np.random.default_rng(seed)
@@ -179,13 +186,13 @@ class TestLossAndGrads:
         params, anchors, pos, codes, blocks = self.setup_problem()
         positives = pos if positives else None
         loss_config = LossConfig(temperature=0.2, alpha=alpha, window=5)
-        clustering, coherence, grads = loss_and_grads(
+        clustering, coherence, grads = step_losses(
             params, anchors, positives, codes, blocks, loss_config, normalize
         )
 
         def objective(key, value):
             trial = encoder.EncoderParams(**{**params.as_dict(), key: value})
-            c, t, _ = loss_and_grads(
+            c, t, _ = step_losses(
                 trial, anchors, positives, codes, blocks, loss_config, normalize
             )
             return c + alpha * t
@@ -214,11 +221,11 @@ class TestLossAndGrads:
     def test_zero_alpha_still_returns_coherence_value(self):
         params, anchors, positives, codes, blocks = self.setup_problem()
         loss_config = LossConfig(alpha=0.0)
-        _, coherence, grads_zero = loss_and_grads(
+        _, coherence, grads_zero = step_losses(
             params, anchors, positives, codes, blocks, loss_config
         )
         assert coherence > 0.0
-        _, _, grads_without = loss_and_grads(
+        _, _, grads_without = step_losses(
             params, anchors, None, codes, blocks, loss_config
         )
         for key in encoder.PARAM_KEYS:
@@ -234,8 +241,8 @@ class TestLossAndGrads:
         loss_config = LossConfig(temperature=0.2)
         unit = codes / codes.sum(axis=1, keepdims=True)
         factors = np.random.default_rng(6).uniform(0.01, 100.0, size=(8, 1))
-        loss, _, grads = loss_and_grads(params, anchors, None, unit, blocks, loss_config)
-        scaled_loss, _, scaled_grads = loss_and_grads(
+        loss, _, grads = step_losses(params, anchors, None, unit, blocks, loss_config)
+        scaled_loss, _, scaled_grads = step_losses(
             params, anchors, None, unit * factors, blocks, loss_config
         )
         assert scaled_loss == pytest.approx(loss, rel=1e-12)
@@ -249,7 +256,7 @@ class TestLossAndGrads:
 
 
 class TestTrainRunsTheOracleStep:
-    """The gradients train() steps with are exactly loss_and_grads' output."""
+    """The gradients train() steps with are exactly the public halves' output."""
 
     @pytest.mark.parametrize("mode", ["tot", "tot+tcl"])
     def test_first_step_gradients_match_bit_for_bit(self, mode, monkeypatch):
@@ -284,15 +291,8 @@ class TestTrainRunsTheOracleStep:
 
         batch = seen["batch"]
         positives = batch.positive_features if config.uses_coherence else None
-        _, _, want = loss_and_grads(
-            seen["params"],
-            batch.features,
-            positives,
-            seen["codes"],
-            batch.blocks,
-            config.loss,
-            config.normalize,
-        )
+        step = forward(seen["params"], batch.features, positives, config.normalize)
+        _, _, want = backward(step, seen["codes"], batch.blocks, config.loss)
         assert sorted(seen["grads"]) == sorted(want)
         for key, grad in want.items():
             np.testing.assert_array_equal(seen["grads"][key], grad)
@@ -399,10 +399,10 @@ class TestTrain:
         config = small_config(mode="tot+tcl", iterations=3)
         result = train(catalog, config)
         ledger = result.ledger
-        assert ledger.shape("embeddings") == (32, 6)
-        assert ledger.shape("codes") == (32, 3)
-        assert ledger.shape("scores") == (32, 3)
-        assert ledger.shape("batch_features") == (32, 8)
+        assert ledger.entries["embeddings"][0] == (32, 6)
+        assert ledger.entries["codes"][0] == (32, 3)
+        assert ledger.entries["scores"][0] == (32, 3)
+        assert ledger.entries["batch_features"][0] == (32, 8)
         # Stacked anchor+positive activations are the largest anything gets.
         assert ledger.max_dimension() == 64
         assert ledger.max_dimension() < catalog.total_frames
@@ -413,12 +413,25 @@ class TestTrain:
         with pytest.raises(ValueError, match="need 3 videos"):
             train(catalog, config)
 
-    def test_nan_features_raise_numerical_error(self):
+    def test_nan_features_raise_data_error(self):
         catalog = small_catalog()
         for video in catalog.videos:
             video.array[:] = np.nan
-        with pytest.raises(NumericalError):
+        message = r"video video_\d+: non-finite feature value in frame \d+"
+        with pytest.raises(DataError, match=message):
             train(catalog, small_config(iterations=2))
+
+    def test_nan_weights_raise_numerical_error(self, monkeypatch):
+        real_init = encoder.init_params
+
+        def spoiled_init(*args, **kwargs):
+            params = real_init(*args, **kwargs)
+            params.w1[0, 0] = np.nan
+            return params
+
+        monkeypatch.setattr(encoder, "init_params", spoiled_init)
+        with pytest.raises(NumericalError, match="non-finite"):
+            train(small_catalog(), small_config(iterations=2))
 
 
 class TestEmbedDataset:

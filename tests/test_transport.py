@@ -6,7 +6,6 @@ import pytest
 from totseg.errors import NumericalError
 from totseg.transport import (
     MAX_SIGMA,
-    CodeMatrix,
     TransportConfig,
     marginal_error,
     sinkhorn_ot,
@@ -241,12 +240,6 @@ def test_sigma_bound_is_the_widest_prior_with_a_finite_square():
         TransportConfig(sigma=wider)
     cfg = TransportConfig(sigma=MAX_SIGMA)
     assert np.isfinite(temporal_prior(4, 3, cfg.sigma)).all()
-
-
-def test_code_matrix_shape_property():
-    solved = sinkhorn_ot(np.zeros((4, 2)), 0.5)
-    assert isinstance(solved, CodeMatrix)
-    assert solved.shape == (4, 2)
 
 
 def _random_transport_problem(rng):
