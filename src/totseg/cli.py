@@ -22,11 +22,11 @@ is a usage error, and so is an output path that cannot be created because
 a file is in the way (``--out``, or ``synth``'s OUT, naming a file or a
 path under one), or an output file path that names a directory
 (``train.log``, the checkpoint, a label or timeline file, the ``eval
---out`` report). A non-finite feature value that a training batch reads
-is a data error naming the feature file and frame, and no checkpoint is
-written. A non-finite training loss, and non-finite frame scores in
-``segment`` (from NaN features or checkpoint weights), are numerical
-failures.
+--out`` report). A non-finite feature value that ``train`` or ``segment``
+reads is a data error naming the feature file and frame; a ``train`` that
+fails writes neither ``train.log`` nor a checkpoint for that activity.
+A non-finite training loss, and non-finite frame scores in ``segment``
+(from the checkpoint's weights), are numerical failures.
 """
 
 from __future__ import annotations
@@ -219,11 +219,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         out_dir = _output_dir(Path(values["out"]) / activity)
         log_path = _output_file(out_dir / LOG_NAME, "training log")
         checkpoint_path = _output_file(out_dir / CHECKPOINT_NAME, "checkpoint")
-        with open(log_path, "w") as log_stream:
+        with dataio.atomic_write(log_path) as log_stream:
             result = trainer.train(catalog, run_config, log_stream=log_stream)
         encoder.save_checkpoint(
             result.params,
-            result.state,
             checkpoint_path,
             temperature=values["tau"],
             normalized=values["normalize"],
@@ -250,7 +249,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         checkpoint_path = Path(values["checkpoints"]) / activity / CHECKPOINT_NAME
         if not checkpoint_path.is_file():
             raise DataError(f"no checkpoint for activity {activity!r} at {checkpoint_path}")
-        params, _, meta = encoder.load_checkpoint(checkpoint_path)
+        params, meta = encoder.load_checkpoint(checkpoint_path)
         catalog = dataio.load_catalog(root, activity)
         if catalog.dim != params.dims[0]:
             raise DataError(
@@ -278,7 +277,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             except ValueError:  # videos too short for the path were rejected above
                 raise NumericalError(
                     f"activity {activity!r}, video {video_id}: frame scores are not "
-                    "finite (NaN in the features or the checkpoint)"
+                    f"finite with the weights of {checkpoint_path}"
                 ) from None
             labels_path = _output_file(out_dir / f"{video_id}.txt", "label file")
             with dataio.atomic_write(labels_path) as fh:

@@ -29,14 +29,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .errors import (
-    BadMagicError,
-    CatalogError,
-    DataError,
-    TruncatedPayloadError,
-    UnknownLabelError,
-    VersionMismatchError,
-)
+from .errors import DataError
 from .numerics import as_matrix
 
 FEATURE_MAGIC = b"TOTF"
@@ -77,6 +70,11 @@ class FeatureSequence:
 
         Returns:
             len(rows) x dim float64 matrix, in the order given.
+
+        Raises:
+            DataError: A row read holds a non-finite value; names the
+                feature file (or the in-memory video) and the lowest such
+                frame read.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_frames):
@@ -85,26 +83,32 @@ class FeatureSequence:
                 f"requested {rows.min()}..{rows.max()} of {self.num_frames} frames"
             )
         if self.array is not None:
-            return self.array[rows]
-        if not (rows.size and self.dim):
+            gathered = self.array[rows]
+        elif not (rows.size and self.dim):
             # Nothing to read, and a zero dim gives no row width to count by.
             return np.empty((rows.size, self.dim), dtype=np.float64)
-        with open(self.path, "rb") as fh:
-            payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
-            present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
-            missing = rows[rows >= present]
-            if missing.size:
-                raise TruncatedPayloadError(
-                    f"{self.path}: row {int(missing[0])} extends past end of file"
-                )
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                payload = np.frombuffer(
-                    view, dtype="<f4", count=present * self.dim,
-                    offset=_FEATURE_HEADER.size,
-                )
-                gathered = payload.reshape(present, self.dim)[rows].astype(np.float64)
-                # The map cannot close while an array still exports its buffer.
-                del payload
+        else:
+            with open(self.path, "rb") as fh:
+                payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
+                present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
+                missing = rows[rows >= present]
+                if missing.size:
+                    raise DataError(
+                        f"{self.path}: row {int(missing[0])} extends past end of file"
+                    )
+                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
+                    payload = np.frombuffer(
+                        view, dtype="<f4", count=present * self.dim,
+                        offset=_FEATURE_HEADER.size,
+                    )
+                    gathered = payload.reshape(present, self.dim)[rows].astype(np.float64)
+                    # The map cannot close while an array still exports its buffer.
+                    del payload
+        finite = np.isfinite(gathered)
+        if not finite.all():
+            bad = int(rows[~finite.all(axis=1)].min())
+            source = self.path or f"video {self.video_id}"
+            raise DataError(f"{source}: non-finite feature value in frame {bad}")
         return gathered
 
 
@@ -155,12 +159,12 @@ def read_feature_header(path) -> tuple[int, int]:
     with open(path, "rb") as fh:
         raw = fh.read(_FEATURE_HEADER.size)
     if len(raw) < _FEATURE_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the header")
+        raise DataError(f"{path}: file shorter than the header")
     magic, version, rows, cols = _FEATURE_HEADER.unpack(raw)
     if magic != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {FEATURE_MAGIC!r}, got {magic!r}")
+        raise DataError(f"{path}: expected magic {FEATURE_MAGIC!r}, got {magic!r}")
     if version != FEATURE_VERSION:
-        raise VersionMismatchError(
+        raise DataError(
             f"{path}: feature format version {version}, expected {FEATURE_VERSION}"
         )
     return rows, cols
@@ -176,7 +180,7 @@ class LabelMapping:
     def __post_init__(self) -> None:
         self.id_to_name = {v: k for k, v in self.name_to_id.items()}
         if len(self.id_to_name) != len(self.name_to_id):
-            raise CatalogError("label mapping assigns one id to several names")
+            raise DataError("label mapping assigns one id to several names")
 
     @property
     def num_actions(self) -> int:
@@ -184,7 +188,7 @@ class LabelMapping:
 
     def add(self, name: str) -> int:
         if name in self.name_to_id:
-            raise CatalogError(f"label {name!r} already mapped")
+            raise DataError(f"label {name!r} already mapped")
         new_id = max(self.id_to_name, default=-1) + 1
         self.name_to_id[name] = new_id
         self.id_to_name[new_id] = name
@@ -200,17 +204,17 @@ class LabelMapping:
                 continue
             parts = line.split(maxsplit=1)
             if len(parts) != 2 or not parts[0].removeprefix("-").isdecimal():
-                raise CatalogError(f"{path}:{lineno}: expected '<id> <name>', got {line!r}")
+                raise DataError(f"{path}:{lineno}: expected '<id> <name>', got {line!r}")
             if parts[1] in names:
-                raise CatalogError(f"{path}:{lineno}: action {parts[1]!r} listed twice")
+                raise DataError(f"{path}:{lineno}: action {parts[1]!r} listed twice")
             names[parts[1]] = int(parts[0])
         if not names:
-            raise CatalogError(f"{path}: empty label mapping")
+            raise DataError(f"{path}: empty label mapping")
         ids = sorted(names.values())
         if len(set(ids)) < len(ids):
-            raise CatalogError(f"{path}: label mapping assigns one id to several names")
+            raise DataError(f"{path}: label mapping assigns one id to several names")
         if ids != list(range(len(ids))):
-            raise CatalogError(f"{path}: action ids must be 0..{len(ids) - 1}, got {ids}")
+            raise DataError(f"{path}: action ids must be 0..{len(ids) - 1}, got {ids}")
         return cls(names)
 
     def to_file(self, path) -> None:
@@ -224,8 +228,8 @@ def read_labels(path, mapping: LabelMapping) -> np.ndarray:
     """Per-frame action ids from a one-name-per-line ground-truth file.
 
     Raises:
-        UnknownLabelError: Naming the file, line number, and unknown name.
-        DataError: The file is not UTF-8 text.
+        DataError: Naming the file, line number, and unknown name, or
+            the file is not UTF-8 text.
     """
     path = Path(path)
     ids = []
@@ -234,7 +238,7 @@ def read_labels(path, mapping: LabelMapping) -> np.ndarray:
         if not name:
             continue
         if name not in mapping.name_to_id:
-            raise UnknownLabelError(f"{path}:{lineno}: unknown action name {name!r}")
+            raise DataError(f"{path}:{lineno}: unknown action name {name!r}")
         ids.append(mapping.name_to_id[name])
     return np.asarray(ids, dtype=np.int64)
 
@@ -293,9 +297,9 @@ class DatasetCatalog:
         elif seq.label_path is not None:
             labels = read_labels(seq.label_path, self.mapping)
         else:
-            raise CatalogError(f"video {seq.video_id} has no ground-truth labels")
+            raise DataError(f"video {seq.video_id} has no ground-truth labels")
         if labels.size != seq.num_frames:
-            raise CatalogError(
+            raise DataError(
                 f"video {seq.video_id}: {labels.size} labels for {seq.num_frames} frames"
             )
         if self.background_split is not None:
@@ -313,17 +317,17 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
             ``<name>_start`` / ``<name>_end`` edge classes, or None.
 
     Raises:
-        CatalogError: Missing directories, no feature files, inconsistent
+        DataError: Missing directories, no feature files, inconsistent
             or zero feature dimensions, or an unknown ``split_background``
             name.
     """
     base = Path(root) / activity
     features_dir = base / "features"
     if not features_dir.is_dir():
-        raise CatalogError(f"{base}: no features/ directory")
+        raise DataError(f"{base}: no features/ directory")
     mapping_path = base / "mapping.txt"
     if not mapping_path.is_file():
-        raise CatalogError(f"{base}: no mapping.txt")
+        raise DataError(f"{base}: no mapping.txt")
     mapping = LabelMapping.from_file(mapping_path)
 
     videos: list[FeatureSequence] = []
@@ -341,19 +345,19 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
             )
         )
     if not videos:
-        raise CatalogError(f"{features_dir}: no .totf feature files")
+        raise DataError(f"{features_dir}: no .totf feature files")
     dims = {v.dim for v in videos}
     if len(dims) != 1:
-        raise CatalogError(
+        raise DataError(
             f"{features_dir}: feature dimensions differ across videos: {sorted(dims)}"
         )
     if 0 in dims:
-        raise CatalogError(f"{features_dir}: feature files have 0 columns")
+        raise DataError(f"{features_dir}: feature files have 0 columns")
 
     background_split = None
     if split_background is not None:
         if split_background not in mapping.name_to_id:
-            raise CatalogError(
+            raise DataError(
                 f"background action {split_background!r} not in {mapping_path}"
             )
         background_id = mapping.name_to_id[split_background]

@@ -25,21 +25,24 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataio import atomic_write
-from .errors import BadMagicError, DataError, TruncatedPayloadError, VersionMismatchError
+from .errors import DataError
 
 PARAM_KEYS = ("w1", "b1", "w2", "b2", "prototypes")
 
 CHECKPOINT_MAGIC = b"TOTC"
-CHECKPOINT_VERSION = 1
-# magic, version, d_in, hidden, d_embed, clusters, normalized flag,
-# temperature, adam step, lr, weight decay, beta1, beta2, eps, frozen flag
-_CKPT_HEADER = struct.Struct("<4sHIIIIBdQdddddB")
+CHECKPOINT_VERSION = 2
+# magic, version, d_in, hidden, d_embed, clusters, normalized flag, temperature
+_CKPT_HEADER = struct.Struct("<4sHIIIIBd")
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -204,9 +207,6 @@ class AdamState:
     step: int = 0
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     prototypes_frozen: bool = False
 
     @staticmethod
@@ -241,8 +241,8 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    correct1 = 1.0 - state.beta1**t
-    correct2 = 1.0 - state.beta2**t
+    correct1 = 1.0 - ADAM_BETA1**t
+    correct2 = 1.0 - ADAM_BETA2**t
     for key in PARAM_KEYS:
         if key == "prototypes" and state.prototypes_frozen:
             continue
@@ -254,23 +254,22 @@ def adam_step(
             raise ValueError(
                 f"gradient shape {grad.shape} does not match {key} shape {param.shape}"
             )
-        state.m[key] = state.beta1 * state.m[key] + (1.0 - state.beta1) * grad
-        state.v[key] = state.beta2 * state.v[key] + (1.0 - state.beta2) * grad**2
+        state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * grad
+        state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * grad**2
         m_hat = state.m[key] / correct1
         v_hat = state.v[key] / correct2
-        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if state.weight_decay > 0:
             param -= state.learning_rate * state.weight_decay * param
 
 
 def save_checkpoint(
     params: EncoderParams,
-    state: AdamState,
     path,
     temperature: float = 0.1,
     normalized: bool = True,
 ) -> None:
-    """Write parameters, optimizer state, and inference settings to disk.
+    """Write parameters and the inference settings to disk.
 
     ``temperature`` and ``normalized`` travel with the weights so
     segmentation does not depend on remembering training flags.
@@ -287,40 +286,29 @@ def save_checkpoint(
         clusters,
         int(normalized),
         temperature,
-        state.step,
-        state.learning_rate,
-        state.weight_decay,
-        state.beta1,
-        state.beta2,
-        state.eps,
-        int(state.prototypes_frozen),
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
         for key in PARAM_KEYS:
             fh.write(np.ascontiguousarray(getattr(params, key), dtype="<f8").tobytes())
-        for moments in (state.m, state.v):
-            for key in PARAM_KEYS:
-                fh.write(np.ascontiguousarray(moments[key], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
+def load_checkpoint(path) -> tuple[EncoderParams, dict]:
     """Read a checkpoint back.
 
     Returns:
-        (params, adam state, meta) where meta has keys ``temperature``
-        and ``normalized``.
+        (params, meta) where meta has keys ``temperature`` and
+        ``normalized``.
 
     Raises:
-        BadMagicError / VersionMismatchError / TruncatedPayloadError:
-            On files that are not, or are no longer, valid checkpoints.
-        DataError: A header dimension below 1, a temperature that is not
-            finite and positive, or bytes past the promised payload.
+        DataError: Naming the file, on a wrong magic or version, a header
+            dimension below 1, a temperature that is not finite and
+            positive, or a payload of the wrong length.
     """
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < _CKPT_HEADER.size:
-        raise TruncatedPayloadError(f"{path}: file shorter than the checkpoint header")
+        raise DataError(f"{path}: file shorter than the checkpoint header")
     (
         magic,
         version,
@@ -330,18 +318,11 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
         clusters,
         normalized,
         temperature,
-        step,
-        lr,
-        wd,
-        beta1,
-        beta2,
-        eps,
-        frozen,
     ) = _CKPT_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
-        raise BadMagicError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}")
+        raise DataError(f"{path}: expected magic {CHECKPOINT_MAGIC!r}, got {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatchError(
+        raise DataError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     if min(d_in, hidden, d_embed, clusters) < 1:
@@ -363,10 +344,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
         "prototypes": (clusters, d_embed),
     }
     total = sum(int(np.prod(s)) for s in shapes.values())
-    expected = _CKPT_HEADER.size + 3 * total * 8
+    expected = _CKPT_HEADER.size + total * 8
     if len(raw) != expected:
-        error = TruncatedPayloadError if len(raw) < expected else DataError
-        raise error(f"{path}: checkpoint promises {expected} bytes, file has {len(raw)}")
+        raise DataError(f"{path}: checkpoint promises {expected} bytes, file has {len(raw)}")
 
     offset = _CKPT_HEADER.size
 
@@ -378,18 +358,5 @@ def load_checkpoint(path) -> tuple[EncoderParams, AdamState, dict]:
         return arr.reshape(shape).astype(np.float64)
 
     params = EncoderParams(**{key: take(shapes[key]) for key in PARAM_KEYS})
-    m = {key: take(shapes[key]) for key in PARAM_KEYS}
-    v = {key: take(shapes[key]) for key in PARAM_KEYS}
-    state = AdamState(
-        m=m,
-        v=v,
-        step=step,
-        learning_rate=lr,
-        weight_decay=wd,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        prototypes_frozen=bool(frozen),
-    )
     meta = {"temperature": temperature, "normalized": bool(normalized)}
-    return params, state, meta
+    return params, meta

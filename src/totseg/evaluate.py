@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .decode import segments_from_labels
-from .errors import NothingToScoreError
+from .errors import DataError
 
 UNMATCHED = -1
 
@@ -204,7 +204,7 @@ def evaluate_activity(
     Raises:
         ValueError: Misaligned inputs, per-video length mismatches or a
             negative cluster id.
-        NothingToScoreError: No ground-truth frame is left: the videos
+        DataError: No ground-truth frame is left: the videos
             have none, or ``exclude`` drops every one.
     """
     if not (len(video_ids) == len(predictions) == len(ground_truth)):
@@ -237,7 +237,7 @@ def evaluate_activity(
             reason = "no frames left to match after background exclusion"
         else:
             reason = "its videos have no frames to match"
-        raise NothingToScoreError(f"activity {activity!r}: {reason}")
+        raise DataError(f"activity {activity!r}: {reason}")
     # Count runs of equal (prediction, truth) pairs, of which a segmentation
     # has few, with a row per cluster id that occurs, so the table does not
     # grow with the ids' values.

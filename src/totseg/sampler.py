@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import DatasetCatalog, FeatureSequence
-from .errors import DataError
 
 logger = logging.getLogger(__name__)
 
@@ -137,8 +136,8 @@ def build_batch(
     Raises:
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
-        DataError: A row read holds a non-finite value; names the feature
-            file (or the in-memory video) and the lowest such frame read.
+        DataError: A row read holds a non-finite value (see
+            ``FeatureSequence.load_feature_rows``).
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
@@ -167,11 +166,6 @@ def build_batch(
         # Positives lie near their anchors, on the same pages: read both at once.
         frames = np.concatenate([anchors, mates])
         rows = video.load_feature_rows(frames)
-        finite = np.isfinite(rows)
-        if not finite.all():
-            bad = int(frames[~finite.all(axis=1)].min())
-            source = video.path or f"video {video.video_id}"
-            raise DataError(f"{source}: non-finite feature value in frame {bad}")
         features[row : row + block_len] = rows[:block_len]
         positive_features[row : row + block_len] = rows[block_len:]
         positions[row : row + block_len] = anchors

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import encoder, losses, transport
 from .dataio import DatasetCatalog
-from .errors import NumericalError, TooFewVideosError
+from .errors import DataError, NumericalError
 from .numerics import row_softmax
 from .sampler import block_length, build_batch, eligible_videos
 
@@ -134,7 +134,6 @@ class MatrixLedger:
 @dataclass
 class TrainResult:
     params: encoder.EncoderParams
-    state: encoder.AdamState
     records: list[TrainRecord]
     ledger: MatrixLedger
     elapsed_seconds: float
@@ -298,10 +297,10 @@ def train(
     """Run the full loop and return trained parameters plus the log.
 
     Deterministic for a fixed config seed on one thread. Raises
-    NumericalError naming the iteration if the loss leaves the reals,
-    DataError when a batch reads a non-finite feature value, and
-    TooFewVideosError when fewer than ``videos_per_batch`` videos are at
-    least one block (batch_size / videos_per_batch frames) long.
+    NumericalError naming the iteration if the loss leaves the reals, and
+    DataError when a batch reads a non-finite feature value or fewer than
+    ``videos_per_batch`` videos are at least one block (batch_size /
+    videos_per_batch frames) long.
 
     Args:
         catalog: Videos of one activity.
@@ -314,7 +313,7 @@ def train(
     # that cannot train reports one line.
     found = sum(video.num_frames >= block_len for video in catalog.videos)
     if found < config.videos_per_batch:
-        raise TooFewVideosError(
+        raise DataError(
             f"activity {catalog.activity!r}: need {config.videos_per_batch} videos "
             f"with >= {block_len} frames for batches of {config.batch_size}, "
             f"found {found}"
@@ -380,7 +379,6 @@ def train(
 
     return TrainResult(
         params=params,
-        state=state,
         records=records,
         ledger=ledger,
         elapsed_seconds=time.perf_counter() - started,

@@ -213,11 +213,7 @@ class TestPipeline:
         assert run(*synth_args(data)) == 0
         # Synth writes two actions at least; an untrained checkpoint sets K.
         params = encoder.init_params(6, 8, 4, k, np.random.default_rng(1))
-        encoder.save_checkpoint(
-            params,
-            encoder.AdamState.for_params(params),
-            runs / "synthetic" / cli.CHECKPOINT_NAME,
-        )
+        encoder.save_checkpoint(params, runs / "synthetic" / cli.CHECKPOINT_NAME)
         if tiny_video:
             frames = np.random.default_rng(2).normal(size=(k, 6))
             write_features(
@@ -635,6 +631,7 @@ class TestExitCodes:
             mapping_with_an_id_gap,
             everything_excluded,
             videos_without_frames,
+            checkpoint_header_case("checkpoint_old_version", 4, "<H", 1),
             checkpoint_header_case("checkpoint_zero_clusters", 18, "<I", 0),
             checkpoint_header_case("checkpoint_zero_embedding_dim", 14, "<I", 0),
             checkpoint_header_case("checkpoint_zero_hidden_width", 10, "<I", 0),
@@ -662,40 +659,50 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert names in err
         assert "Traceback" not in err
-        assert not list(tmp_path.glob("out/**/*.totc"))
+        # No failure leaves a checkpoint, a train.log or a temp file behind.
+        for left in ("*.totc", "train.log", ".*.tmp"):
+            assert not list(tmp_path.glob(f"out/**/{left}"))
 
-    # Non-finite frame scores in segment exit 3 with one line naming the video.
+    # Non-finite feature values read by segment exit 2 with one line naming
+    # the file and frame; non-finite frame scores from the checkpoint's
+    # weights exit 3 with one line naming the video.
 
     @pytest.mark.parametrize(
-        "where, fmt, offset, video",
+        "where, fmt, offset, value, code, message",
         [
             # Frame 5 of a 6-column feature file (offsets as in docs/file-formats.md).
             pytest.param(
-                "data/synthetic/features/video_001.totf", "<f", 14 + 4 * 6 * 5, "video_001",
+                "data/synthetic/features/video_001.totf", "<f", 14 + 4 * 6 * 5, np.nan,
+                2, "data error: {path}: non-finite feature value in frame 5",
                 id="nan_feature_row",
             ),
-            # The first encoder weight, w1[0, 0], spoils every frame.
             pytest.param(
-                "runs/synthetic/checkpoint.totc", "<d", 80, "video_000",
+                "data/synthetic/features/video_001.totf", "<f", 14 + 4 * 6 * 5, np.inf,
+                2, "data error: {path}: non-finite feature value in frame 5",
+                id="inf_feature_row",
+            ),
+            # The first encoder weight, w1[0, 0], right after the 31-byte
+            # header, spoils every frame.
+            pytest.param(
+                "runs/synthetic/checkpoint.totc", "<d", 31, np.nan,
+                3, "numerical failure: activity 'synthetic', video video_000: "
+                "frame scores are not finite with the weights of {path}",
                 id="nan_checkpoint_weight",
             ),
         ],
     )
     def test_non_finite_scores_in_segment_are_one_line(
-        self, trained, tmp_path, capsys, where, fmt, offset, video
+        self, trained, tmp_path, capsys, where, fmt, offset, value, code, message
     ):
         data, runs = trained
         path = tmp_path / where
         raw = bytearray(path.read_bytes())
-        struct.pack_into(fmt, raw, offset, np.nan)
+        struct.pack_into(fmt, raw, offset, value)
         path.write_bytes(raw)
-        code = run("segment", data, "--checkpoints", runs, "--out", tmp_path / "out")
+        status = run("segment", data, "--checkpoints", runs, "--out", tmp_path / "out")
         err = capsys.readouterr().err
-        assert code == 3
-        assert len(err.splitlines()) == 1
-        assert err.startswith("numerical failure: ")
-        assert f"activity 'synthetic', video {video}: frame scores are not finite" in err
-        assert "Traceback" not in err
+        assert status == code
+        assert err == message.format(path=path) + "\n"
 
     # Bad settings below each exit 1 with one stderr line, no traceback.
 

@@ -19,13 +19,7 @@ from totseg.dataio import (
     write_catalog,
     write_features,
 )
-from totseg.errors import (
-    BadMagicError,
-    CatalogError,
-    TruncatedPayloadError,
-    UnknownLabelError,
-    VersionMismatchError,
-)
+from totseg.errors import DataError
 
 import oracles
 
@@ -67,7 +61,7 @@ class TestFeatureFiles:
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
-        with pytest.raises(BadMagicError, match="bad.totf"):
+        with pytest.raises(DataError, match="bad.totf"):
             read_feature_header(path)
 
     def test_rejects_unknown_version(self, tmp_path):
@@ -76,13 +70,13 @@ class TestFeatureFiles:
         raw = bytearray(path.read_bytes())
         raw[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(raw))
-        with pytest.raises(VersionMismatchError, match="version 9"):
+        with pytest.raises(DataError, match="version 9"):
             read_feature_header(path)
 
     def test_rejects_file_shorter_than_header(self, tmp_path):
         path = tmp_path / "stub.totf"
         path.write_bytes(FEATURE_MAGIC + b"\x01")
-        with pytest.raises(TruncatedPayloadError, match="shorter than the header"):
+        with pytest.raises(DataError, match="shorter than the header"):
             read_feature_header(path)
 
     def test_write_creates_parent_directories(self, tmp_path):
@@ -129,10 +123,22 @@ class TestLoadFeatureRows:
         path.write_bytes(raw[: 14 + 4 * 3 * 4])  # keep header + 4 of 5 rows
         seq = FeatureSequence(video_id="short", num_frames=5, dim=3, path=path)
         np.testing.assert_array_equal(seq.load_feature_rows([3]), np.ones((1, 3)))
-        with pytest.raises(TruncatedPayloadError, match="row 4 extends past end"):
+        with pytest.raises(DataError, match="row 4 extends past end"):
             seq.load_feature_rows([4])
-        with pytest.raises(TruncatedPayloadError, match="row 4 extends past end"):
+        with pytest.raises(DataError, match="row 4 extends past end"):
             seq.load_features()
+
+    @pytest.mark.parametrize("on_disk", [True, False], ids=["mapped", "in_memory"])
+    def test_non_finite_row_names_the_source_and_lowest_frame(self, tmp_path, on_disk):
+        values = np.zeros((16, 3))
+        values[[12, 7], [1, 2]] = [np.nan, -np.inf]
+        seq = self.disk_backed(tmp_path, values) if on_disk else in_memory(values, "seq")
+        source = r"/seq\.totf" if on_disk else "^video seq"
+        np.testing.assert_array_equal(seq.load_feature_rows([0, 15, 3]), np.zeros((3, 3)))
+        for rows, frame in (([12, 0, 7], 7), ([15, 12], 12)):
+            message = f"{source}: non-finite feature value in frame {frame}$"
+            with pytest.raises(DataError, match=message):
+                seq.load_feature_rows(rows)
 
 
 class TestLabelMapping:
@@ -153,38 +159,38 @@ class TestLabelMapping:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
         path.write_text("0 pour\n0 stir\n")
-        with pytest.raises(CatalogError, match="one id to several names"):
+        with pytest.raises(DataError, match="one id to several names"):
             LabelMapping.from_file(path)
 
     def test_ids_other_than_zero_to_k_rejected(self, tmp_path):
         path = tmp_path / "gap.txt"
         path.write_text("0 pour\n1 stir\n5 serve\n")
-        with pytest.raises(CatalogError, match=r"gap.txt: action ids must be 0..2, got \[0, 1, 5\]"):
+        with pytest.raises(DataError, match=r"gap.txt: action ids must be 0..2, got \[0, 1, 5\]"):
             LabelMapping.from_file(path)
 
     def test_name_listed_twice_rejected(self, tmp_path):
         path = tmp_path / "twice.txt"
         path.write_text("0 pour\n1 stir\n2 pour\n")
-        with pytest.raises(CatalogError, match="twice.txt:3: action 'pour' listed twice"):
+        with pytest.raises(DataError, match="twice.txt:3: action 'pour' listed twice"):
             LabelMapping.from_file(path)
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 pour\nstir\n")
-        with pytest.raises(CatalogError, match="bad.txt:2"):
+        with pytest.raises(DataError, match="bad.txt:2"):
             LabelMapping.from_file(path)
 
     def test_empty_mapping_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing here\n")
-        with pytest.raises(CatalogError, match="empty label mapping"):
+        with pytest.raises(DataError, match="empty label mapping"):
             LabelMapping.from_file(path)
 
     def test_add_appends_next_id(self):
         mapping = LabelMapping({"pour": 0, "stir": 3})
         assert mapping.add("serve") == 4
         assert mapping.name_to_id["serve"] == 4
-        with pytest.raises(CatalogError, match="already mapped"):
+        with pytest.raises(DataError, match="already mapped"):
             mapping.add("pour")
 
 
@@ -205,7 +211,7 @@ class TestReadLabels:
         mapping = LabelMapping({"stir": 0})
         path = tmp_path / "gt.txt"
         path.write_text("stir\npour\n")
-        with pytest.raises(UnknownLabelError, match=r"gt.txt:2: unknown action name 'pour'"):
+        with pytest.raises(DataError, match=r"gt.txt:2: unknown action name 'pour'"):
             read_labels(path, mapping)
 
 
@@ -269,13 +275,13 @@ class TestCatalog:
     def test_video_labels_length_mismatch_rejected(self):
         catalog = self.toy_catalog()
         catalog.videos[0].labels = np.array([0, 1])
-        with pytest.raises(CatalogError, match="v0: 2 labels for 4 frames"):
+        with pytest.raises(DataError, match="v0: 2 labels for 4 frames"):
             catalog.video_labels(catalog.videos[0])
 
     def test_video_without_labels_rejected(self):
         catalog = self.toy_catalog()
         catalog.videos[0].labels = None
-        with pytest.raises(CatalogError, match="v0 has no ground-truth labels"):
+        with pytest.raises(DataError, match="v0 has no ground-truth labels"):
             catalog.video_labels(catalog.videos[0])
 
 
@@ -317,31 +323,31 @@ class TestLoadCatalog:
 
     def test_unknown_background_name_rejected(self, tmp_path):
         self.write_toy_dataset(tmp_path)
-        with pytest.raises(CatalogError, match="'silence' not in"):
+        with pytest.raises(DataError, match="'silence' not in"):
             load_catalog(tmp_path, "cooking", split_background="silence")
 
     def test_missing_features_dir_rejected(self, tmp_path):
         (tmp_path / "empty_activity").mkdir()
-        with pytest.raises(CatalogError, match="no features/ directory"):
+        with pytest.raises(DataError, match="no features/ directory"):
             load_catalog(tmp_path, "empty_activity")
 
     def test_missing_mapping_rejected(self, tmp_path):
         base = self.write_toy_dataset(tmp_path)
         (base / "mapping.txt").unlink()
-        with pytest.raises(CatalogError, match="no mapping.txt"):
+        with pytest.raises(DataError, match="no mapping.txt"):
             load_catalog(tmp_path, "cooking")
 
     def test_no_feature_files_rejected(self, tmp_path):
         base = self.write_toy_dataset(tmp_path)
         for path in (base / "features").glob("*.totf"):
             path.unlink()
-        with pytest.raises(CatalogError, match="no .totf feature files"):
+        with pytest.raises(DataError, match="no .totf feature files"):
             load_catalog(tmp_path, "cooking")
 
     def test_mixed_dims_rejected(self, tmp_path):
         base = self.write_toy_dataset(tmp_path)
         write_features(in_memory(np.zeros((2, 5))), base / "features" / "v2.totf")
-        with pytest.raises(CatalogError, match=r"dimensions differ.*\[2, 5\]"):
+        with pytest.raises(DataError, match=r"dimensions differ.*\[2, 5\]"):
             load_catalog(tmp_path, "cooking")
 
 

@@ -226,7 +226,7 @@ class TestEvaluateActivity:
         assert report.videos[1].frame_accuracy == 1.0
 
     def test_everything_excluded_rejected(self):
-        with pytest.raises(ValueError, match="no frames left to match"):
+        with pytest.raises(DataError, match="no frames left to match"):
             evaluate_activity(
                 ["v0"], [np.array([0, 1])], [np.array([9, 9])], 10, exclude={9}
             )

@@ -410,7 +410,7 @@ class TestTrain:
     def test_pool_too_small_rejected(self):
         catalog = small_catalog(num_videos=2)
         config = small_config(videos_per_batch=3, batch_size=33)
-        with pytest.raises(ValueError, match="need 3 videos"):
+        with pytest.raises(DataError, match="need 3 videos"):
             train(catalog, config)
 
     def test_nan_features_raise_data_error(self):
