@@ -22,11 +22,16 @@ is a usage error, and so is an output path that cannot be created because
 a file is in the way (``--out``, or ``synth``'s OUT, naming a file or a
 path under one), or an output file path that names a directory
 (``train.log``, the checkpoint, a label or timeline file, the ``eval
---out`` report). A non-finite feature value that ``train`` or ``segment``
-reads is a data error naming the feature file and frame; a ``train`` that
-fails writes neither ``train.log`` nor a checkpoint for that activity.
-A non-finite training loss, and non-finite frame scores in ``segment``
-(from the checkpoint's weights), are numerical failures.
+--out`` report), or a blocked path inside the dataset ``synth`` writes (a
+file where ``features/`` goes, a directory where ``mapping.txt`` or a
+ground-truth file goes). A non-finite feature value that ``train`` or
+``segment`` reads is a data error naming the feature file and frame.
+``train`` writes ``train.log`` and the checkpoint only after training
+returns, and ``segment`` writes an activity's label files only after all
+its videos decode, so a failed ``train`` or ``segment`` leaves no file of
+that activity and no directory that it created. A non-finite training
+loss, and non-finite frame scores in ``segment`` (from the checkpoint's
+weights), are numerical failures.
 """
 
 from __future__ import annotations
@@ -168,7 +173,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     catalog = dataio.generate_synthetic(_synthetic_spec(values))
     catalog.activity = values["activity"]
     _output_dir(Path(args.out) / catalog.activity)
-    base = dataio.write_catalog(catalog, args.out)
+    try:
+        base = dataio.write_catalog(catalog, args.out)
+    except OSError as err:
+        raise UsageError(f"cannot write {err.filename}: {err.strerror}") from None
     print(
         f"wrote {len(catalog.videos)} videos, {catalog.total_frames} frames to {base}"
     )
@@ -216,16 +224,25 @@ def cmd_train(args: argparse.Namespace) -> int:
         catalog = dataio.load_catalog(
             root, activity, split_background=values["split-background"]
         )
-        out_dir = _output_dir(Path(values["out"]) / activity)
+        out_dir = Path(values["out"]) / activity
+        made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
+        _output_dir(out_dir)
         log_path = _output_file(out_dir / LOG_NAME, "training log")
         checkpoint_path = _output_file(out_dir / CHECKPOINT_NAME, "checkpoint")
-        with dataio.atomic_write(log_path) as log_stream:
-            result = trainer.train(catalog, run_config, log_stream=log_stream)
+        try:
+            result = trainer.train(catalog, run_config)
+        except BaseException:
+            for path in made:  # empty: nothing is written before train() returns
+                path.rmdir()
+            raise
+        lines = [trainer.LOG_HEADER, *(record.to_line() for record in result.records)]
+        with dataio.atomic_write(log_path) as fh:
+            fh.write("\n".join(lines) + "\n")
         encoder.save_checkpoint(
             result.params,
             checkpoint_path,
-            temperature=values["tau"],
-            normalized=values["normalize"],
+            temperature=run_config.loss.temperature,
+            normalized=run_config.normalize,
         )
         last = result.records[-1]
         print(
@@ -264,7 +281,9 @@ def cmd_segment(args: argparse.Namespace) -> int:
                     f"{video.num_frames} frames, fewer than the {clusters} "
                     f"clusters of {checkpoint_path}"
                 )
-        out_dir = _output_dir(Path(values["out"]) / activity)
+        # Every video is decoded before anything is written, so a failure
+        # leaves no partial label set; only the K segments per video are kept.
+        decoded = []
         for video_id, probs in trainer.embed_dataset(
             params,
             catalog,
@@ -279,15 +298,18 @@ def cmd_segment(args: argparse.Namespace) -> int:
                     f"activity {activity!r}, video {video_id}: frame scores are not "
                     f"finite with the weights of {checkpoint_path}"
                 ) from None
-            labels_path = _output_file(out_dir / f"{video_id}.txt", "label file")
-            with dataio.atomic_write(labels_path) as fh:
-                fh.write(
-                    "".join(f"{c}\n" * (end - start) for c, start, end in result.segments)
-                )
+            decoded.append((video_id, result.segments))
+        out_dir = _output_dir(Path(values["out"]) / activity)
+        for video_id, _ in decoded:
+            _output_file(out_dir / f"{video_id}.txt", "label file")
             if values["timeline"]:
-                lines = [f"{c},{s},{e}" for c, s, e in result.segments]
-                timeline = _output_file(out_dir / f"{video_id}.timeline.csv", "timeline")
-                with dataio.atomic_write(timeline) as fh:
+                _output_file(out_dir / f"{video_id}.timeline.csv", "timeline")
+        for video_id, segments in decoded:
+            with dataio.atomic_write(out_dir / f"{video_id}.txt") as fh:
+                fh.write("".join(f"{c}\n" * (end - start) for c, start, end in segments))
+            if values["timeline"]:
+                lines = [f"{c},{s},{e}" for c, s, e in segments]
+                with dataio.atomic_write(out_dir / f"{video_id}.timeline.csv") as fh:
                     fh.write("\n".join(lines) + "\n")
         print(f"{activity}: wrote {len(catalog.videos)} label files to {out_dir}")
     return EXIT_OK

@@ -9,14 +9,11 @@ uniformly from a window around it, for the coherence loss.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import DatasetCatalog, FeatureSequence
-
-logger = logging.getLogger(__name__)
+from .dataio import FeatureSequence
 
 
 @dataclass(frozen=True)
@@ -81,24 +78,6 @@ def sample_positive(anchor, window: int, num_frames: int, rng: np.random.Generat
     return int(draws) if anchors.ndim == 0 else draws
 
 
-def eligible_videos(
-    catalog: DatasetCatalog, frames_per_video: int
-) -> list[FeatureSequence]:
-    """Videos long enough to contribute a block; short ones are logged once."""
-    keep = []
-    for video in catalog.videos:
-        if video.num_frames >= frames_per_video:
-            keep.append(video)
-        else:
-            logger.warning(
-                "skipping video %s: %d frames < block size %d",
-                video.video_id,
-                video.num_frames,
-                frames_per_video,
-            )
-    return keep
-
-
 def block_length(batch_size: int, videos_per_batch: int) -> int:
     """Rows per video block: batch_size / videos_per_batch.
 
@@ -127,7 +106,7 @@ def build_batch(
 
     Args:
         videos: Pool to draw from; every entry must have at least
-            batch_size / videos_per_batch frames (see ``eligible_videos``).
+            batch_size / videos_per_batch frames.
         videos_per_batch: Number of distinct videos per batch.
         batch_size: Total anchors; must divide evenly into blocks.
         rng: Source of randomness; a fixed seed fixes the batch.
@@ -142,10 +121,7 @@ def build_batch(
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
     if too_short:
-        raise ValueError(
-            f"videos shorter than block size {block_len}: {too_short}; "
-            "filter with eligible_videos first"
-        )
+        raise ValueError(f"videos shorter than block size {block_len}: {too_short}")
     if len(videos) < videos_per_batch:
         raise ValueError(
             f"need {videos_per_batch} videos with at least {block_len} frames, "

@@ -15,9 +15,10 @@ exactly what they claim to compare.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -25,7 +26,9 @@ from . import encoder, losses, transport
 from .dataio import DatasetCatalog
 from .errors import DataError, NumericalError
 from .numerics import row_softmax
-from .sampler import block_length, build_batch, eligible_videos
+from .sampler import block_length, build_batch
+
+logger = logging.getLogger(__name__)
 
 MODES = ("ot", "ot+tcl", "tot", "tot+tcl")
 
@@ -289,36 +292,37 @@ def backward(
     return clustering, coherence, grads
 
 
-def train(
-    catalog: DatasetCatalog,
-    config: TrainConfig,
-    log_stream: TextIO | None = None,
-) -> TrainResult:
-    """Run the full loop and return trained parameters plus the log.
+def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
+    """Run the full loop and return trained parameters plus one record per
+    iteration; nothing is written.
 
-    Deterministic for a fixed config seed on one thread. Raises
-    NumericalError naming the iteration if the loss leaves the reals, and
-    DataError when a batch reads a non-finite feature value or fewer than
-    ``videos_per_batch`` videos are at least one block (batch_size /
-    videos_per_batch frames) long.
+    Deterministic for a fixed config seed on one thread. Videos shorter
+    than one block (batch_size / videos_per_batch frames) are skipped with
+    a warning each. Raises NumericalError naming the iteration if the loss
+    leaves the reals, and DataError when a batch reads a non-finite feature
+    value or fewer than ``videos_per_batch`` videos are one block long.
 
     Args:
         catalog: Videos of one activity.
         config: See TrainConfig.
-        log_stream: Optional text sink receiving LOG_HEADER and one line
-            per iteration.
     """
     block_len = config.batch_size // config.videos_per_batch
-    # Counted before eligible_videos warns about each short video, so a run
-    # that cannot train reports one line.
-    found = sum(video.num_frames >= block_len for video in catalog.videos)
-    if found < config.videos_per_batch:
+    videos = [video for video in catalog.videos if video.num_frames >= block_len]
+    # Raised before any warning, so a run that cannot train reports one line.
+    if len(videos) < config.videos_per_batch:
         raise DataError(
             f"activity {catalog.activity!r}: need {config.videos_per_batch} videos "
             f"with >= {block_len} frames for batches of {config.batch_size}, "
-            f"found {found}"
+            f"found {len(videos)}"
         )
-    videos = eligible_videos(catalog, block_len)
+    for video in catalog.videos:
+        if video.num_frames < block_len:
+            logger.warning(
+                "skipping video %s: %d frames < block size %d",
+                video.video_id,
+                video.num_frames,
+                block_len,
+            )
     iterations = config.iterations
     if iterations is None:
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)
@@ -335,8 +339,6 @@ def train(
 
     ledger = MatrixLedger()
     records: list[TrainRecord] = []
-    if log_stream is not None:
-        log_stream.write(LOG_HEADER + "\n")
 
     started = time.perf_counter()
     for iteration in range(iterations):
@@ -374,8 +376,6 @@ def train(
             col_error=col_err,
         )
         records.append(record)
-        if log_stream is not None:
-            log_stream.write(record.to_line() + "\n")
 
     return TrainResult(
         params=params,

@@ -493,6 +493,16 @@ class TestExitCodes:
         return argv, "video_001.totf: non-finite feature value in frame 5"
 
     @staticmethod
+    def inf_feature_in_segment(data, runs, tmp_path):
+        # Found only while video_001 is embedded, after video_000 decoded.
+        path = data / "synthetic" / "features" / "video_001.totf"
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 14 + 4 * 6 * 5, np.inf)  # frame 5, column 0
+        path.write_bytes(raw)
+        argv = ["segment", data, "--checkpoints", runs]
+        return argv, "video_001.totf: non-finite feature value in frame 5"
+
+    @staticmethod
     def bad_magic_features(data, runs, tmp_path):
         path = data / "synthetic" / "features" / "video_002.totf"
         path.write_bytes(b"JUNK" + path.read_bytes()[4:])
@@ -623,6 +633,7 @@ class TestExitCodes:
             short_video,
             truncated_features,
             inf_feature_in_training,
+            inf_feature_in_segment,
             bad_magic_features,
             blank_ground_truth,
             short_ground_truth,
@@ -659,9 +670,9 @@ class TestExitCodes:
         assert err.startswith("data error: ")
         assert names in err
         assert "Traceback" not in err
-        # No failure leaves a checkpoint, a train.log or a temp file behind.
-        for left in ("*.totc", "train.log", ".*.tmp"):
-            assert not list(tmp_path.glob(f"out/**/{left}"))
+        # No failure leaves anything under --out: no activity directory, and
+        # so no checkpoint, train.log, label file or temp file.
+        assert not (tmp_path / "out").exists()
 
     # Non-finite feature values read by segment exit 2 with one line naming
     # the file and frame; non-finite frame scores from the checkpoint's
@@ -853,6 +864,13 @@ class TestExitCodes:
                 "labels_dir",
                 "label file to {tmp}/labels_dir/synthetic/video_000.txt: a",
             ),
+            ("synth", "features_file", "write {tmp}/features_file/synthetic/features: File"),
+            (
+                "synth",
+                "truth_dir",
+                "write {tmp}/truth_dir/synthetic/groundTruth/video_000.txt: Is a",
+            ),
+            ("synth", "mapping_dir", "write {tmp}/mapping_dir/synthetic/mapping.txt: Is a"),
         ],
         ids=[
             "synth",
@@ -863,6 +881,9 @@ class TestExitCodes:
             "train_log_into_a_directory",
             "checkpoint_into_a_directory",
             "label_file_into_a_directory",
+            "synth_features_dir_is_a_file",
+            "synth_ground_truth_file_is_a_directory",
+            "synth_mapping_is_a_directory",
         ],
     )
     def test_output_path_that_cannot_be_created_is_one_line(
@@ -875,8 +896,12 @@ class TestExitCodes:
             "log_dir/synthetic/train.log",
             "checkpoint_dir/synthetic/checkpoint.totc",
             "labels_dir/synthetic/video_000.txt",
+            "truth_dir/synthetic/groundTruth/video_000.txt",
+            "mapping_dir/synthetic/mapping.txt",
         ):
             (tmp_path / blocked).mkdir(parents=True)
+        (tmp_path / "features_file" / "synthetic").mkdir(parents=True)
+        (tmp_path / "features_file" / "synthetic" / "features").write_text("")
         argv = {
             "synth": ["synth", tmp_path / out],
             "train": ["train", data, "--iterations", 1],

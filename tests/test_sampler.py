@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from totseg.dataio import DatasetCatalog, FeatureSequence, LabelMapping, write_features
+from totseg.dataio import FeatureSequence, write_features
 from totseg.errors import DataError
-from totseg.sampler import (
-    build_batch,
-    eligible_videos,
-    sample_ordered,
-    sample_positive,
-)
+from totseg.sampler import build_batch, sample_ordered, sample_positive
 
 
 def make_video(video_id, num_frames, dim=3, seed=0):
@@ -118,23 +113,6 @@ class TestSamplePositiveArray:
     def test_first_out_of_range_anchor_is_named(self):
         with pytest.raises(ValueError, match="anchor 12 outside"):
             sample_positive(np.array([3, 12, -1]), 5, 10, np.random.default_rng(0))
-
-
-class TestEligibleVideos:
-    def test_filters_and_logs_short_videos(self, caplog):
-        catalog = DatasetCatalog(
-            activity="toy",
-            mapping=LabelMapping({"a": 0}),
-            videos=[
-                make_video("long", 10),
-                make_video("short", 3),
-                make_video("exact", 5),
-            ],
-        )
-        with caplog.at_level("WARNING", logger="totseg.sampler"):
-            keep = eligible_videos(catalog, frames_per_video=5)
-        assert [v.video_id for v in keep] == ["long", "exact"]
-        assert any("short" in rec.getMessage() for rec in caplog.records)
 
 
 class TestBuildBatch:
@@ -257,7 +235,7 @@ class TestBuildBatch:
             build_batch(self.pool([100]), 0, 10, np.random.default_rng(0))
 
     def test_short_video_in_pool_rejected(self):
-        with pytest.raises(ValueError, match="eligible_videos"):
+        with pytest.raises(ValueError, match=r"shorter than block size 16: \['v1'\]"):
             build_batch(self.pool([100, 7]), 2, 32, np.random.default_rng(0))
 
     def test_pool_smaller_than_videos_per_batch_rejected(self):

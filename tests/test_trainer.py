@@ -1,12 +1,16 @@
 """Tests for the training loop, its gradients, and dataset embedding."""
 
-import io
-
 import numpy as np
 import pytest
 
 from totseg import encoder, transport
-from totseg.dataio import SyntheticSpec, generate_synthetic
+from totseg.dataio import (
+    DatasetCatalog,
+    FeatureSequence,
+    LabelMapping,
+    SyntheticSpec,
+    generate_synthetic,
+)
 from totseg.errors import DataError, NumericalError
 from totseg.losses import LossConfig
 from totseg.numerics import row_softmax
@@ -38,6 +42,12 @@ def small_catalog(seed=0, num_videos=6):
             seed=seed,
         )
     )
+
+
+def log_text(result):
+    """The train.log text of a run: LOG_HEADER, then one line per record."""
+    lines = [LOG_HEADER, *(record.to_line() for record in result.records)]
+    return "\n".join(lines) + "\n"
 
 
 def small_config(**kwargs):
@@ -302,14 +312,9 @@ class TestTrain:
     def test_log_is_reproducible_bit_for_bit(self):
         catalog = small_catalog()
         config = small_config(iterations=8)
-        streams = []
-        results = []
-        for _ in range(2):
-            stream = io.StringIO()
-            results.append(train(catalog, config, log_stream=stream))
-            streams.append(stream.getvalue())
-        assert streams[0] == streams[1]
-        lines = streams[0].splitlines()
+        results = [train(catalog, config) for _ in range(2)]
+        assert log_text(results[0]) == log_text(results[1])
+        lines = log_text(results[0]).splitlines()
         assert lines[0] == LOG_HEADER
         assert len(lines) == 1 + 8
         for key in encoder.PARAM_KEYS:
@@ -319,9 +324,8 @@ class TestTrain:
 
     def test_log_lines_parse(self):
         catalog = small_catalog()
-        stream = io.StringIO()
-        result = train(catalog, small_config(iterations=3), log_stream=stream)
-        for line, record in zip(stream.getvalue().splitlines()[1:], result.records):
+        result = train(catalog, small_config(iterations=3))
+        for line, record in zip(log_text(result).splitlines()[1:], result.records):
             fields = line.split(",")
             assert len(fields) == 6
             assert int(fields[0]) == record.iteration
@@ -335,9 +339,7 @@ class TestTrain:
             config = small_config(
                 mode="ot", transport=TransportConfig(sigma=sigma)
             )
-            stream = io.StringIO()
-            train(catalog, config, log_stream=stream)
-            logs.append(stream.getvalue())
+            logs.append(log_text(train(catalog, config)))
         assert logs[0] == logs[1]
 
     def test_zero_alpha_coherence_matches_plain_tot(self):
@@ -412,6 +414,34 @@ class TestTrain:
         config = small_config(videos_per_batch=3, batch_size=33)
         with pytest.raises(DataError, match="need 3 videos"):
             train(catalog, config)
+
+    @staticmethod
+    def catalog_of_lengths(**lengths):
+        rng = np.random.default_rng(0)
+        videos = [
+            FeatureSequence(name, frames, 8, rng.normal(size=(frames, 8)))
+            for name, frames in lengths.items()
+        ]
+        return DatasetCatalog("toy", LabelMapping({"a": 0, "b": 1, "c": 2}), videos)
+
+    def test_short_videos_are_skipped_with_one_warning_each(self, caplog):
+        # Blocks of 32 / 2 = 16 frames: "exact" is just long enough.
+        catalog = self.catalog_of_lengths(long=40, short=10, exact=16, tiny=3)
+        with caplog.at_level("WARNING", logger="totseg.trainer"):
+            result = train(catalog, small_config(iterations=None, epochs=1))
+        # One epoch over the two eligible videos is one batch.
+        assert len(result.records) == 1
+        assert [(rec.name, rec.getMessage()) for rec in caplog.records] == [
+            ("totseg.trainer", "skipping video short: 10 frames < block size 16"),
+            ("totseg.trainer", "skipping video tiny: 3 frames < block size 16"),
+        ]
+
+    def test_too_few_long_videos_is_one_error_and_no_warning(self, caplog):
+        catalog = self.catalog_of_lengths(long=40, short=10, tiny=3)
+        with caplog.at_level("WARNING", logger="totseg.trainer"):
+            with pytest.raises(DataError, match="need 2 videos .* found 1$"):
+                train(catalog, small_config())
+        assert caplog.records == []
 
     def test_nan_features_raise_data_error(self):
         catalog = small_catalog()
