@@ -61,11 +61,13 @@ def main() -> None:
     print("  " + labels(banded.values))
     print()
 
-    print("Both sit on the polytope to solver precision:")
+    print("Both sit on the polytope to solver precision; a tolerance makes")
+    print("the solver finish with Newton steps after three sweeps:")
     for name, solved in (("plain", plain), ("prior-weighted", banded)):
         print(
             f"  {name:15s} row error {solved.row_error:.2e}, "
-            f"col error {solved.col_error:.2e}, {solved.sweeps} sweeps"
+            f"col error {solved.col_error:.2e}, {solved.sweeps} sweeps, "
+            f"{solved.newton_steps} Newton steps"
         )
 
     print()

@@ -27,9 +27,11 @@ file where ``features/`` goes, a directory where ``mapping.txt`` or a
 ground-truth file goes). A non-finite feature value that ``train`` or
 ``segment`` reads is a data error naming the feature file and frame.
 ``train`` writes ``train.log`` and the checkpoint only after training
-returns, and ``segment`` writes an activity's label files only after all
-its videos decode, so a failed ``train`` or ``segment`` leaves no file of
-that activity and no directory that it created. A non-finite training
+returns, ``segment`` writes an activity's label files only after all
+its videos decode, and ``synth`` checks every path of the dataset before
+its first write, so a failed ``train``, ``segment`` or ``synth`` leaves no
+file of that activity (``train`` and ``segment`` also no directory that
+they created). A non-finite training
 loss, and non-finite frame scores in ``segment`` (from the checkpoint's
 weights), are numerical failures.
 """

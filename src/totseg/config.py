@@ -58,8 +58,8 @@ TRAIN_OPTIONS = (
     Option("rho", "float", TransportConfig.rho, "prior regularization weight"),
     Option("sigma", "float", TransportConfig.sigma, "temporal prior width"),
     Option("epsilon", "float", TransportConfig.epsilon, "entropy weight for ot modes"),
-    Option("sinkhorn-iters", "int", TransportConfig.iterations, "scaling sweeps per transport solve"),
-    Option("marginal-tol", "float", TransportConfig.marginal_tolerance, "early-stop tolerance, 0 disables"),
+    Option("sinkhorn-iters", "int", TransportConfig.iterations, "sweeps plus Newton steps per transport solve"),
+    Option("marginal-tol", "float", TransportConfig.marginal_tolerance, "early-stop tolerance, reached by Newton steps; 0 disables"),
     Option("normalize", "bool", TrainConfig.normalize, "L2-normalize embeddings and prototypes"),
     Option("split-background", "str", None, "background action to split into edge classes"),
     Option("activity", "str", None, "comma-separated activities, default all"),

@@ -19,6 +19,7 @@ stays proportional to the batch rather than the dataset.
 
 from __future__ import annotations
 
+import errno
 import mmap
 import os
 import struct
@@ -374,16 +375,38 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
 
 
 def write_catalog(catalog: DatasetCatalog, root) -> Path:
-    """Materialize a catalog (typically synthetic) as an on-disk dataset."""
+    """Materialize a catalog (typically synthetic) as an on-disk dataset.
+
+    Every output path inside the activity directory is checked before the
+    first write: a file where ``features/`` or ``groundTruth/`` goes, or a
+    directory where a file goes, raises the OSError that the write would
+    have raised, and nothing of the activity is written.
+    """
     base = Path(root) / catalog.activity
-    catalog.mapping.to_file(base / "mapping.txt")
-    for seq in catalog.videos:
-        write_features(seq, base / "features" / f"{seq.video_id}.totf")
-        if seq.labels is not None:
+    mapping_path = base / "mapping.txt"
+    feature_paths = [base / "features" / f"{seq.video_id}.totf" for seq in catalog.videos]
+    truth_paths = [
+        None if seq.labels is None else base / "groundTruth" / f"{seq.video_id}.txt"
+        for seq in catalog.videos
+    ]
+    for folder, paths in (
+        (base, [mapping_path]),
+        (base / "features", feature_paths),
+        (base / "groundTruth", [path for path in truth_paths if path is not None]),
+    ):
+        if folder.is_dir():
+            for path in paths:
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        elif folder.exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(folder))
+    catalog.mapping.to_file(mapping_path)
+    for seq, feature_path, truth_path in zip(catalog.videos, feature_paths, truth_paths):
+        write_features(seq, feature_path)
+        if truth_path is not None:
             names = [catalog.mapping.id_to_name[int(i)] for i in seq.labels]
-            gt_path = base / "groundTruth" / f"{seq.video_id}.txt"
-            gt_path.parent.mkdir(parents=True, exist_ok=True)
-            gt_path.write_text("\n".join(names) + "\n")
+            truth_path.parent.mkdir(parents=True, exist_ok=True)
+            truth_path.write_text("\n".join(names) + "\n")
     return base
 
 

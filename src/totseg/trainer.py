@@ -146,6 +146,7 @@ def solve_codes(
     scores: np.ndarray,
     blocks: list[tuple[str, int, int]],
     config: TrainConfig,
+    priors: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Pseudo-label codes for a batch, one transport solve per video block.
 
@@ -153,6 +154,10 @@ def solve_codes(
     ``scores`` is solved on its own equal-partition polytope (with its own
     prior in tot modes). Block solutions are scaled by block_len / B so the
     assembled batch matrix again has rows summing to 1/B and columns to 1/K.
+
+    Args:
+        priors: Temporal priors by block length, filled on first use; one
+            dict passed for a whole run builds each prior once.
 
     Returns:
         (B x K codes, max row error, max col error) across block solves.
@@ -162,10 +167,14 @@ def solve_codes(
     row_err = 0.0
     col_err = 0.0
     cfg = config.transport
+    priors = {} if priors is None else priors
     for _, start, length in blocks:
         block_scores = scores[start : start + length]
         if config.uses_prior:
-            prior = transport.temporal_prior(length, scores.shape[1], cfg.sigma)
+            prior = priors.get(length)
+            if prior is None:
+                prior = transport.temporal_prior(length, scores.shape[1], cfg.sigma)
+                priors[length] = prior
             solved = transport.sinkhorn_tot(
                 block_scores,
                 prior,
@@ -339,6 +348,7 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
 
     ledger = MatrixLedger()
     records: list[TrainRecord] = []
+    priors: dict[int, np.ndarray] = {}
 
     started = time.perf_counter()
     for iteration in range(iterations):
@@ -351,7 +361,7 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
         )
         positives = batch.positive_features if config.uses_coherence else None
         step = forward(params, batch.features, positives, config.normalize)
-        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config)
+        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config, priors)
         clustering, coherence, grads = backward(step, codes, batch.blocks, config.loss)
         ledger.record("batch_features", batch.features)
         ledger.record("hidden", step.cache.hidden)

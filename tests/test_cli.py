@@ -871,6 +871,11 @@ class TestExitCodes:
                 "write {tmp}/truth_dir/synthetic/groundTruth/video_000.txt: Is a",
             ),
             ("synth", "mapping_dir", "write {tmp}/mapping_dir/synthetic/mapping.txt: Is a"),
+            (
+                "synth",
+                "last_truth_dir",
+                "write {tmp}/last_truth_dir/synthetic/groundTruth/video_019.txt: Is a",
+            ),
         ],
         ids=[
             "synth",
@@ -884,6 +889,7 @@ class TestExitCodes:
             "synth_features_dir_is_a_file",
             "synth_ground_truth_file_is_a_directory",
             "synth_mapping_is_a_directory",
+            "synth_last_ground_truth_is_a_directory_leaves_no_partial_dataset",
         ],
     )
     def test_output_path_that_cannot_be_created_is_one_line(
@@ -898,6 +904,7 @@ class TestExitCodes:
             "labels_dir/synthetic/video_000.txt",
             "truth_dir/synthetic/groundTruth/video_000.txt",
             "mapping_dir/synthetic/mapping.txt",
+            "last_truth_dir/synthetic/groundTruth/video_019.txt",
         ):
             (tmp_path / blocked).mkdir(parents=True)
         (tmp_path / "features_file" / "synthetic").mkdir(parents=True)
@@ -916,3 +923,7 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert names.format(tmp=tmp_path) in err
         assert "Traceback" not in err
+        if command == "synth":
+            dataset = tmp_path / out / "synthetic"
+            assert not (dataset / "mapping.txt").is_file()
+            assert not (dataset / "features").is_dir()

@@ -175,6 +175,20 @@ class TestSolveCodes:
         direct = transport.sinkhorn_ot(scores, config.transport.epsilon)
         np.testing.assert_array_equal(codes, direct.values)
 
+    def test_train_builds_the_prior_once(self, monkeypatch):
+        built = []
+        real_prior = transport.temporal_prior
+
+        def spy_prior(*args):
+            built.append(args)
+            return real_prior(*args)
+
+        monkeypatch.setattr(transport, "temporal_prior", spy_prior)
+        config = small_config(mode="tot", iterations=4)
+        train(small_catalog(), config)
+        block = config.batch_size // config.videos_per_batch
+        assert built == [(block, 3, config.transport.sigma)]
+
 
 def step_losses(params, anchors, positives, codes, blocks, loss_config, normalize=True):
     """Both halves of a training step with the codes held fixed."""

@@ -1,5 +1,7 @@
 """Transport solvers against closed forms and a brute-force optimizer."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -301,3 +303,85 @@ def test_long_sharp_solves_absorb_scalings_and_match_reference():
         reference = oracles.log_domain_sinkhorn(scores / 1e-4 + log_prior, 1000)
         assert np.isfinite(solved.values).all()
         assert np.abs(solved.values - reference).max() <= 1e-12
+
+
+def _solve_random_problem(index, scores, reg, prior, iterations, tolerance=0.0):
+    """Even-indexed problems go to the plain solver, odd ones to the prior."""
+    if index % 2 == 0:
+        return sinkhorn_ot(scores, reg, iterations, tolerance)
+    return sinkhorn_tot(scores, prior, reg, iterations, tolerance)
+
+
+def test_fixed_budget_solves_take_no_newton_step():
+    rng = np.random.default_rng(17)
+    for index in range(240):
+        scores, reg, prior = _random_transport_problem(rng)
+        for budget in (3, 50):
+            solved = _solve_random_problem(index, scores, reg, prior, budget)
+            assert (solved.sweeps, solved.newton_steps) == (budget, 0)
+
+
+def test_newton_finish_meets_tolerance_and_matches_plain_solves():
+    # Every solve that stops below its budget sits on the polytope, without
+    # a warning. After Newton steps it matches the plain fixed point (500
+    # sweeps, or 100k where 500 are not enough) wherever plain sweeps reach
+    # the polytope at all; two boundary cases here, whose optimum puts zero
+    # mass on cells the prior allows, are still 3e-6 off after 100k sweeps.
+    # A solve whose Newton phase failed at once runs the plain iterates:
+    # stopped at 1e-9, those may sit 1e-8 from the fixed point.
+    rng = np.random.default_rng(17)
+    finished_by_newton = 0
+    for index in range(240):
+        scores, reg, prior = _random_transport_problem(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solved = _solve_random_problem(index, scores, reg, prior, 500, 1e-9)
+        assert solved.sweeps + solved.newton_steps <= 500
+        if solved.sweeps + solved.newton_steps == 500:
+            continue
+        assert max(solved.row_error, solved.col_error) <= 1e-9
+        if solved.newton_steps == 0:
+            plain = _solve_random_problem(index, scores, reg, prior, solved.sweeps)
+            assert np.abs(solved.values - plain.values).max() <= 1e-12
+            continue
+        finished_by_newton += 1
+        for budget in (500, 100000):
+            plain = _solve_random_problem(index, scores, reg, prior, budget)
+            if max(plain.row_error, plain.col_error) <= 1e-12:
+                assert np.abs(solved.values - plain.values).max() <= 1e-8
+                break
+    assert finished_by_newton >= 60
+
+
+def test_unreachable_prior_ends_at_the_budget():
+    # The prior's zero pattern connects every frame and cluster, but frames
+    # 3-5 may only use cluster 2, which therefore holds at least half the
+    # mass instead of a third.
+    prior = np.zeros((6, 3))
+    prior[0, 0] = prior[1, :2] = prior[2, 1:] = prior[3:, 2] = 1.0
+    scores = np.random.default_rng(18).uniform(-1.0, 1.0, size=(6, 3))
+    for rho in (1e-3, 0.1, 1.0):
+        solved = sinkhorn_tot(scores, prior, rho, iterations=200, tolerance=1e-9)
+        assert solved.sweeps + solved.newton_steps == 200
+        assert np.isfinite(solved.values).all()
+        assert max(solved.row_error, solved.col_error) > 0.01
+
+
+def test_newton_steps_count_against_the_budget():
+    # A near-degenerate K=2 instance of the polytope gate: plain sweeps need
+    # more than 300k sweeps to reach 1e-12, Newton steps a dozen. Each
+    # budget below that is spent in full.
+    scores = np.array(
+        [
+            [-0.94, 0.69], [0.04, -0.84], [-0.4, 0.71],
+            [0.86, 0.03], [0.43, 0.47], [-0.27, 0.84],
+        ]
+    )
+    full = sinkhorn_ot(scores, 0.05, iterations=300000, tolerance=1e-12)
+    assert full.sweeps == 3 and 0 < full.newton_steps <= 20
+    assert max(full.row_error, full.col_error) <= 1e-12
+    for budget in range(1, full.sweeps + full.newton_steps):
+        cut = sinkhorn_ot(scores, 0.05, iterations=budget, tolerance=1e-12)
+        assert cut.sweeps + cut.newton_steps == budget
+        assert cut.sweeps == min(budget, 3)
+        assert max(cut.row_error, cut.col_error) > 1e-12
