@@ -60,8 +60,8 @@ def main() -> None:
     )
 
     ids, preds, gts = [], [], []
-    for video, (video_id, probs) in zip(catalog.videos, embed_dataset(result.params, catalog)):
-        decoded = decode.viterbi_fixed_order(decode.log_probabilities(probs))
+    for video, (video_id, lattice) in zip(catalog.videos, embed_dataset(result.params, catalog)):
+        decoded = decode.viterbi_fixed_order(lattice)
         ids.append(video_id)
         preds.append(decoded.labels)
         gts.append(catalog.video_labels(video))

@@ -66,10 +66,10 @@ def run(catalog, mode: str, sigma: float) -> dict[str, float]:
     result = train(catalog, train_config(mode, sigma))
     ids, decoded, argmax, truth = [], [], [], []
     embedded = embed_dataset(result.params, catalog)
-    for video, (video_id, probs) in zip(catalog.videos, embedded):
+    for video, (video_id, lattice) in zip(catalog.videos, embedded):
         ids.append(video_id)
-        decoded.append(decode.viterbi_fixed_order(decode.log_probabilities(probs)).labels)
-        argmax.append(probs.argmax(axis=1))
+        decoded.append(decode.viterbi_fixed_order(lattice).labels)
+        argmax.append(lattice.argmax(axis=1))
         truth.append(catalog.video_labels(video))
     k = catalog.num_actions
     viterbi = evaluate.evaluate_activity(ids, decoded, truth, num_actions=k)

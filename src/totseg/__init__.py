@@ -3,7 +3,7 @@ temporal activity segmentation.
 
 The pipeline: embed video frames with a small MLP, solve optimal transport
 with a temporal prior for pseudo-label codes, train against those codes
-plus a temporal coherence loss, then Viterbi-decode cluster probabilities
+plus a temporal coherence loss, then Viterbi-decode cluster log-probabilities
 into ordered segments and score them with Hungarian-matched MOF / F1.
 """
 
@@ -17,7 +17,7 @@ from .dataio import (
     write_catalog,
     write_features,
 )
-from .decode import SegmentationResult, log_probabilities, viterbi_fixed_order
+from .decode import SegmentationResult, viterbi_fixed_order
 from .encoder import AdamState, EncoderParams, init_params, load_checkpoint, save_checkpoint
 from .errors import DataError, NumericalError, UsageError
 from .evaluate import EvalReport, evaluate_activity, hungarian_match, mof, segment_f1
@@ -62,7 +62,6 @@ __all__ = [
     "init_params",
     "load_catalog",
     "load_checkpoint",
-    "log_probabilities",
     "marginal_error",
     "mof",
     "sample_ordered",

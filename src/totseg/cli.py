@@ -32,14 +32,17 @@ its videos decode, and ``synth`` checks every path of the dataset before
 its first write, so a failed ``train``, ``segment`` or ``synth`` leaves no
 file of that activity (``train`` and ``segment`` also no directory that
 they created). A non-finite training
-loss, and non-finite frame scores in ``segment`` (from the checkpoint's
-weights), are numerical failures.
+loss, a ``RuntimeWarning`` during training (an overflow, a division by
+zero or an invalid operation, as from an extreme ``--tau``, ``--rho``,
+``--epsilon`` or ``--sigma``), and non-finite frame scores in ``segment``
+(from the checkpoint's weights), are numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 from typing import Any
 
@@ -232,10 +235,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         log_path = _output_file(out_dir / LOG_NAME, "training log")
         checkpoint_path = _output_file(out_dir / CHECKPOINT_NAME, "checkpoint")
         try:
-            result = trainer.train(catalog, run_config)
-        except BaseException:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                result = trainer.train(catalog, run_config)
+        except BaseException as err:
             for path in made:  # empty: nothing is written before train() returns
                 path.rmdir()
+            if isinstance(err, RuntimeWarning):
+                raise NumericalError(
+                    f"activity {activity!r}: {err} during training"
+                ) from None
             raise
         lines = [trainer.LOG_HEADER, *(record.to_line() for record in result.records)]
         with dataio.atomic_write(log_path) as fh:
@@ -286,7 +295,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
         # Every video is decoded before anything is written, so a failure
         # leaves no partial label set; only the K segments per video are kept.
         decoded = []
-        for video_id, probs in trainer.embed_dataset(
+        for video_id, lattice in trainer.embed_dataset(
             params,
             catalog,
             temperature=meta["temperature"],
@@ -294,7 +303,7 @@ def cmd_segment(args: argparse.Namespace) -> int:
             normalize=meta["normalized"],
         ):
             try:
-                result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
+                result = decode.viterbi_fixed_order(lattice)
             except ValueError:  # videos too short for the path were rejected above
                 raise NumericalError(
                     f"activity {activity!r}, video {video_id}: frame scores are not "

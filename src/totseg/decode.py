@@ -1,4 +1,4 @@
-"""Order-constrained Viterbi smoothing of frame probabilities.
+"""Order-constrained Viterbi smoothing of frame log-probabilities.
 
 Actions are assumed to occur in the fixed order 0..K-1. Decoding finds the
 best monotone label path under that order: start in cluster 0, end in
@@ -14,6 +14,7 @@ import numpy as np
 
 from .numerics import as_matrix
 
+# Lattices floor each probability here, so their logs stay finite.
 PROBABILITY_FLOOR = 1e-12
 
 
@@ -31,13 +32,6 @@ class SegmentationResult:
     labels: np.ndarray
     log_score: float
     segments: list[tuple[int, int, int]]
-
-
-def log_probabilities(probs, floor: float = PROBABILITY_FLOOR) -> np.ndarray:
-    """Elementwise log with a positive floor, so lattices stay finite."""
-    if floor <= 0:
-        raise ValueError(f"floor must be positive, got {floor}")
-    return np.log(np.maximum(as_matrix(probs), floor))
 
 
 def segments_from_labels(labels) -> list[tuple[int, int, int]]:
@@ -79,8 +73,8 @@ def viterbi_fixed_order(log_probs) -> SegmentationResult:
     log_probs along the returned path, added from the last frame back.
 
     Args:
-        log_probs: F x K matrix of finite log probabilities (clamp zeros
-            with ``log_probabilities`` first).
+        log_probs: F x K matrix of finite log probabilities, such as
+            the floored lattice ``trainer.embed_dataset`` yields.
 
     Returns:
         SegmentationResult with labels, path score, and segments.
@@ -96,7 +90,7 @@ def viterbi_fixed_order(log_probs) -> SegmentationResult:
             f"no feasible path: {f} frames cannot cover {k} clusters in order"
         )
     if not np.isfinite(lp).all():
-        raise ValueError("log_probs must be finite; clamp with log_probabilities")
+        raise ValueError("log_probs must be finite")
 
     edges = np.zeros(k + 1, dtype=np.int64)  # entry frame per cluster, then F
     edges[k] = f

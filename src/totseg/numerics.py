@@ -50,26 +50,9 @@ def log_softmax_rows(matrix, temperature: float) -> tuple[np.ndarray, np.ndarray
     Raises:
         ValueError: If ``temperature <= 0``.
     """
-    return _log_softmax_in_place(_scaled(matrix, temperature))
-
-
-def row_softmax(matrix, temperature: float) -> np.ndarray:
-    """Row-stochastic softmax of ``matrix / temperature``; see log_softmax_rows.
-
-    Bit for bit ``log_softmax_rows(matrix, temperature)[1]``, without
-    building the log-probabilities.
-    """
-    buffer = _scaled(matrix, temperature)
-    buffer -= buffer.max(axis=1, keepdims=True)
-    _exp_normalize(buffer)
-    return buffer
-
-
-def _scaled(matrix, temperature: float) -> np.ndarray:
-    """A float64 copy of ``matrix / temperature``, after checking the temperature."""
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    return as_matrix(matrix) / temperature
+    return _log_softmax_in_place(as_matrix(matrix) / temperature)
 
 
 def _log_softmax_in_place(
@@ -85,17 +68,8 @@ def _log_softmax_in_place(
         log_p = buffer.copy()
     else:
         log_p = buffer[np.arange(buffer.shape[0]), targets]
-    log_mass = np.log(_exp_normalize(buffer))
-    log_p -= log_mass if targets is None else log_mass[:, 0]
-    return log_p, buffer
-
-
-def _exp_normalize(buffer: np.ndarray) -> np.ndarray:
-    """Exponentiate row-shifted scores in place and divide each row by its sum.
-
-    Returns the B x 1 row sums from before the division.
-    """
     np.exp(buffer, out=buffer)
     mass = buffer.sum(axis=1, keepdims=True)
     buffer /= mass
-    return mass
+    log_p -= np.log(mass if targets is None else mass[:, 0])
+    return log_p, buffer

@@ -22,10 +22,10 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import encoder, losses, transport
+from . import decode, encoder, losses, transport
 from .dataio import DatasetCatalog
 from .errors import DataError, NumericalError
-from .numerics import row_softmax
+from .numerics import log_softmax_rows
 from .sampler import block_length, build_batch
 
 logger = logging.getLogger(__name__)
@@ -402,24 +402,29 @@ def embed_dataset(
     chunk_size: int = 4096,
     normalize: bool = True,
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """Predicted cluster probabilities for every frame, one video at a time.
+    """Per-frame cluster log-probabilities, one video at a time: the
+    lattice ``decode.viterbi_fixed_order`` takes.
 
     Videos are processed independently and frames within a video in
     chunks, so peak memory follows the longest single video, never the
     dataset.  `normalize` must match the setting the checkpoint was
     trained with, otherwise scores live on a different scale than the
-    prototypes expect.
+    prototypes expect. Each chunk's ``log_softmax_rows`` is floored in
+    place at log(decode.PROBABILITY_FLOOR), so the lattice is finite
+    wherever the scores are.
 
     Yields:
-        (video_id, F x K row-stochastic matrix) per video, catalog order.
+        (video_id, F x K floored log-probabilities) per video, catalog order.
     """
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    log_floor = np.log(decode.PROBABILITY_FLOOR)
     for video in catalog.videos:
         pieces = []
         for start in range(0, video.num_frames, chunk_size):
             stop = min(start + chunk_size, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
             scores = forward(params, rows, None, normalize).scores
-            pieces.append(row_softmax(scores, temperature))
+            log_p, _ = log_softmax_rows(scores, temperature)
+            pieces.append(np.maximum(log_p, log_floor, out=log_p))
         yield video.video_id, np.concatenate(pieces, axis=0)

@@ -279,17 +279,21 @@ def _scale_to_polytope(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    if np.isnan(log_kernel).any() or np.isposinf(log_kernel).any():
-        raise NumericalError(f"non-finite values in {context}")
+    # A row's max is NaN or +inf exactly when the row holds one, and -inf
+    # when the row is empty; an empty column is the one with g = +inf.
     row_peak = log_kernel.max(axis=1)
-    if np.isneginf(row_peak).any() or np.isneginf(log_kernel.max(axis=0)).any():
+    if np.isnan(row_peak).any() or np.isposinf(row_peak).any():
+        raise NumericalError(f"non-finite values in {context}")
+    if np.isneginf(row_peak).any():
+        raise NumericalError(f"empty row or column in {context}")
+    f = -row_peak
+    g = -(log_kernel + f[:, None]).max(axis=0)
+    if np.isposinf(g).any():
         raise NumericalError(f"empty row or column in {context}")
 
     b, k = log_kernel.shape
     row_target = 1.0 / b
     col_target = 1.0 / k
-    f = -row_peak
-    g = -(log_kernel + f[:, None]).max(axis=0)
     kernel = np.exp(log_kernel + f[:, None] + g[None, :])
     v = np.exp(-g)
     # On operands this small, ndarray.dot costs about half of what @ does.

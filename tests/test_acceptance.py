@@ -36,8 +36,8 @@ def announce(capsys, ok: bool, name: str, detail: str) -> None:
 def segment_catalog(params, catalog):
     """Viterbi-decoded labels and ground truth for every catalog video."""
     ids, preds, gts = [], [], []
-    for video, (video_id, probs) in zip(catalog.videos, embed_dataset(params, catalog)):
-        result = decode.viterbi_fixed_order(decode.log_probabilities(probs))
+    for video, (video_id, lattice) in zip(catalog.videos, embed_dataset(params, catalog)):
+        result = decode.viterbi_fixed_order(lattice)
         ids.append(video_id)
         preds.append(result.labels)
         gts.append(catalog.video_labels(video))
@@ -229,7 +229,7 @@ def test_viterbi_matches_exhaustive_enumeration(capsys):
         f = int(rng.integers(k, 13))
         probs = rng.uniform(0.0, 1.0, size=(f, k))
         probs /= probs.sum(axis=1, keepdims=True)
-        lp = decode.log_probabilities(probs)
+        lp = np.log(np.maximum(probs, decode.PROBABILITY_FLOOR))
         result = decode.viterbi_fixed_order(lp)
         want_labels, want_score = oracles.viterbi_bruteforce(lp)
         if not np.array_equal(result.labels, want_labels):

@@ -715,6 +715,46 @@ class TestExitCodes:
         assert status == code
         assert err == message.format(path=path) + "\n"
 
+    # A RuntimeWarning during training exits 3 with one stderr line naming
+    # it, and leaves no --out directory.
+
+    @pytest.mark.parametrize(
+        "flags, warning",
+        [
+            pytest.param(
+                ["--tau", "1e-320"], "overflow encountered in divide",
+                id="tau_whose_scaled_scores_overflow",
+            ),
+            pytest.param(
+                ["--rho", "1e-320"], "overflow encountered in divide",
+                id="rho_whose_kernel_overflows",
+            ),
+            pytest.param(
+                ["--mode", "ot", "--epsilon", "1e-320"], "overflow encountered in divide",
+                id="epsilon_whose_kernel_overflows",
+            ),
+            pytest.param(
+                ["--sigma", "1e-200"], "divide by zero encountered in divide",
+                id="sigma_whose_square_underflows",
+            ),
+            pytest.param(
+                ["--tau", "1e-300"], "overflow encountered in square",
+                id="tau_whose_adam_moment_overflows",
+            ),
+        ],
+    )
+    def test_warning_during_training_is_one_line(self, tmp_path, capsys, flags, warning):
+        data, out = tmp_path / "data", tmp_path / "runs"
+        assert run(*synth_args(data)) == 0
+        capsys.readouterr()
+        code = run("train", data, "--iterations", 3, "--batch", 16, "--out", out, *flags)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: activity 'synthetic': ")
+        assert f"{warning} during training" in err
+        assert not out.exists()
+
     # Bad settings below each exit 1 with one stderr line, no traceback.
 
     @pytest.mark.parametrize(

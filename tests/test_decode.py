@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from totseg import encoder
+from totseg.dataio import SyntheticSpec, generate_synthetic
 from totseg.decode import (
     PROBABILITY_FLOOR,
-    log_probabilities,
     segments_from_labels,
     viterbi_fixed_order,
 )
+from totseg.numerics import log_softmax_rows
+from totseg.trainer import embed_dataset, forward
 
 import oracles
 
@@ -28,22 +31,30 @@ def random_feasible_labels(num_frames, num_clusters, rng):
 
 
 class TestLogProbabilities:
+    """The lattice embed_dataset hands the decoder: floored log-softmax."""
+
+    def lattice_and_log_softmax(self, temperature):
+        catalog = generate_synthetic(
+            SyntheticSpec(num_videos=1, num_actions=3, dim=8, mean_segment_len=30, seed=4)
+        )
+        params = encoder.init_params(8, 12, 6, 3, np.random.default_rng(4))
+        [(_, lattice)] = embed_dataset(params, catalog, temperature=temperature)
+        scores = forward(params, catalog.videos[0].load_features(), None, True).scores
+        return lattice, log_softmax_rows(scores, temperature)[0]
+
     def test_exact_above_the_floor(self):
-        probs = np.array([[0.5, 0.25], [1.0, 0.125]])
-        np.testing.assert_allclose(log_probabilities(probs), np.log(probs), rtol=1e-15)
+        lattice, log_p = self.lattice_and_log_softmax(0.1)
+        assert (log_p > math.log(PROBABILITY_FLOOR)).all()
+        np.testing.assert_array_equal(lattice, log_p)
 
     def test_zero_clamped_to_floor(self):
-        lp = log_probabilities(np.array([[0.0, 1.0]]))
-        assert lp[0, 0] == math.log(PROBABILITY_FLOOR)
-        assert lp[0, 1] == 0.0
-
-    def test_custom_floor(self):
-        lp = log_probabilities(np.array([[1e-30]]), floor=1e-6)
-        assert lp[0, 0] == math.log(1e-6)
-
-    def test_nonpositive_floor_rejected(self):
-        with pytest.raises(ValueError, match="floor"):
-            log_probabilities(np.ones((1, 1)), floor=0.0)
+        # At temperature 1e-3 the cosine scores span hundreds of nats, so
+        # most probabilities underflow; their frames sit on the floor.
+        lattice, log_p = self.lattice_and_log_softmax(1e-3)
+        below = log_p < math.log(PROBABILITY_FLOOR)
+        assert below.sum() > lattice.shape[0]
+        assert (lattice[below] == math.log(PROBABILITY_FLOOR)).all()
+        np.testing.assert_array_equal(lattice[~below], log_p[~below])
 
 
 class TestSegmentsFromLabels:
@@ -168,7 +179,7 @@ class TestViterbiFixedOrder:
 
 
 def peaked_log_probs(frames, clusters, boost, rng):
-    """log_probabilities of softmax rows peaked on one cluster per run of frames.
+    """Floored log softmax rows peaked on one cluster per run of frames.
 
     Runs of 1..39 frames share a random peak cluster; ``boost`` (one value
     per frame) is added to the peak's standard-normal logit.
@@ -177,7 +188,8 @@ def peaked_log_probs(frames, clusters, boost, rng):
     logits = rng.normal(size=(frames, clusters))
     logits[np.arange(frames), peaks[:frames]] += boost
     weights = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return log_probabilities(weights / weights.sum(axis=1, keepdims=True))
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    return np.log(np.maximum(probs, PROBABILITY_FLOOR))
 
 
 def seeded_lattice(kind, rng):

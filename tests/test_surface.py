@@ -4,7 +4,8 @@ An AST scan, no imports: a public module-level function of
 ``src/totseg/*.py`` must be referenced, as a Name or an Attribute,
 somewhere in the package, ``demos/``, ``scripts/`` or ``perfbench/``
 other than its own ``def`` and ``__init__.py``. A function that only tests
-call is surface to delete, or a path the program forgot to take.
+call is surface to delete, or a path the program forgot to take. And every
+name ``totseg.__all__`` exports exists.
 """
 
 import ast
@@ -56,3 +57,9 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     names = referenced_names()
     unreferenced = [f"{module}.{name}" for module, name in functions if name not in names]
     assert unreferenced == []
+
+
+def test_every_exported_name_exists():
+    import totseg
+
+    assert [name for name in totseg.__all__ if not hasattr(totseg, name)] == []

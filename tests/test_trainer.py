@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from totseg import encoder, transport
+from totseg import decode, encoder, transport
 from totseg.dataio import (
     DatasetCatalog,
     FeatureSequence,
@@ -13,7 +13,7 @@ from totseg.dataio import (
 )
 from totseg.errors import DataError, NumericalError
 from totseg.losses import LossConfig
-from totseg.numerics import row_softmax
+from totseg.numerics import log_softmax_rows
 from totseg.trainer import (
     LOG_HEADER,
     MODES,
@@ -275,7 +275,7 @@ class TestLossAndGrads:
         embeddings, _ = encoder.forward(params, anchors)
         rows, _ = encoder.normalize_rows(embeddings)
         protos, _ = encoder.normalize_rows(params.prototypes)
-        log_p = np.log(row_softmax(rows @ protos.T, 0.2))
+        log_p = np.log(log_softmax_rows(rows @ protos.T, 0.2)[1])
         assert loss == pytest.approx(-(unit * log_p).sum(axis=1).mean(), rel=1e-12)
 
 
@@ -489,27 +489,43 @@ class TestEmbedDataset:
         outputs = dict(embed_dataset(params, catalog))
         assert list(outputs) == [v.video_id for v in catalog.videos]
         for video in catalog.videos:
-            probs = outputs[video.video_id]
-            assert probs.shape == (video.num_frames, 3)
-            np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-            assert probs.min() >= 0.0
+            lattice = outputs[video.video_id]
+            assert lattice.shape == (video.num_frames, 3)
+            assert np.isfinite(lattice).all()
+            log_mass = np.logaddexp.reduce(lattice, axis=1)
+            np.testing.assert_allclose(log_mass, 0.0, rtol=0, atol=1e-12)
 
     def test_chunking_does_not_change_results(self):
         catalog, params = self.trained()
         small = dict(embed_dataset(params, catalog, chunk_size=7))
         large = dict(embed_dataset(params, catalog, chunk_size=100000))
-        for video_id, probs in small.items():
-            np.testing.assert_allclose(probs, large[video_id], atol=1e-12)
+        for video_id, lattice in small.items():
+            np.testing.assert_allclose(lattice, large[video_id], rtol=0, atol=1e-12)
 
     def test_matches_manual_forward(self):
         catalog, params = self.trained()
         video = catalog.videos[0]
-        probs = next(iter(embed_dataset(params, catalog, temperature=0.1)))[1]
+        lattice = next(iter(embed_dataset(params, catalog, temperature=0.1)))[1]
         embeddings, _ = encoder.forward(params, video.load_features())
         normalized, _ = encoder.normalize_rows(embeddings)
         protos, _ = encoder.normalize_rows(params.prototypes)
-        want = row_softmax(normalized @ protos.T, 0.1)
-        np.testing.assert_allclose(probs, want, atol=1e-13)
+        log_p, _ = log_softmax_rows(normalized @ protos.T, 0.1)
+        want = np.maximum(log_p, np.log(decode.PROBABILITY_FLOOR))
+        np.testing.assert_allclose(lattice, want, rtol=0, atol=1e-13)
+
+    def test_lattice_matches_the_log_of_floored_probabilities(self):
+        # Flooring the log-softmax is log(max(p, floor)) of the softmax to
+        # rounding, and decodes to the same labels.
+        catalog, params = self.trained()
+        for video, (_, lattice) in zip(catalog.videos, embed_dataset(params, catalog)):
+            scores = forward(params, video.load_features(), None, True).scores
+            probs = log_softmax_rows(scores, 0.1)[1]
+            old = np.log(np.maximum(probs, decode.PROBABILITY_FLOOR))
+            np.testing.assert_allclose(lattice, old, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(
+                decode.viterbi_fixed_order(lattice).labels,
+                decode.viterbi_fixed_order(old).labels,
+            )
 
     def test_normalize_flag_changes_the_scores(self):
         catalog, params = self.trained()

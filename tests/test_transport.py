@@ -168,6 +168,29 @@ class TestSinkhornTOT:
         with pytest.raises(NumericalError, match="empty row or column"):
             sinkhorn_tot(np.zeros((3, 3)), prior, 0.1)
 
+    @pytest.mark.parametrize(
+        "score, empty, message",
+        [
+            pytest.param((0, 1, np.nan), None, "non-finite values", id="nan_score"),
+            pytest.param((2, 2, np.inf), None, "non-finite values", id="inf_score"),
+            pytest.param(None, (1, slice(None)), "empty row or column", id="empty_row"),
+            pytest.param(None, (slice(None), 2), "empty row or column", id="empty_column"),
+            pytest.param(
+                (0, 1, np.nan), (1, slice(None)), "non-finite values",
+                id="nan_before_empty_row",
+            ),
+        ],
+    )
+    def test_bad_kernel_rejected(self, score, empty, message):
+        scores = np.zeros((3, 3))
+        prior = np.ones((3, 3))
+        if score is not None:
+            scores[score[:2]] = score[2]
+        if empty is not None:
+            prior[empty] = 0.0
+        with pytest.raises(NumericalError, match=f"{message} in prior-weighted kernel"):
+            sinkhorn_tot(scores, prior, 0.1)
+
 
 class TestMarginals:
     def test_uniform_matrix_sits_on_the_polytope(self):
@@ -285,10 +308,26 @@ def test_exp_domain_matches_log_domain_reference():
             assert solved.sweeps == budget
             assert np.abs(solved.values - reference).max() <= 1e-12
         solved = solver(*args, 500, 1e-9)
-        if solved.sweeps < 500:
+        if solved.sweeps + solved.newton_steps < 500:
             converged += 1
             assert max(solved.row_error, solved.col_error) <= 1e-9
+        else:
+            assert solved.sweeps + solved.newton_steps == 500
     assert converged >= 100
+
+
+def test_failed_newton_finish_ends_at_the_budget():
+    # Problem 68 of seed 6 (a plain ot solve) accepts one Newton step,
+    # fails the next and finishes with plain sweeps: 499 sweeps and the
+    # step spend the budget short of the tolerance. Counting sweeps alone
+    # would call this solve stopped early.
+    rng = np.random.default_rng(6)
+    for _ in range(69):
+        scores, reg, _ = _random_transport_problem(rng)
+    solved = sinkhorn_ot(scores, reg, 500, 1e-9)
+    assert solved.newton_steps >= 1
+    assert solved.sweeps + solved.newton_steps == 500
+    assert max(solved.row_error, solved.col_error) > 1e-9
 
 
 def test_long_sharp_solves_absorb_scalings_and_match_reference():
