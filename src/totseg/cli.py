@@ -25,17 +25,19 @@ path under one), or an output file path that names a directory
 --out`` report), or a blocked path inside the dataset ``synth`` writes (a
 file where ``features/`` goes, a directory where ``mapping.txt`` or a
 ground-truth file goes). A non-finite feature value that ``train`` or
-``segment`` reads is a data error naming the feature file and frame.
-``train`` writes ``train.log`` and the checkpoint only after training
-returns, ``segment`` writes an activity's label files only after all
-its videos decode, and ``synth`` checks every path of the dataset before
-its first write, so a failed ``train``, ``segment`` or ``synth`` leaves no
+``segment`` reads is a data error naming the feature file and frame, and
+so is one that ``synth`` would write but float32 cannot hold (it names the
+video and frame). ``train`` writes ``train.log`` and the checkpoint only
+after training returns, ``segment`` writes an activity's label files only
+after all its videos decode, and ``synth`` checks every path and feature
+value of the dataset before its first write, so a failed ``train``, ``segment`` or ``synth`` leaves no
 file of that activity (``train`` and ``segment`` also no directory that
 they created). A non-finite training
 loss, a ``RuntimeWarning`` during training (an overflow, a division by
 zero or an invalid operation, as from an extreme ``--tau``, ``--rho``,
-``--epsilon`` or ``--sigma``), and non-finite frame scores in ``segment``
-(from the checkpoint's weights), are numerical failures.
+``--epsilon`` or ``--sigma``) or during segmentation (as from a
+checkpoint weight near the float64 limit), and non-finite frame scores in
+``segment`` (from the checkpoint's weights), are numerical failures.
 """
 
 from __future__ import annotations
@@ -295,21 +297,28 @@ def cmd_segment(args: argparse.Namespace) -> int:
         # Every video is decoded before anything is written, so a failure
         # leaves no partial label set; only the K segments per video are kept.
         decoded = []
-        for video_id, lattice in trainer.embed_dataset(
-            params,
-            catalog,
-            temperature=meta["temperature"],
-            chunk_size=values["chunk-size"],
-            normalize=meta["normalized"],
-        ):
-            try:
-                result = decode.viterbi_fixed_order(lattice)
-            except ValueError:  # videos too short for the path were rejected above
-                raise NumericalError(
-                    f"activity {activity!r}, video {video_id}: frame scores are not "
-                    f"finite with the weights of {checkpoint_path}"
-                ) from None
-            decoded.append((video_id, result.segments))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                for video_id, lattice in trainer.embed_dataset(
+                    params,
+                    catalog,
+                    temperature=meta["temperature"],
+                    chunk_size=values["chunk-size"],
+                    normalize=meta["normalized"],
+                ):
+                    try:
+                        result = decode.viterbi_fixed_order(lattice)
+                    except ValueError:  # videos too short for the path were rejected above
+                        raise NumericalError(
+                            f"activity {activity!r}, video {video_id}: frame scores are "
+                            f"not finite with the weights of {checkpoint_path}"
+                        ) from None
+                    decoded.append((video_id, result.segments))
+        except RuntimeWarning as err:
+            raise NumericalError(
+                f"activity {activity!r}: {err} during segmentation"
+            ) from None
         out_dir = _output_dir(Path(values["out"]) / activity)
         for video_id, _ in decoded:
             _output_file(out_dir / f"{video_id}.txt", "label file")
@@ -324,29 +333,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
                     fh.write("\n".join(lines) + "\n")
         print(f"{activity}: wrote {len(catalog.videos)} label files to {out_dir}")
     return EXIT_OK
-
-
-def _read_predictions(path: Path) -> np.ndarray:
-    """Cluster ids of a prediction file, one per non-blank line.
-
-    ``int`` parses the file's bytes directly, so no decode step can fail:
-    any line that is not an integer, UTF-8 or not, is a data error.
-    """
-    try:
-        lines = path.read_bytes().splitlines()
-    except FileNotFoundError:
-        raise DataError(f"missing prediction file: {path}") from None
-    except IsADirectoryError:
-        raise DataError(f"{path}: a directory, not a prediction file") from None
-    try:
-        ids = np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
-    except ValueError:
-        raise DataError(f"{path}: prediction lines must be integer cluster ids") from None
-    except OverflowError:
-        raise DataError(f"{path}: prediction ids must be below 2**63") from None
-    if ids.size and ids.min() < 0:
-        raise DataError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
-    return ids
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -364,7 +350,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
         video_ids, predictions, ground_truth = [], [], []
         for video in catalog.videos:
-            pred = _read_predictions(Path(values["pred"]) / activity / f"{video.video_id}.txt")
+            pred = dataio.read_predictions(
+                Path(values["pred"]) / activity / f"{video.video_id}.txt"
+            )
             gt = catalog.video_labels(video)
             if pred.size != gt.size:
                 raise DataError(

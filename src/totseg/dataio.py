@@ -22,6 +22,7 @@ from __future__ import annotations
 import errno
 import mmap
 import os
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from typing import IO, Iterator
 import numpy as np
 
 from .errors import DataError
-from .numerics import as_matrix
 
 FEATURE_MAGIC = b"TOTF"
 FEATURE_VERSION = 1
@@ -97,12 +97,17 @@ class FeatureSequence:
                     raise DataError(
                         f"{self.path}: row {int(missing[0])} extends past end of file"
                     )
+                # Consecutive frames (a chunk of embed_dataset) copy out of
+                # the map as one slice, which is cheaper than a gather.
+                index = rows
+                if rows[-1] - rows[0] == rows.size - 1 and (rows[1:] > rows[:-1]).all():
+                    index = slice(int(rows[0]), int(rows[-1]) + 1)
                 with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
                     payload = np.frombuffer(
                         view, dtype="<f4", count=present * self.dim,
                         offset=_FEATURE_HEADER.size,
                     )
-                    gathered = payload.reshape(present, self.dim)[rows].astype(np.float64)
+                    gathered = payload.reshape(present, self.dim)[index].astype(np.float64)
                     # The map cannot close while an array still exports its buffer.
                     del payload
         finite = np.isfinite(gathered)
@@ -140,18 +145,20 @@ def _read_text(path: Path) -> str:
         raise DataError(f"{path}: not UTF-8 text (byte {err.start})") from None
 
 
-def write_features(seq: FeatureSequence, path) -> None:
-    """Write a feature sequence to ``path`` in the binary feature format."""
-    matrix = as_matrix(seq.load_features())
+def write_features(frames, path) -> None:
+    """Write a frames x dim matrix to ``path`` in the binary feature format.
+
+    The values are stored as float32; a float32 matrix is written as it is.
+    """
+    frames = np.ascontiguousarray(frames, dtype="<f4")
+    if frames.ndim != 2:
+        raise ValueError(f"expected a frames x dim matrix, got shape {frames.shape}")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    header = _FEATURE_HEADER.pack(
-        FEATURE_MAGIC, FEATURE_VERSION, matrix.shape[0], matrix.shape[1]
-    )
-    payload = np.ascontiguousarray(matrix, dtype="<f4").tobytes()
+    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, FEATURE_VERSION, *frames.shape)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(frames)
 
 
 def read_feature_header(path) -> tuple[int, int]:
@@ -225,23 +232,94 @@ class LabelMapping:
         path.write_text("\n".join(lines) + "\n")
 
 
+# One run of equal "\n"-ended lines. The repeat is bounded so the regex
+# engine's state stays small: a longer run matches as several runs.
+_RUN_CAP = 4096
+_RUN = re.compile(r"([^\n]*)\n(?:\1\n){0,%d}" % (_RUN_CAP - 1))
+_BYTES_RUN = re.compile(rb"([^\n]*)\n(?:\1\n){0,%d}" % (_RUN_CAP - 1))
+# The line boundaries of str.splitlines other than "\n" and "\r\n".
+_ASCII_BREAKS = "\r\v\f\x1c\x1d\x1e"
+_STR_BREAKS = str.maketrans(dict.fromkeys(_ASCII_BREAKS + "\x85\u2028\u2029", "\n"))
+
+
+def _read_runs(text: str | bytes, parse) -> np.ndarray:
+    """One int64 id per line of ``text``, parsing each run of equal lines once.
+
+    Lines split where ``str.splitlines`` (or, for bytes, ``bytes.splitlines``)
+    splits them, and a missing final line break changes nothing. ``parse(line,
+    lineno)`` gets the first line of each run with its 1-based number and
+    returns the id of every line in the run, or None to skip them.
+    """
+    # The membership tests are memchr scans; a "\n"-only file skips the rewrite.
+    if isinstance(text, str):
+        if not text.isascii() or any(c in text for c in _ASCII_BREAKS):
+            text = text.replace("\r\n", "\n").translate(_STR_BREAKS)
+        newline, pattern = "\n", _RUN
+    else:
+        if b"\r" in text:
+            text = text.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        newline, pattern = b"\n", _BYTES_RUN
+    if text and not text.endswith(newline):
+        text += newline
+    ids, counts = [], []
+    lineno = 1
+    for run in pattern.finditer(text):
+        line = run[1]
+        count = (run.end() - run.start()) // (len(line) + 1)
+        value = parse(line, lineno)
+        if value is not None:
+            ids.append(value)
+            counts.append(count)
+        lineno += count
+    return np.repeat(np.asarray(ids, dtype=np.int64), counts)
+
+
 def read_labels(path, mapping: LabelMapping) -> np.ndarray:
     """Per-frame action ids from a one-name-per-line ground-truth file.
+
+    Surrounding whitespace is ignored and blank lines are skipped; lines
+    split as ``str.splitlines`` splits them (docs/file-formats.md).
 
     Raises:
         DataError: Naming the file, line number, and unknown name, or
             the file is not UTF-8 text.
     """
     path = Path(path)
-    ids = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+
+    def action_id(line: str, lineno: int) -> int | None:
         name = line.strip()
         if not name:
-            continue
+            return None
         if name not in mapping.name_to_id:
             raise DataError(f"{path}:{lineno}: unknown action name {name!r}")
-        ids.append(mapping.name_to_id[name])
-    return np.asarray(ids, dtype=np.int64)
+        return mapping.name_to_id[name]
+
+    return _read_runs(_read_text(path), action_id)
+
+
+def read_predictions(path) -> np.ndarray:
+    """Cluster ids of a prediction file, one per non-blank line.
+
+    ``int`` parses the file's bytes directly, so no decode step can fail:
+    any line that is not an integer, UTF-8 or not, is a data error. Lines
+    split as ``bytes.splitlines`` splits them (docs/file-formats.md).
+    """
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise DataError(f"missing prediction file: {path}") from None
+    except IsADirectoryError:
+        raise DataError(f"{path}: a directory, not a prediction file") from None
+    try:
+        ids = _read_runs(data, lambda line, _: int(line) if line.strip() else None)
+    except ValueError:
+        raise DataError(f"{path}: prediction lines must be integer cluster ids") from None
+    except OverflowError:
+        raise DataError(f"{path}: prediction ids must be below 2**63") from None
+    if ids.size and ids.min() < 0:
+        raise DataError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
+    return ids
 
 
 def relabel_background_edges(
@@ -380,7 +458,9 @@ def write_catalog(catalog: DatasetCatalog, root) -> Path:
     Every output path inside the activity directory is checked before the
     first write: a file where ``features/`` or ``groundTruth/`` goes, or a
     directory where a file goes, raises the OSError that the write would
-    have raised, and nothing of the activity is written.
+    have raised, and nothing of the activity is written. So are the
+    features: a value that is not finite in float32 (one beyond its range
+    overflows in the cast) raises DataError naming the video and frame.
     """
     base = Path(root) / catalog.activity
     mapping_path = base / "mapping.txt"
@@ -400,9 +480,22 @@ def write_catalog(catalog: DatasetCatalog, root) -> Path:
                     raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         elif folder.exists():
             raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(folder))
+    with np.errstate(over="ignore"):  # an overflow is reported by frame below
+        payloads = [
+            np.ascontiguousarray(seq.load_features(), dtype="<f4") for seq in catalog.videos
+        ]
+    for seq, frames in zip(catalog.videos, payloads):
+        finite = np.isfinite(frames)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise DataError(
+                f"video {seq.video_id}: feature value in frame {bad} is not finite in float32"
+            )
     catalog.mapping.to_file(mapping_path)
-    for seq, feature_path, truth_path in zip(catalog.videos, feature_paths, truth_paths):
-        write_features(seq, feature_path)
+    for seq, frames, feature_path, truth_path in zip(
+        catalog.videos, payloads, feature_paths, truth_paths
+    ):
+        write_features(frames, feature_path)
         if truth_path is not None:
             names = [catalog.mapping.id_to_name[int(i)] for i in seq.labels]
             truth_path.parent.mkdir(parents=True, exist_ok=True)

@@ -339,3 +339,40 @@ def two_buffer_cross_entropy(scores, codes, temperature: float) -> tuple[float, 
     q = np.asarray(codes, dtype=np.float64)
     row_mass = q.sum(axis=1, keepdims=True)
     return float(-(q * log_p).sum() / b), (row_mass * p - q) / (b * temperature)
+
+
+def read_labels_line_by_line(path, name_to_id: dict[str, int]) -> np.ndarray:
+    """Ground-truth ids, one ``str.splitlines`` line at a time.
+
+    Raises:
+        ValueError: Carrying the message the package's ``DataError`` must
+            carry for the same file.
+    """
+    ids = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+        name = line.strip()
+        if not name:
+            continue
+        if name not in name_to_id:
+            raise ValueError(f"{path}:{lineno}: unknown action name {name!r}")
+        ids.append(name_to_id[name])
+    return np.asarray(ids, dtype=np.int64)
+
+
+def read_predictions_line_by_line(path) -> np.ndarray:
+    """Prediction ids, ``int`` of one ``bytes.splitlines`` line at a time.
+
+    Raises:
+        ValueError: Carrying the message the package's ``DataError`` must
+            carry for the same file.
+    """
+    lines = path.read_bytes().splitlines()
+    try:
+        ids = np.asarray([int(line) for line in lines if line.strip()], dtype=np.int64)
+    except ValueError:
+        raise ValueError(f"{path}: prediction lines must be integer cluster ids") from None
+    except OverflowError:
+        raise ValueError(f"{path}: prediction ids must be below 2**63") from None
+    if ids.size and ids.min() < 0:
+        raise ValueError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
+    return ids

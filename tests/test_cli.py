@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from totseg import cli, config
-from totseg.dataio import FeatureSequence, SyntheticSpec, write_features
+from totseg.dataio import SyntheticSpec, write_features
 from totseg.trainer import TrainConfig
 
 
@@ -216,10 +216,7 @@ class TestPipeline:
         encoder.save_checkpoint(params, runs / "synthetic" / cli.CHECKPOINT_NAME)
         if tiny_video:
             frames = np.random.default_rng(2).normal(size=(k, 6))
-            write_features(
-                FeatureSequence(video_id="tiny", num_frames=k, dim=6, array=frames),
-                data / "synthetic" / "features" / "tiny.totf",
-            )
+            write_features(frames, data / "synthetic" / "features" / "tiny.totf")
         decoded = []
         viterbi = decode.viterbi_fixed_order
 
@@ -411,10 +408,7 @@ class TestExitCodes:
         (base / "features").mkdir(parents=True)
         (base / "mapping.txt").write_text("0 a\n1 b\n")
         frames = np.full((40, 3), np.nan)
-        write_features(
-            FeatureSequence(video_id="v0", num_frames=40, dim=3, array=frames),
-            base / "features" / "v0.totf",
-        )
+        write_features(frames, base / "features" / "v0.totf")
         code = run(
             "train",
             tmp_path / "data",
@@ -470,10 +464,7 @@ class TestExitCodes:
 
     @staticmethod
     def short_video(data, runs, tmp_path):
-        write_features(
-            FeatureSequence(video_id="tiny", num_frames=2, dim=6, array=np.ones((2, 6))),
-            data / "synthetic" / "features" / "tiny.totf",
-        )
+        write_features(np.ones((2, 6)), data / "synthetic" / "features" / "tiny.totf")
         return ["segment", data, "--checkpoints", runs], "video tiny of activity 'synthetic'"
 
     @staticmethod
@@ -552,10 +543,7 @@ class TestExitCodes:
         pred.mkdir(parents=True)
         (base / "mapping.txt").write_text("0 a\n1 b\n")
         for name in ("v0", "v1"):
-            write_features(
-                FeatureSequence(video_id=name, num_frames=0, dim=6, array=np.zeros((0, 6))),
-                base / "features" / f"{name}.totf",
-            )
+            write_features(np.zeros((0, 6)), base / "features" / f"{name}.totf")
             (base / "groundTruth" / f"{name}.txt").write_text("")
             (pred / f"{name}.txt").write_text("")
         argv = ["eval", data, "--activity", "hollow", "--pred", tmp_path / "pred"]
@@ -618,10 +606,7 @@ class TestExitCodes:
         (base / "features").mkdir(parents=True)
         (base / "mapping.txt").write_text("0 a\n1 b\n")
         for name in ("v0", "v1"):
-            write_features(
-                FeatureSequence(video_id=name, num_frames=40, dim=0, array=np.empty((40, 0))),
-                base / "features" / f"{name}.totf",
-            )
+            write_features(np.empty((40, 0)), base / "features" / f"{name}.totf")
         argv = ["train", data, "--activity", "flat", "--batch", "8", "--iterations", "1"]
         return argv, "flat/features: feature files have 0 columns"
 
@@ -700,6 +685,14 @@ class TestExitCodes:
                 "frame scores are not finite with the weights of {path}",
                 id="nan_checkpoint_weight",
             ),
+            # A weight near the float64 limit overflows the first layer, and
+            # the saturated sigmoid would have hidden it from the decoder.
+            pytest.param(
+                "runs/synthetic/checkpoint.totc", "<d", 31, 1e308,
+                3, "numerical failure: activity 'synthetic': overflow encountered "
+                "in matmul during segmentation",
+                id="overflowing_checkpoint_weight",
+            ),
         ],
     )
     def test_non_finite_scores_in_segment_are_one_line(
@@ -714,6 +707,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert status == code
         assert err == message.format(path=path) + "\n"
+        assert not (tmp_path / "out").exists()
 
     # A RuntimeWarning during training exits 3 with one stderr line naming
     # it, and leaves no --out directory.
@@ -754,6 +748,16 @@ class TestExitCodes:
         assert err.startswith("numerical failure: activity 'synthetic': ")
         assert f"{warning} during training" in err
         assert not out.exists()
+
+    def test_features_not_finite_in_float32_are_one_line(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code = run(*synth_args(out, noise=1e308))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            "data error: video video_000: feature value in frame 0 is not finite in float32\n"
+        )
+        assert tree_bytes(out) == {}
 
     # Bad settings below each exit 1 with one stderr line, no traceback.
 

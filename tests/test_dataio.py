@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from totseg import dataio
 from totseg.dataio import (
     FEATURE_MAGIC,
     DatasetCatalog,
@@ -15,6 +18,7 @@ from totseg.dataio import (
     load_catalog,
     read_feature_header,
     read_labels,
+    read_predictions,
     relabel_background_edges,
     write_catalog,
     write_features,
@@ -38,7 +42,7 @@ class TestFeatureFiles:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "a.totf"
-        write_features(in_memory(self.SAMPLE), path)
+        write_features(self.SAMPLE, path)
         assert read_feature_header(path) == (3, 2)
         features = FeatureSequence("a", 3, 2, path=path).load_features()
         np.testing.assert_array_equal(features, self.SAMPLE)
@@ -47,17 +51,17 @@ class TestFeatureFiles:
     def test_file_size_is_header_plus_payload(self, tmp_path):
         path = tmp_path / "big.totf"
         rng = np.random.default_rng(0)
-        write_features(in_memory(rng.normal(size=(1000, 64))), path)
+        write_features(rng.normal(size=(1000, 64)), path)
         assert path.stat().st_size == 14 + 1000 * 64 * 4
 
     def test_header_alone_reports_shape(self, tmp_path):
         path = tmp_path / "b.totf"
-        write_features(in_memory(np.zeros((7, 5))), path)
+        write_features(np.zeros((7, 5)), path)
         assert read_feature_header(path) == (7, 5)
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.totf"
-        write_features(in_memory(self.SAMPLE), path)
+        write_features(self.SAMPLE, path)
         raw = bytearray(path.read_bytes())
         raw[:4] = b"XXXX"
         path.write_bytes(bytes(raw))
@@ -66,7 +70,7 @@ class TestFeatureFiles:
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "v9.totf"
-        write_features(in_memory(self.SAMPLE), path)
+        write_features(self.SAMPLE, path)
         raw = bytearray(path.read_bytes())
         raw[4:6] = struct.pack("<H", 9)
         path.write_bytes(bytes(raw))
@@ -81,14 +85,14 @@ class TestFeatureFiles:
 
     def test_write_creates_parent_directories(self, tmp_path):
         path = tmp_path / "x" / "y" / "c.totf"
-        write_features(in_memory(self.SAMPLE), path)
+        write_features(self.SAMPLE, path)
         assert path.exists()
 
 
 class TestLoadFeatureRows:
     def disk_backed(self, tmp_path, values):
         path = tmp_path / "seq.totf"
-        write_features(in_memory(values), path)
+        write_features(values, path)
         arr = np.asarray(values)
         return FeatureSequence(
             video_id="seq", num_frames=arr.shape[0], dim=arr.shape[1], path=path
@@ -101,6 +105,9 @@ class TestLoadFeatureRows:
         rows = np.array([17, 0, 5, 5, 19])
         np.testing.assert_array_equal(seq.load_feature_rows(rows), values[rows])
         np.testing.assert_array_equal(seq.load_features(), values)
+        # Consecutive frames read as a slice of the map, a lone frame too.
+        for rows in (np.arange(3, 11), np.array([19])):
+            np.testing.assert_array_equal(seq.load_feature_rows(rows), values[rows])
 
     def test_in_memory_rows(self):
         values = np.arange(12.0).reshape(4, 3)
@@ -118,7 +125,7 @@ class TestLoadFeatureRows:
 
     def test_row_past_end_of_truncated_file(self, tmp_path):
         path = tmp_path / "short.totf"
-        write_features(in_memory(np.ones((5, 3))), path)
+        write_features(np.ones((5, 3)), path)
         raw = path.read_bytes()
         path.write_bytes(raw[: 14 + 4 * 3 * 4])  # keep header + 4 of 5 rows
         seq = FeatureSequence(video_id="short", num_frames=5, dim=3, path=path)
@@ -127,6 +134,8 @@ class TestLoadFeatureRows:
             seq.load_feature_rows([4])
         with pytest.raises(DataError, match="row 4 extends past end"):
             seq.load_features()
+        with pytest.raises(DataError, match="row 4 extends past end"):
+            seq.load_feature_rows(np.arange(2, 5))
 
     @pytest.mark.parametrize("on_disk", [True, False], ids=["mapped", "in_memory"])
     def test_non_finite_row_names_the_source_and_lowest_frame(self, tmp_path, on_disk):
@@ -135,7 +144,7 @@ class TestLoadFeatureRows:
         seq = self.disk_backed(tmp_path, values) if on_disk else in_memory(values, "seq")
         source = r"/seq\.totf" if on_disk else "^video seq"
         np.testing.assert_array_equal(seq.load_feature_rows([0, 15, 3]), np.zeros((3, 3)))
-        for rows, frame in (([12, 0, 7], 7), ([15, 12], 12)):
+        for rows, frame in (([12, 0, 7], 7), ([15, 12], 12), (np.arange(5, 14), 7)):
             message = f"{source}: non-finite feature value in frame {frame}$"
             with pytest.raises(DataError, match=message):
                 seq.load_feature_rows(rows)
@@ -215,6 +224,93 @@ class TestReadLabels:
             read_labels(path, mapping)
 
 
+# Lines for the run-length readers' property tests: mostly valid, with a
+# few that make a file fail. str.splitlines splits at every ground-truth
+# separator below; bytes.splitlines only at "\n", "\r\n" and "\r".
+TRUTH_MAPPING = {"pour": 0, "stir": 1, "take cup": 2}
+TRUTH_LINES = ["pour", "stir", "take cup", "  pour", "stir\t", "\u3000pour\u00a0", "", "   "]
+BAD_TRUTH_LINES = ["fry", "Pour", "take  cup"]
+TRUTH_SEPARATORS = [
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+]
+PREDICTION_LINES = [
+    b"0", b"3", b" 7 ", b"\t12", b"007", b"+2", b"1_0", b"\x0b5\x0c", b"", b"  ",
+    b"9223372036854775807", b"-0",
+]
+BAD_PREDICTION_LINES = [
+    b"-1", b"9223372036854775808", b"-9223372036854775809", b"x", b"1.0", b"\xd9\xa1",
+    b"\xff", b"\x1c1", b"\x85",
+]
+PREDICTION_SEPARATORS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def line_files(draw, lines, bad_lines, separators):
+    """File contents as runs of equal lines; one run in ten holds a bad line,
+    and the final separator may be missing (an empty file has none)."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 8))):
+        pool = bad_lines if draw(st.integers(0, 9)) == 0 else lines
+        line = draw(st.sampled_from(pool))
+        for _ in range(draw(st.integers(1, 6))):
+            pieces += [line, draw(st.sampled_from(separators))]
+    if pieces and draw(st.booleans()):
+        pieces.pop()
+    return lines[0][:0].join(pieces)
+
+
+def outcome(read, *args):
+    """(dtype, ids) of a successful read, or the message it failed with."""
+    try:
+        ids = read(*args)
+    except (DataError, ValueError) as err:
+        return str(err)
+    return ids.dtype, ids.tolist()
+
+
+class TestRunLengthReaders:
+    """read_labels and read_predictions against the per-line parsers they replaced."""
+
+    @settings(
+        max_examples=300, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(line_files(TRUTH_LINES, BAD_TRUTH_LINES, TRUTH_SEPARATORS))
+    def test_ground_truth_matches_the_per_line_parser(self, tmp_path, text):
+        path = tmp_path / "gt.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_labels, path, LabelMapping(dict(TRUTH_MAPPING))) == outcome(
+            oracles.read_labels_line_by_line, path, TRUTH_MAPPING
+        )
+
+    @settings(
+        max_examples=300, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(line_files(PREDICTION_LINES, BAD_PREDICTION_LINES, PREDICTION_SEPARATORS))
+    def test_predictions_match_the_per_line_parser(self, tmp_path, data):
+        path = tmp_path / "pred.txt"
+        path.write_bytes(data)
+        assert outcome(read_predictions, path) == outcome(
+            oracles.read_predictions_line_by_line, path
+        )
+
+    def test_run_longer_than_the_cap(self, tmp_path):
+        long = 2 * dataio._RUN_CAP + 5
+        mapping = LabelMapping({"pour": 0, "stir": 1})
+        path = tmp_path / "gt.txt"
+        path.write_text("pour\n" * long + "stir\n" * 3)
+        np.testing.assert_array_equal(read_labels(path, mapping), [0] * long + [1] * 3)
+        path.write_text("stir\n" + "pour\n" * long + "fry\n")
+        with pytest.raises(DataError, match=rf"gt.txt:{long + 2}: unknown action name 'fry'"):
+            read_labels(path, mapping)
+        path.write_bytes(b"4\n" * long + b"x\n")
+        with pytest.raises(DataError, match="integer cluster ids"):
+            read_predictions(path)
+        path.write_bytes(b"4\n" * long + b"\n" + b"2\n" * long)
+        np.testing.assert_array_equal(read_predictions(path), [4] * long + [2] * long)
+
+
 class TestRelabelBackgroundEdges:
     def test_leading_and_trailing_runs_move(self):
         labels = [0, 0, 1, 2, 0, 3, 0, 0]
@@ -289,11 +385,8 @@ class TestLoadCatalog:
     def write_toy_dataset(self, root):
         base = root / "cooking"
         (base / "features").mkdir(parents=True)
-        write_features(
-            in_memory([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]),
-            base / "features" / "v0.totf",
-        )
-        write_features(in_memory([[0.0, 0.0]]), base / "features" / "v1.totf")
+        write_features([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], base / "features" / "v0.totf")
+        write_features([[0.0, 0.0]], base / "features" / "v1.totf")
         (base / "mapping.txt").write_text("0 background\n1 cut\n")
         (base / "groundTruth").mkdir()
         (base / "groundTruth" / "v0.txt").write_text("background\ncut\nbackground\n")
@@ -346,7 +439,7 @@ class TestLoadCatalog:
 
     def test_mixed_dims_rejected(self, tmp_path):
         base = self.write_toy_dataset(tmp_path)
-        write_features(in_memory(np.zeros((2, 5))), base / "features" / "v2.totf")
+        write_features(np.zeros((2, 5)), base / "features" / "v2.totf")
         with pytest.raises(DataError, match=r"dimensions differ.*\[2, 5\]"):
             load_catalog(tmp_path, "cooking")
 

@@ -176,7 +176,7 @@ class TestBuildBatch:
         values = np.zeros((16, 3))
         values[[7, 12], 1] = [np.inf, np.nan]
         path = tmp_path / "bad.totf"
-        write_features(FeatureSequence("bad", 16, 3, array=values), path)
+        write_features(values, path)
         videos = [FeatureSequence("bad", 16, 3, path=path)]
         # A 16-row block of a 16-frame video reads every frame.
         message = r"bad\.totf: non-finite feature value in frame 7$"
@@ -204,7 +204,7 @@ class TestBuildBatch:
         on_disk = []
         for video in in_memory:
             path = tmp_path / f"{video.video_id}.totf"
-            write_features(video, path)
+            write_features(video.array, path)
             on_disk.append(
                 FeatureSequence(video.video_id, video.num_frames, video.dim, path=path)
             )
