@@ -31,6 +31,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from .decode import segments_from_labels
 from .errors import DataError
 
 FEATURE_MAGIC = b"TOTF"
@@ -497,9 +498,13 @@ def write_catalog(catalog: DatasetCatalog, root) -> Path:
     ):
         write_features(frames, feature_path)
         if truth_path is not None:
-            names = [catalog.mapping.id_to_name[int(i)] for i in seq.labels]
+            # One name line per frame, written a run of equal labels at a
+            # time; no labels make a file of one empty line.
+            names = catalog.mapping.id_to_name
+            runs = segments_from_labels(seq.labels) if len(seq.labels) else []
+            text = "".join(f"{names[label]}\n" * (end - start) for label, start, end in runs)
             truth_path.parent.mkdir(parents=True, exist_ok=True)
-            truth_path.write_text("\n".join(names) + "\n")
+            truth_path.write_text(text or "\n")
     return base
 
 

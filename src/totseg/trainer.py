@@ -2,10 +2,11 @@
 
 Each iteration draws an ordered batch from a couple of videos, embeds it,
 solves optimal transport per video block for pseudo-label codes (with or
-without the temporal prior, depending on mode), evaluates the losses, and
-takes one Adam step. Working memory stays proportional to the batch:
-nothing here ever holds a matrix with a dataset-length dimension, which is
-what makes the clustering online.
+without the temporal prior, depending on mode; the blocks of a batch go to
+the solver as one stack), evaluates the losses, and takes one Adam step.
+Working memory stays proportional to the batch: nothing here ever holds a
+matrix with a dataset-length dimension, which is what makes the clustering
+online.
 
 The four training modes differ only in two switches: whether the transport
 kernel includes the temporal prior (ot vs tot) and whether the coherence
@@ -148,12 +149,16 @@ def solve_codes(
     config: TrainConfig,
     priors: dict[int, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, float, float]:
-    """Pseudo-label codes for a batch, one transport solve per video block.
+    """Pseudo-label codes for a batch, one stacked transport solve per block length.
 
     Temporal order only means something inside a video, so each block of
     ``scores`` is solved on its own equal-partition polytope (with its own
-    prior in tot modes). Block solutions are scaled by block_len / B so the
-    assembled batch matrix again has rows summing to 1/B and columns to 1/K.
+    prior in tot modes). The blocks of one length go to the solver as one
+    n x length x K stack, whose blocks are solved in lockstep and come back
+    exactly as they would one by one; a training batch has one block
+    length, so a step makes one solve. Block solutions are scaled by
+    block_len / B so the assembled batch matrix again has rows summing to
+    1/B and columns to 1/K.
 
     Args:
         priors: Temporal priors by block length, filled on first use; one
@@ -168,15 +173,18 @@ def solve_codes(
     col_err = 0.0
     cfg = config.transport
     priors = {} if priors is None else priors
+    starts_by_length: dict[int, list[int]] = {}
     for _, start, length in blocks:
-        block_scores = scores[start : start + length]
+        starts_by_length.setdefault(length, []).append(start)
+    for length, starts in starts_by_length.items():
+        stack = np.stack([scores[start : start + length] for start in starts])
         if config.uses_prior:
             prior = priors.get(length)
             if prior is None:
                 prior = transport.temporal_prior(length, scores.shape[1], cfg.sigma)
                 priors[length] = prior
             solved = transport.sinkhorn_tot(
-                block_scores,
+                stack,
                 prior,
                 cfg.rho,
                 iterations=cfg.iterations,
@@ -184,12 +192,13 @@ def solve_codes(
             )
         else:
             solved = transport.sinkhorn_ot(
-                block_scores,
+                stack,
                 cfg.epsilon,
                 iterations=cfg.iterations,
                 tolerance=cfg.marginal_tolerance,
             )
-        codes[start : start + length] = solved.values * (length / total)
+        for start, values in zip(starts, solved.values * (length / total)):
+            codes[start : start + length] = values
         row_err = max(row_err, solved.row_error)
         col_err = max(col_err, solved.col_error)
     return codes, row_err, col_err

@@ -33,12 +33,23 @@ solve to plain sweeps from the last accepted coupling, within the same
 budget. A fixed-budget solve (tolerance 0, the training default) runs
 sweeps only.
 
+Both solvers also take an n x B x K stack of equal-sized blocks, each its
+own problem on its own polytope, and scale them together as batched
+matrix products (as Cuturi 2013 batches Sinkhorn distances). The blocks
+advance in lockstep, with one batched K x K solve per Newton round and an
+Armijo step length per block, and each leaves the stack at the sweep or
+step where it would stop alone. A stack therefore returns exactly the
+solves of its blocks one by one, with one set of numpy calls per round
+instead of one per block. Training solves the video blocks of a batch as
+one stack.
+
 Codes are targets, not variables: callers must not backpropagate through
 the returned matrix, and nothing here is differentiable.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from dataclasses import dataclass
@@ -46,7 +57,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .numerics import as_matrix
 
 # Scalings past _ABSORB_ABOVE are folded into the log potentials; the test
 # runs every _ABSORB_EVERY sweeps. A sweep multiplies u by at most K and v by
@@ -116,13 +126,19 @@ class TransportConfig:
 class CodeMatrix:
     """A solved coupling plus how well it sits on the polytope.
 
+    For a stack of n blocks the errors are the worst block's and the counts
+    are totals over the blocks; each block's own counts are those of its
+    solve alone.
+
     Attributes:
-        values: B x K nonnegative matrix; rows aim at 1/B, columns at 1/K.
+        values: B x K nonnegative matrix (n x B x K for a stack); rows aim
+            at 1/B, columns at 1/K.
         row_error: max abs deviation of row sums from 1/B after the last sweep.
         col_error: max abs deviation of column sums from 1/K.
         sweeps: Number of row+column sweeps actually performed.
         newton_steps: Number of accepted Newton steps on the column dual;
-            ``sweeps + newton_steps`` never exceeds the solve's budget.
+            ``sweeps + newton_steps`` never exceeds the solve's budget
+            (n times the budget for a stack).
     """
 
     values: np.ndarray
@@ -132,12 +148,26 @@ class CodeMatrix:
     newton_steps: int
 
 
+def _as_blocks(values) -> np.ndarray:
+    """Coerce input to a float64 C-ordered B x K matrix or n x B x K stack."""
+    blocks = np.ascontiguousarray(values, dtype=np.float64)
+    if blocks.ndim not in (2, 3):
+        raise ValueError(
+            f"expected a B x K matrix or an n x B x K stack, got array of shape "
+            f"{blocks.shape}"
+        )
+    return blocks
+
+
 def marginal_error(q) -> tuple[float, float]:
-    """Max abs deviation of (row sums, column sums) from 1/B and 1/K."""
-    q = as_matrix(q)
-    rows, cols = q.shape
-    row_err = float(np.abs(q.sum(axis=1) - 1.0 / rows).max())
-    col_err = float(np.abs(q.sum(axis=0) - 1.0 / cols).max())
+    """Max abs deviation of (row sums, column sums) from 1/B and 1/K.
+
+    For an n x B x K stack of couplings, the largest over its blocks.
+    """
+    q = _as_blocks(q)
+    rows, cols = q.shape[-2:]
+    row_err = float(np.abs(q.sum(axis=-1) - 1.0 / rows).max())
+    col_err = float(np.abs(q.sum(axis=-2) - 1.0 / cols).max())
     return row_err, col_err
 
 
@@ -182,7 +212,8 @@ def sinkhorn_ot(
     """Entropy-regularized codes: diagonal scaling of exp(scores / epsilon).
 
     Args:
-        scores: B x K matrix of frame-cluster similarities, finite.
+        scores: B x K matrix of frame-cluster similarities, finite, or an
+            n x B x K stack of such blocks, each solved on its own.
         epsilon: Positive entropy weight.
         iterations: Budget of sweeps plus Newton steps.
         tolerance: Optional early-stop threshold on both marginal errors;
@@ -196,7 +227,7 @@ def sinkhorn_ot(
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    log_kernel = as_matrix(scores) / epsilon
+    log_kernel = _as_blocks(scores) / epsilon
     return _scale_to_polytope(
         log_kernel, iterations, tolerance, f"entropic kernel (epsilon={epsilon})"
     )
@@ -212,8 +243,10 @@ def sinkhorn_tot(
     """Prior-regularized codes: diagonal scaling of prior * exp(scores / rho).
 
     Args:
-        scores: B x K matrix of frame-cluster similarities, finite.
-        prior: B x K nonnegative prior coupling (zero entries stay zero).
+        scores: B x K matrix of frame-cluster similarities, finite, or an
+            n x B x K stack of such blocks, each solved on its own.
+        prior: B x K nonnegative prior coupling (zero entries stay zero),
+            shared by every block of a stack, or one per block.
         rho: Positive weight of the KL pull toward the prior.
         iterations: Budget of sweeps plus Newton steps.
         tolerance: Optional early-stop threshold on both marginal errors;
@@ -227,9 +260,9 @@ def sinkhorn_tot(
     """
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    scores = as_matrix(scores)
-    prior = as_matrix(prior)
-    if prior.shape != scores.shape:
+    scores = _as_blocks(scores)
+    prior = _as_blocks(prior)
+    if prior.shape not in (scores.shape, scores.shape[-2:]):
         raise ValueError(
             f"prior shape {prior.shape} does not match scores shape {scores.shape}"
         )
@@ -242,6 +275,36 @@ def sinkhorn_tot(
     )
 
 
+class _Blocks:
+    """Solver state of the blocks of a stack that run in one phase.
+
+    ``index`` holds their positions in the stack. Every other attribute has
+    one row per block: the coupling diag(u) kernel diag(v), whose absorbed
+    log potentials are f and g; kv, the product of kernel and v (in the
+    Newton phase, where u and v are ones, the row sums); col_gap, the
+    kernel's column sums minus 1/K in the Newton phase; and steps, the
+    Newton steps the block has accepted.
+    """
+
+    def __init__(self, **arrays: np.ndarray) -> None:
+        self.__dict__.update(arrays)
+
+    def take(self, rows: np.ndarray) -> _Blocks:
+        """The blocks at positions ``rows`` of this state."""
+        return _Blocks(**{name: array[rows] for name, array in vars(self).items()})
+
+    def join(self, other: _Blocks | None) -> _Blocks:
+        """These blocks followed by ``other``'s."""
+        if other is None:
+            return self
+        return _Blocks(
+            **{
+                name: np.concatenate([array, getattr(other, name)])
+                for name, array in vars(self).items()
+            }
+        )
+
+
 def _scale_to_polytope(
     log_kernel: np.ndarray,
     iterations: int,
@@ -250,7 +313,14 @@ def _scale_to_polytope(
 ) -> CodeMatrix:
     """Stabilized exp-domain Sinkhorn-Knopp onto rows=1/B, columns=1/K.
 
-    The coupling is held as Q = diag(u) exp(log_kernel + f 1' + 1 g') diag(v)
+    ``log_kernel`` is one B x K block or an n x B x K stack of blocks, each
+    solved on its own polytope. The blocks of a stack advance in lockstep,
+    one sweep or Newton step each per round, through batched products.
+    Each keeps its own counts, stop test, absorption test and Newton
+    fallback, and leaves the stack at the round where it would stop alone,
+    so every block's result equals its solve as a stack of one bit for bit.
+
+    A block's coupling is Q = diag(u) exp(log_kernel + f 1' + 1 g') diag(v)
     with absorbed log potentials f, g. The first shift makes every row and
     column of the kernel peak at exactly 1; v starts at exp(-g), so the
     first sweep is the plain one from zero potentials. Every
@@ -258,19 +328,20 @@ def _scale_to_polytope(
     the scalings are folded into f, g and the kernel is rebuilt. The row
     error after a sweep reuses the product the next row update needs (the
     columns are exact after a column update), so stopping on ``tolerance``
-    costs three small ufuncs and happens at the first sweep within it.
+    costs a few small ufuncs and happens at the first sweep within it.
 
     With ``tolerance > 0`` and budget left after ``_NEWTON_AFTER`` sweeps
     (Sinkhorn-Newton, Brauer, Clason, Lorenz & Wirth 2017), the scalings are
-    folded into the kernel and the loop takes Newton steps on the K column
+    folded into the kernel and the blocks take Newton steps on the K column
     potentials instead, the row potentials following in closed form (see
     ``_newton_step``); near the optimum each step squares the error. Each
-    accepted step counts against ``iterations`` like a sweep. The first
-    step that fails hands the last accepted coupling back to plain sweeps
-    for the rest of the budget, which is how unreachable polytopes (zero
-    patterns in a prior) and sharp kernels far from their optimum end.
-    With ``tolerance == 0`` no Newton step runs and the iterates are the
-    plain ones.
+    accepted step counts against ``iterations`` like a sweep, so a running
+    block has spent one unit of budget per round. A block's first step
+    that fails hands its last accepted coupling back to plain sweeps for
+    the rest of the budget, which is how unreachable polytopes (zero
+    patterns in a prior) and sharp kernels far from their optimum end; the
+    other blocks keep stepping. With ``tolerance == 0`` no Newton step runs
+    and the iterates are the plain ones.
 
     -inf entries (zero kernel mass) are legal; NaN / +inf are not, and an
     all-zero row or column makes the marginals unreachable.
@@ -279,137 +350,242 @@ def _scale_to_polytope(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     if tolerance < 0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    shape = log_kernel.shape
+    log_kernel = log_kernel.reshape((-1,) + shape[-2:])
     # A row's max is NaN or +inf exactly when the row holds one, and -inf
     # when the row is empty; an empty column is the one with g = +inf.
-    row_peak = log_kernel.max(axis=1)
-    if np.isnan(row_peak).any() or np.isposinf(row_peak).any():
-        raise NumericalError(f"non-finite values in {context}")
-    if np.isneginf(row_peak).any():
+    row_peak = log_kernel.max(axis=2)
+    if not np.isfinite(row_peak).all():
+        if np.isnan(row_peak).any() or np.isposinf(row_peak).any():
+            raise NumericalError(f"non-finite values in {context}")
         raise NumericalError(f"empty row or column in {context}")
     f = -row_peak
-    g = -(log_kernel + f[:, None]).max(axis=0)
-    if np.isposinf(g).any():
+    g = -(log_kernel + f[:, :, None]).max(axis=1)
+    if not np.isfinite(g).all():
         raise NumericalError(f"empty row or column in {context}")
 
-    b, k = log_kernel.shape
+    n, b, k = log_kernel.shape
     row_target = 1.0 / b
     col_target = 1.0 / k
-    kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+    values = np.empty_like(log_kernel)
+    sweeps = np.empty(n, dtype=np.int64)
+    newton_steps = np.empty(n, dtype=np.int64)
+
+    def finish(blocks: _Blocks, done: np.ndarray | None, spent: int) -> _Blocks | None:
+        """Write out the blocks where ``done`` holds (all if it is None)
+        after ``spent`` rounds; the others run on."""
+        rest = None
+        if done is not None:
+            rows = np.flatnonzero(done)
+            if rows.size < blocks.index.size:
+                rest = blocks.take(np.flatnonzero(~done))
+                blocks = blocks.take(rows)
+        values[blocks.index] = blocks.u[:, :, None] * blocks.kernel * blocks.v[:, None, :]
+        sweeps[blocks.index] = spent - blocks.steps
+        newton_steps[blocks.index] = blocks.steps
+        return rest
+
+    kernel = np.exp(log_kernel + f[:, :, None] + g[:, None, :])
     v = np.exp(-g)
-    # On operands this small, ndarray.dot costs about half of what @ does.
-    kv = kernel.dot(v)
-    sweeps = newton_steps = 0
-    newton = False
-    while sweeps + newton_steps < iterations:
-        if newton:
-            step = _newton_step(kernel, kv, col_sums, row_target, col_target)
-            if step is not None:
-                kernel, log_u, shift = step
-                f += log_u
-                g += shift
-                newton_steps += 1
-                kv = kernel.sum(axis=1)
-                col_sums = kernel.sum(axis=0)
-                if (
-                    np.abs(kv - row_target).max() <= tolerance
-                    and np.abs(col_sums - col_target).max() <= tolerance
-                ):
-                    break
-                continue
-            newton = False
-        u = row_target / kv
-        v = col_target / u.dot(kernel)
-        kv = kernel.dot(v)
-        sweeps += 1
-        if tolerance > 0:
-            if np.abs(u * kv - row_target).max() <= tolerance:
+    sweeping = _Blocks(
+        index=np.arange(n),
+        kernel=kernel,
+        f=f,
+        g=g,
+        u=np.empty((n, b)),
+        v=v,
+        kv=np.matmul(kernel, v[:, :, None])[:, :, 0],
+        col_gap=np.empty((n, k)),
+        steps=np.zeros(n, dtype=np.int64),
+    )
+    # A running block spends one unit of budget per round, on a sweep or an
+    # accepted Newton step, so its sweeps are spent - steps. Its absorption
+    # test is therefore due when spent % _ABSORB_EVERY equals its steps %
+    # _ABSORB_EVERY; absorb_phases holds the residues among sweeping blocks.
+    stepping = None
+    absorb_phases = {0}
+    for spent in range(1, iterations + 1):
+        if stepping is not None:
+            failed, kernel, log_u, shift = _newton_step(
+                stepping.kernel, stepping.kv, stepping.col_gap, row_target
+            )
+            if failed is not None:
+                out = stepping.take(np.flatnonzero(failed))
+                absorb_phases.update((out.steps % _ABSORB_EVERY).tolist())
+                sweeping = out.join(sweeping)
+                kept = np.flatnonzero(~failed)
+                stepping = stepping.take(kept) if kept.size else None
+        if stepping is not None:
+            stepping.kernel = kernel
+            stepping.f += log_u
+            stepping.g += shift
+            stepping.steps += 1
+            stepping.kv = kernel.sum(axis=2)
+            stepping.col_gap = kernel.sum(axis=1) - col_target
+            # Rows are exact up to rounding after a step, so the columns
+            # decide first whether any block may be done.
+            done = np.abs(stepping.col_gap).max(axis=1) <= tolerance
+            if done.any():
+                done &= np.abs(stepping.kv - row_target).max(axis=1) <= tolerance
+                if done.any():
+                    stepping = finish(stepping, done, spent)
+        s = sweeping
+        if s is None:
+            if stepping is None:
                 break
-            if sweeps == _NEWTON_AFTER and sweeps < iterations:
+            continue
+        s.u = row_target / s.kv
+        s.v = col_target / np.matmul(s.u[:, None, :], s.kernel)[:, 0, :]
+        s.kv = np.matmul(s.kernel, s.v[:, :, None])[:, :, 0]
+        if tolerance > 0:
+            error = np.abs(s.u * s.kv - row_target).max(axis=1)
+            if error.min() <= tolerance:
+                s = finish(s, error <= tolerance, spent)
+            if s is not None and spent == _NEWTON_AFTER and spent < iterations:
                 # Fold the scalings and the next row update into the kernel,
                 # so that it holds a coupling with exact rows.
-                u = row_target / kv
-                f += np.log(u)
-                g += np.log(v)
-                kernel = u[:, None] * kernel * v[None, :]
-                u = np.ones(b)
-                v = np.ones(k)
-                kv = kernel.sum(axis=1)
-                col_sums = kernel.sum(axis=0)
-                newton = True
-                continue
-        if sweeps % _ABSORB_EVERY == 0 and max(u.max(), v.max()) > _ABSORB_ABOVE:
-            f += np.log(u)
-            g += np.log(v)
-            kernel = np.exp(log_kernel + f[:, None] + g[None, :])
-            u = np.ones(b)
-            v = np.ones(k)
-            kv = kernel.sum(axis=1)
-    q = u[:, None] * kernel * v[None, :]
-    row_err, col_err = marginal_error(q)
+                u = row_target / s.kv
+                s.f += np.log(u)
+                s.g += np.log(s.v)
+                s.kernel = u[:, :, None] * s.kernel * s.v[:, None, :]
+                s.u = np.ones_like(s.u)
+                s.v = np.ones_like(s.v)
+                s.kv = s.kernel.sum(axis=2)
+                s.col_gap = s.kernel.sum(axis=1) - col_target
+                stepping, s = s, None
+            sweeping = s
+        if s is not None and spent % _ABSORB_EVERY in absorb_phases:
+            grown = np.flatnonzero(
+                ((spent - s.steps) % _ABSORB_EVERY == 0)
+                & (np.maximum(s.u.max(axis=1), s.v.max(axis=1)) > _ABSORB_ABOVE)
+            )
+            if grown.size:
+                s.f[grown] += np.log(s.u[grown])
+                s.g[grown] += np.log(s.v[grown])
+                s.kernel[grown] = np.exp(
+                    log_kernel[s.index[grown]]
+                    + s.f[grown][:, :, None]
+                    + s.g[grown][:, None, :]
+                )
+                s.u[grown] = 1.0
+                s.v[grown] = 1.0
+                s.kv[grown] = s.kernel[grown].sum(axis=2)
+    for blocks in (sweeping, stepping):
+        if blocks is not None:
+            finish(blocks, None, spent)
+    row_err, col_err = marginal_error(values)
     return CodeMatrix(
-        values=q,
+        values=values.reshape(shape),
         row_error=row_err,
         col_error=col_err,
-        sweeps=sweeps,
-        newton_steps=newton_steps,
+        sweeps=int(sweeps.sum()),
+        newton_steps=int(newton_steps.sum()),
     )
 
 
 def _newton_step(
     coupling: np.ndarray,
     row_sums: np.ndarray,
-    col_sums: np.ndarray,
+    grad: np.ndarray,
     row_target: float,
-    col_target: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """One safeguarded Newton step on the column dual, or None if it fails.
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray, np.ndarray]:
+    """One safeguarded Newton step on the column dual of each block of a stack.
 
-    ``coupling`` Q has rows summing to ``row_sums`` (row_target up to
-    rounding) and columns to ``col_sums``. Scaling its columns by exp(h) and
-    then its rows back to row_target gives every coupling of the same
-    kernel; h = 0 is Q itself. The step minimizes the convex dual
+    ``coupling`` holds n B x K blocks Q. Each has rows summing to its row
+    of ``row_sums`` (row_target = 1/B up to rounding) and column sums
+    col_sums, whose excess over col_target = 1/K is its row of ``grad``.
+    Scaling the columns of Q by exp(h) and then its rows back to row_target
+    gives every coupling of the same kernel; h = 0 is Q itself. The step
+    minimizes the convex dual
 
         D(h) = row_target * sum(log(Q exp(h))) - col_target * sum(h),
 
-    whose gradient is col_sums - col_target and whose Hessian
+    whose gradient is ``grad`` and whose Hessian
     diag(col_sums) - B Q'Q is the Laplacian of the column graph weighted by
     B Q'Q. It is built from those off-diagonal weights, which involve no
     cancellation, and made invertible by adding col_target to every entry:
     that fixes the null direction 1, which does not change the coupling.
 
-    The step fails when the Hessian is singular, the direction is not one
-    of descent, it would move a potential by more than
+    A block's step fails when its Hessian is singular, the direction is
+    not one of descent, it would move a potential by more than
     ``_NEWTON_MAX_STEP`` (outside the region where the quadratic model of
     D can be trusted), the dual value is not finite, or Armijo
-    backtracking stalls. Otherwise it returns the new coupling (rows
-    exact), log of its row scaling and the step in h, to be folded into
-    the potentials.
+    backtracking stalls. Each block backtracks on its own step length.
+
+    Returns:
+        (failed, scaled, log_row_scale, shift): the mask of blocks whose
+        step failed, or None if none did, and for the other blocks in
+        order the new coupling (rows exact), the log of its row scaling
+        and the step in h, to be folded into the potentials.
     """
-    grad = col_sums - col_target
-    weights = coupling.T.dot(coupling) / row_target
-    np.fill_diagonal(weights, 0.0)
-    hessian = np.diag(weights.sum(axis=1)) - weights + col_target
+    n, b, k = coupling.shape
+    col_target = 1.0 / k
+    weights = np.matmul(coupling.transpose(0, 2, 1), coupling) / row_target
+    weights.reshape(n, k * k)[:, :: k + 1] = 0.0
+    hessian = -weights
+    hessian.reshape(n, k * k)[:, :: k + 1] = weights.sum(axis=2)
+    hessian += col_target
     try:
-        direction = np.linalg.solve(hessian, -grad)
+        direction = np.linalg.solve(hessian, -grad[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        return None
-    slope = float(grad.dot(direction))
-    if not (slope < 0.0 and np.abs(direction).max() <= _NEWTON_MAX_STEP):
-        return None
+        # A singular Hessian fails the whole batched solve, but only its own
+        # block's step may fail: solve the blocks one by one.
+        direction = np.full((n, k), np.nan)
+        for i in range(n):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                direction[i] = np.linalg.solve(hessian[i], -grad[i])
+    slope = np.matmul(grad[:, None, :], direction[:, :, None])[:, 0, 0]
+    # The blocks still backtracking: all of them, as a slice, until one
+    # drops out.
+    rows = slice(None)
+    if not (slope.max() < 0.0 and np.abs(direction).max() <= _NEWTON_MAX_STEP):
+        rows = np.flatnonzero(
+            (slope < 0.0) & (np.abs(direction).max(axis=1) <= _NEWTON_MAX_STEP)
+        )
+    lengths = np.zeros(n)
     t = 1.0
     for _ in range(_NEWTON_HALVINGS):
-        shift = t * direction
+        shift = t * direction[rows]
+        growth = _row_growth(coupling[rows], row_sums[rows], shift)
         # D(shift) - D(0) from the relative growth of each row total, so
         # that it still resolves steps whose decrease is below the rounding
         # of D itself.
-        growth = coupling.dot(np.expm1(shift)) / row_sums
-        log_growth = np.log1p(growth)
-        decrease = row_target * log_growth.sum() - col_target * shift.sum()
-        if not math.isfinite(decrease):
-            return None
-        if decrease <= _ARMIJO * t * slope:
-            row_scale = row_target / (row_sums * (1.0 + growth))
-            scaled = row_scale[:, None] * coupling * np.exp(shift)[None, :]
-            return scaled, np.log(row_scale), shift
+        decrease = row_target * np.log1p(growth).sum(axis=1) - (
+            col_target * shift.sum(axis=1)
+        )
+        finite = np.isfinite(decrease)
+        met = finite & (decrease <= _ARMIJO * t * slope[rows])
+        if isinstance(rows, slice):
+            if met.all():
+                return (None,) + _step(coupling, row_sums, shift, growth, row_target)
+            rows = np.arange(n)
+        lengths[rows[met]] = t
+        rows = rows[finite & ~met]
+        if rows.size == 0:
+            break
         t *= 0.5
-    return None
+    accepted = lengths > 0.0
+    coupling = coupling[accepted]
+    row_sums = row_sums[accepted]
+    shift = lengths[accepted, None] * direction[accepted]
+    growth = _row_growth(coupling, row_sums, shift)
+    failed = None if accepted.all() else ~accepted
+    return (failed,) + _step(coupling, row_sums, shift, growth, row_target)
+
+
+def _row_growth(coupling: np.ndarray, row_sums: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Relative growth of each row total when the columns grow by exp(shift)."""
+    return np.matmul(coupling, np.expm1(shift)[:, :, None])[:, :, 0] / row_sums
+
+
+def _step(
+    coupling: np.ndarray,
+    row_sums: np.ndarray,
+    shift: np.ndarray,
+    growth: np.ndarray,
+    row_target: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coupling after a step (rows exact), the log of its row scaling, the step."""
+    row_scale = row_target / (row_sums * (1.0 + growth))
+    scaled = row_scale[:, :, None] * coupling * np.exp(shift)[:, None, :]
+    return scaled, np.log(row_scale), shift

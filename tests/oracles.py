@@ -138,6 +138,94 @@ def log_domain_sinkhorn(log_kernel: np.ndarray, iterations: int) -> np.ndarray:
     return np.exp(f[:, None] + log_kernel + g[None, :])
 
 
+def sinkhorn_newton_one_block(
+    log_kernel: np.ndarray, iterations: int, tolerance: float
+) -> tuple[np.ndarray, int, int]:
+    """(coupling, sweeps, Newton steps) of the one-block solver, step by step.
+
+    The package's stabilized exp-domain scaling with a Sinkhorn-Newton
+    finish, written for one B x K block in 2-D numpy calls and Python
+    scalars: three sweeps, then safeguarded Newton steps on the column dual
+    with Armijo backtracking until the first one fails, then sweeps again;
+    scalings fold into log potentials past 1e50 every eighth sweep. It runs
+    the same floating-point operations in the same order as the package, so
+    the package's results, for one block or for each block of a stack, must
+    equal it bit for bit.
+    """
+    b, k = log_kernel.shape
+    row_target, col_target = 1.0 / b, 1.0 / k
+    f = -log_kernel.max(axis=1)
+    g = -(log_kernel + f[:, None]).max(axis=0)
+    kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+    u, v = np.ones(b), np.exp(-g)
+    kv = kernel.dot(v)
+    col_sums = None
+    sweeps = steps = 0
+    newton = False
+    while sweeps + steps < iterations:
+        if newton:
+            # One Newton step on the column dual, or newton = False.
+            grad = col_sums - col_target
+            weights = kernel.T.dot(kernel) / row_target
+            np.fill_diagonal(weights, 0.0)
+            hessian = np.diag(weights.sum(axis=1)) - weights + col_target
+            try:
+                direction = np.linalg.solve(hessian, -grad)
+            except np.linalg.LinAlgError:
+                direction = None
+            newton = False
+            if direction is not None:
+                slope = float(grad.dot(direction))
+                if slope < 0.0 and np.abs(direction).max() <= 2.0:
+                    t = 1.0
+                    for _ in range(10):
+                        shift = t * direction
+                        growth = kernel.dot(np.expm1(shift)) / kv
+                        decrease = row_target * np.log1p(growth).sum() - col_target * shift.sum()
+                        if not np.isfinite(decrease):
+                            break
+                        if decrease <= 1e-4 * t * slope:
+                            newton = True
+                            break
+                        t *= 0.5
+            if newton:
+                row_scale = row_target / (kv * (1.0 + growth))
+                kernel = row_scale[:, None] * kernel * np.exp(shift)[None, :]
+                f += np.log(row_scale)
+                g += shift
+                steps += 1
+                kv, col_sums = kernel.sum(axis=1), kernel.sum(axis=0)
+                if (
+                    np.abs(kv - row_target).max() <= tolerance
+                    and np.abs(col_sums - col_target).max() <= tolerance
+                ):
+                    break
+                continue
+        u = row_target / kv
+        v = col_target / u.dot(kernel)
+        kv = kernel.dot(v)
+        sweeps += 1
+        if tolerance > 0:
+            if np.abs(u * kv - row_target).max() <= tolerance:
+                break
+            if sweeps == 3 and sweeps < iterations:
+                u = row_target / kv
+                f += np.log(u)
+                g += np.log(v)
+                kernel = u[:, None] * kernel * v[None, :]
+                u, v = np.ones(b), np.ones(k)
+                kv, col_sums = kernel.sum(axis=1), kernel.sum(axis=0)
+                newton = True
+                continue
+        if sweeps % 8 == 0 and max(u.max(), v.max()) > 1e50:
+            f += np.log(u)
+            g += np.log(v)
+            kernel = np.exp(log_kernel + f[:, None] + g[None, :])
+            u, v = np.ones(b), np.ones(k)
+            kv = kernel.sum(axis=1)
+    return u[:, None] * kernel * v[None, :], sweeps, steps
+
+
 def viterbi_bruteforce(log_probs: np.ndarray) -> tuple[np.ndarray, float]:
     """Best ordered segmentation by enumerating all boundary placements.
 

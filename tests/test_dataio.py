@@ -464,6 +464,32 @@ class TestWriteCatalogRoundTrip:
             np.testing.assert_array_equal(loaded.video_labels(back), orig.labels)
 
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 0, 0, 1, 1, 2],
+            [2, 0, 2, 2, 1, 0, 0],
+            [1],
+            [2] * 9000 + [0] * 3,
+            [],
+        ],
+        ids=["runs", "single_frame_runs", "one_frame", "long_run", "empty"],
+    )
+    def test_ground_truth_bytes_match_the_per_frame_join(self, tmp_path, labels):
+        mapping = LabelMapping({"pour": 0, "stir": 1, "serve": 2})
+        video = FeatureSequence(
+            video_id="v",
+            num_frames=len(labels),
+            dim=2,
+            array=np.zeros((len(labels), 2)),
+            labels=np.asarray(labels, dtype=np.int64),
+        )
+        base = write_catalog(DatasetCatalog("cooking", mapping, [video]), tmp_path)
+        names = [mapping.id_to_name[int(i)] for i in labels]
+        written = (base / "groundTruth" / "v.txt").read_bytes()
+        assert written == ("\n".join(names) + "\n").encode()
+
+
 class TestGenerateSynthetic:
     def test_deterministic_under_seed(self):
         spec = SyntheticSpec(num_videos=4, num_actions=3, dim=5, seed=42)

@@ -151,21 +151,51 @@ class TestSolveCodes:
         assert col_err < 1e-11
 
     def test_blocks_are_independent_scaled_solves(self):
+        # Blocks a and c share a length and are solved as one stack; b alone.
         rng = np.random.default_rng(2)
-        scores = rng.uniform(-1, 1, size=(10, 4))
-        blocks = [("a", 0, 4), ("b", 4, 6)]
-        config = self.config()
-        codes, _, _ = solve_codes(scores, blocks, config)
-        for _, start, length in blocks:
-            prior = transport.temporal_prior(length, 4, config.transport.sigma)
-            part = transport.sinkhorn_tot(
-                scores[start : start + length], prior, config.transport.rho
-            )
-            np.testing.assert_allclose(
-                codes[start : start + length],
-                part.values * (length / 10),
-                rtol=1e-15,
-            )
+        scores = rng.uniform(-1, 1, size=(14, 4))
+        blocks = [("a", 0, 4), ("b", 4, 6), ("c", 10, 4)]
+        cases = [("tot", 0.0, 3), ("tot", 1e-9, 500), ("ot", 1e-9, 500)]
+        for mode, tolerance, iterations in cases:
+            config = self.config(mode=mode, tolerance=tolerance, iterations=iterations)
+            cfg = config.transport
+            codes, row_err, col_err = solve_codes(scores, blocks, config)
+            errors = []
+            for _, start, length in blocks:
+                block = scores[start : start + length]
+                if mode == "tot":
+                    prior = transport.temporal_prior(length, 4, cfg.sigma)
+                    part = transport.sinkhorn_tot(block, prior, cfg.rho, iterations, tolerance)
+                else:
+                    part = transport.sinkhorn_ot(block, cfg.epsilon, iterations, tolerance)
+                np.testing.assert_array_equal(
+                    codes[start : start + length], part.values * (length / 14)
+                )
+                errors.append((part.row_error, part.col_error))
+            assert row_err == max(row for row, _ in errors)
+            assert col_err == max(col for _, col in errors)
+
+    @pytest.mark.parametrize("mode", ["tot", "ot"])
+    def test_one_solve_per_block_length(self, mode, monkeypatch):
+        name = "sinkhorn_tot" if mode == "tot" else "sinkhorn_ot"
+        real = getattr(transport, name)
+        stacks = []
+
+        def spy(scores, *args, **kwargs):
+            stacks.append(np.shape(scores))
+            return real(scores, *args, **kwargs)
+
+        monkeypatch.setattr(transport, name, spy)
+        scores = np.random.default_rng(5).uniform(-1, 1, size=(20, 3))
+        blocks = [("a", 0, 4), ("b", 4, 6), ("c", 10, 4), ("d", 14, 6)]
+        solve_codes(scores, blocks, self.config(mode=mode))
+        assert sorted(stacks) == [(2, 4, 3), (2, 6, 3)]
+
+        stacks.clear()
+        config = small_config(mode=mode, iterations=5)
+        train(small_catalog(), config)
+        block = config.batch_size // config.videos_per_batch
+        assert stacks == [(config.videos_per_batch, block, 3)] * 5
 
     def test_ot_mode_ignores_the_prior(self):
         rng = np.random.default_rng(4)

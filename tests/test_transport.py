@@ -424,3 +424,179 @@ def test_newton_steps_count_against_the_budget():
         assert cut.sweeps + cut.newton_steps == budget
         assert cut.sweeps == min(budget, 3)
         assert max(cut.row_error, cut.col_error) > 1e-12
+
+
+def _solve_weighted(index, scores, prior, iterations, tolerance):
+    """_solve_random_problem for scores already divided by their weight."""
+    return _solve_random_problem(index, scores, 1.0, prior, iterations, tolerance)
+
+
+def _assert_stack_equals_blocks(stacked, alone):
+    """A stack's solve holds each block's solve alone, bit for bit."""
+    assert stacked.values.shape == (len(alone),) + alone[0].values.shape
+    for values, solved in zip(stacked.values, alone):
+        np.testing.assert_array_equal(values, solved.values)
+        assert marginal_error(values) == (solved.row_error, solved.col_error)
+    assert stacked.row_error == max(solved.row_error for solved in alone)
+    assert stacked.col_error == max(solved.col_error for solved in alone)
+    assert stacked.sweeps == sum(solved.sweeps for solved in alone)
+    assert stacked.newton_steps == sum(solved.newton_steps for solved in alone)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+def test_solves_follow_the_one_block_algorithm_exactly(tolerance):
+    # Sharp and smooth kernels, priors with zeros, Newton steps that
+    # backtrack (problem 83 of seed 1) or fail (problem 68 of seed 6): the
+    # stacked solver on a matrix takes the one-block algorithm's iterates.
+    drawn = []
+    for seed, count in ((1, 84), (6, 120)):
+        rng = np.random.default_rng(seed)
+        drawn += [_random_transport_problem(rng) for _ in range(count)]
+    for budget in (3, 50, 500):
+        for index, (scores, reg, prior) in enumerate(drawn):
+            solved = _solve_random_problem(index, scores, reg, prior, budget, tolerance)
+            if index % 2 == 0:
+                log_kernel = scores / reg
+            else:
+                with np.errstate(divide="ignore"):
+                    log_kernel = scores / reg + np.log(prior)
+            values, sweeps, steps = oracles.sinkhorn_newton_one_block(
+                log_kernel, budget, tolerance
+            )
+            np.testing.assert_array_equal(solved.values, values)
+            assert (solved.sweeps, solved.newton_steps) == (sweeps, steps)
+            assert (solved.row_error, solved.col_error) == marginal_error(values)
+
+
+class TestStacks:
+    """n x B x K stacks: every block solved as if alone, in one call.
+
+    Each problem's weight is divided into its scores beforehand, so that
+    one solver weight of 1 serves a whole stack: (scores / w) / 1 is
+    scores / w, and a block's kernel is the one its own weight gives.
+    """
+
+    @staticmethod
+    def one_shape_stacks(seed, draws):
+        """Random problems grouped by shape, for shapes drawn three times or more."""
+        rng = np.random.default_rng(seed)
+        groups = {}
+        for _ in range(draws):
+            scores, reg, prior = _random_transport_problem(rng)
+            groups.setdefault(scores.shape, []).append((scores / reg, prior))
+        return [problems for problems in groups.values() if len(problems) >= 3]
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    @pytest.mark.parametrize("budget", [3, 50, 500])
+    def test_stack_equals_its_blocks_solved_alone(self, budget, tolerance):
+        stacks = self.one_shape_stacks(17, 400)
+        assert len(stacks) >= 40
+        uneven = 0
+        for index, problems in enumerate(stacks):
+            scores = np.stack([s for s, _ in problems])
+            priors = np.stack([p for _, p in problems])
+            stacked = _solve_weighted(index, scores, priors, budget, tolerance)
+            alone = [_solve_weighted(index, s, p, budget, tolerance) for s, p in problems]
+            _assert_stack_equals_blocks(stacked, alone)
+            uneven += len({(a.sweeps, a.newton_steps) for a in alone}) > 1
+        # Blocks of one stack stopping at different rounds are what the
+        # lockstep loop must get right.
+        assert uneven >= (20 if tolerance > 0 and budget > 3 else 0)
+
+    @pytest.mark.parametrize("budget", [3, 50, 500])
+    def test_failed_newton_block_sweeps_on_while_others_step(self, budget):
+        # Problems 68, 499, 501, 634 and 702 of seed 6 are 22 x 4. As plain
+        # ot solves to 1e-9 with 500 to spend, 68 accepts one Newton step
+        # and then fails, 499, 501 and 702 fail their first, 634 meets the
+        # tolerance after three, and each one stops at its own count.
+        rng = np.random.default_rng(6)
+        drawn = [_random_transport_problem(rng) for _ in range(703)]
+        problems = [drawn[i] for i in (68, 499, 501, 634, 702)]
+        scores = np.stack([s / reg for s, reg, _ in problems])
+        stacked = sinkhorn_ot(scores, 1.0, budget, 1e-9)
+        alone = [sinkhorn_ot(s, 1.0, budget, 1e-9) for s in scores]
+        _assert_stack_equals_blocks(stacked, alone)
+        if budget == 500:
+            counts = [(a.sweeps, a.newton_steps) for a in alone]
+            assert counts[0] == (499, 1)
+            assert counts[3] == (3, 3)
+            assert len(set(counts)) == 5
+
+    def test_backtracking_block_steps_beside_full_steps(self):
+        # Problems 83, 292, 297 and 475 of seed 1 are 2 x 7 tot solves. To
+        # 1e-9, 83 backtracks on a Newton step while 292 takes full ones,
+        # and 297 and 475 fail their first step and sweep on.
+        rng = np.random.default_rng(1)
+        drawn = [_random_transport_problem(rng) for _ in range(476)]
+        problems = [drawn[i] for i in (83, 292, 297, 475)]
+        scores = np.stack([s / reg for s, reg, _ in problems])
+        priors = np.stack([prior for _, _, prior in problems])
+        stacked = sinkhorn_tot(scores, priors, 1.0, 500, 1e-9)
+        alone = [sinkhorn_tot(s, p, 1.0, 500, 1e-9) for s, p in zip(scores, priors)]
+        _assert_stack_equals_blocks(stacked, alone)
+        assert [a.newton_steps for a in alone] == [5, 4, 0, 0]
+
+    def test_singular_hessian_fails_only_its_own_block(self):
+        # Frames 0-2 may only use clusters 0 and 1, frames 3-5 only cluster
+        # 2: the column graph falls apart, so that block's Newton system is
+        # singular and the batched linear solve raises. The blocks with a
+        # full prior step on.
+        blocked = np.zeros((6, 3))
+        blocked[:3, :2] = blocked[3:, 2] = 1.0
+        full = temporal_prior(6, 3, 1.0)
+        priors = np.stack([full, blocked, full])
+        scores = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 6, 3))
+        stacked = sinkhorn_tot(scores, priors, 0.1, 50, 1e-9)
+        alone = [sinkhorn_tot(s, p, 0.1, 50, 1e-9) for s, p in zip(scores, priors)]
+        _assert_stack_equals_blocks(stacked, alone)
+        assert alone[1].newton_steps == 0 and alone[1].sweeps == 50
+        assert alone[0].newton_steps > 0 and alone[2].newton_steps > 0
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    def test_stack_of_one_is_the_matrix_call(self, tolerance):
+        rng = np.random.default_rng(3)
+        for index in range(20):
+            scores, reg, prior = _random_transport_problem(rng)
+            matrix = _solve_random_problem(index, scores, reg, prior, 500, tolerance)
+            stack = _solve_random_problem(
+                index, scores[None], reg, prior[None], 500, tolerance
+            )
+            np.testing.assert_array_equal(stack.values, matrix.values[None])
+            assert (stack.row_error, stack.col_error) == (
+                matrix.row_error,
+                matrix.col_error,
+            )
+            assert (stack.sweeps, stack.newton_steps) == (
+                matrix.sweeps,
+                matrix.newton_steps,
+            )
+
+    def test_one_prior_serves_the_whole_stack(self):
+        scores = np.random.default_rng(4).uniform(-1.0, 1.0, size=(3, 16, 5))
+        prior = temporal_prior(16, 5, 1.0)
+        stacked = sinkhorn_tot(scores, prior, 0.07, 100, 1e-9)
+        alone = [sinkhorn_tot(s, prior, 0.07, 100, 1e-9) for s in scores]
+        _assert_stack_equals_blocks(stacked, alone)
+
+    @pytest.mark.parametrize("solver", ["ot", "tot"])
+    def test_nan_in_one_block_raises(self, solver):
+        scores = np.zeros((3, 4, 2))
+        scores[1, 2, 0] = np.nan
+        with pytest.raises(NumericalError, match="non-finite values"):
+            if solver == "ot":
+                sinkhorn_ot(scores, 0.1)
+            else:
+                sinkhorn_tot(scores, np.ones((4, 2)), 0.1)
+
+    @pytest.mark.parametrize(
+        "scores_shape, prior_shape",
+        [((2, 4, 3), (3, 4, 3)), ((2, 4, 3), (4, 2)), ((4, 3), (1, 4, 3))],
+    )
+    def test_prior_must_match_a_block_or_the_stack(self, scores_shape, prior_shape):
+        with pytest.raises(ValueError, match="shape"):
+            sinkhorn_tot(np.zeros(scores_shape), np.ones(prior_shape), 0.1)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 2, 4, 3)])
+    def test_scores_must_be_a_matrix_or_a_stack(self, shape):
+        with pytest.raises(ValueError, match="B x K matrix or an n x B x K stack"):
+            sinkhorn_ot(np.zeros(shape), 0.1)
