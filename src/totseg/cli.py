@@ -43,6 +43,7 @@ checkpoint weight near the float64 limit), and non-finite frame scores in
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -94,29 +95,31 @@ def _resolve(args: argparse.Namespace, registry) -> dict[str, Any]:
     return values
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of all four subcommands, built once per process.
+
+    ``parse_args`` returns a new namespace every call and every flag
+    defaults to None, so one call's flags never reach the next.
+    """
     parser = _Parser(prog="totseg", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
 
     synth = commands.add_parser("synth", help="generate a synthetic dataset")
     synth.add_argument("out", help="dataset root to create")
     _add_registry_flags(synth, cfg.SYNTH_OPTIONS)
-    synth.set_defaults(func=cmd_synth)
 
     train = commands.add_parser("train", help="train one model per activity")
     train.add_argument("data", help="dataset root")
     _add_registry_flags(train, cfg.TRAIN_OPTIONS)
-    train.set_defaults(func=cmd_train)
 
     segment = commands.add_parser("segment", help="decode per-video label files")
     segment.add_argument("data", help="dataset root")
     _add_registry_flags(segment, cfg.SEGMENT_OPTIONS)
-    segment.set_defaults(func=cmd_segment)
 
     evaluation = commands.add_parser("eval", help="score predictions against ground truth")
     evaluation.add_argument("data", help="dataset root")
     _add_registry_flags(evaluation, cfg.EVAL_OPTIONS)
-    evaluation.set_defaults(func=cmd_eval)
     return parser
 
 
@@ -391,7 +394,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Looked up per call, so a cmd_* replaced on this module (as a tracer
+        # replaces it) is the one that runs.
+        command = {
+            "synth": cmd_synth,
+            "train": cmd_train,
+            "segment": cmd_segment,
+            "eval": cmd_eval,
+        }[args.command]
+        return command(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,6 +17,14 @@ exact: 1.0 for x above ~37, and 0.0 for x below ~-709.78, where
 ``exp(-x)`` overflows. So logistic values below ~1e-308 (about 6e-309 and
 less, already subnormal) round to 0.
 
+Ownership: ``backward`` and ``normalize_rows_backward`` overwrite the
+gradient they are given and build their results in it, so a training step
+holds a short, fixed list of batch-sized arrays and reuses them instead of
+allocating fresh ones at every line. A caller that still needs that
+gradient passes a copy. Nothing here writes to a ``ForwardCache``, to the
+forward inputs or to normalized rows and norms: a second backward of the
+same forward pass gives the same gradients.
+
 Checkpoints are a fixed little-endian binary format (magic ``TOTC``); see
 docs/file-formats.md.
 """
@@ -43,6 +51,9 @@ _CKPT_HEADER = struct.Struct("<4sHIIIIBd")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Entries of the largest temporary a backward kernel makes (64 KiB of float64).
+_BLOCK_ELEMENTS = 8192
 
 
 @dataclass
@@ -152,37 +163,67 @@ def forward(params: EncoderParams, x) -> tuple[np.ndarray, ForwardCache]:
 def backward(cache: ForwardCache, grad_outputs: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. the two layers.
 
+    Each pre-activation gradient is built in the array it starts from:
+    the output layer's in ``grad_outputs``, the hidden layer's in the
+    matmul result that carries it back through ``w2``.
+
     Args:
-        cache: Cache returned by the forward pass being differentiated.
-        grad_outputs: dLoss/dZ, same shape as the forward output.
+        cache: Cache returned by the forward pass being differentiated;
+            left unchanged.
+        grad_outputs: dLoss/dZ, a float64 array of the forward output's
+            shape. Overwritten: it ends as the output layer's
+            pre-activation gradient.
 
     Returns:
         Dict with keys w1, b1, w2, b2 (prototype gradients are the
         caller's business since prototypes never enter the forward pass).
     """
     z = cache.outputs
+    hidden = cache.hidden
     if grad_outputs.shape != z.shape:
         raise ValueError(
             f"grad shape {grad_outputs.shape} does not match output shape {z.shape}"
         )
-    da2 = grad_outputs * z * (1.0 - z)
-    dw2 = cache.hidden.T @ da2
+    da2 = grad_outputs
+    da2 *= z
+    _times_one_minus(da2, z)
+    dw2 = hidden.T @ da2
     db2 = da2.sum(axis=0)
-    dh = da2 @ cache.params.w2.T
-    da1 = dh * cache.hidden * (1.0 - cache.hidden)
+    da1 = da2 @ cache.params.w2.T
+    da1 *= hidden
+    _times_one_minus(da1, hidden)
     dw1 = cache.inputs.T @ da1
     db1 = da1.sum(axis=0)
     return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
 
 
+def _times_one_minus(target: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``target *= 1.0 - values`` for two matrices of one shape; returns target.
+
+    It runs a block of rows at a time, so the ``1.0 - values`` temporary
+    is at most ``_BLOCK_ELEMENTS`` entries instead of a second batch-sized
+    array. Every entry gets the same two floating-point operations.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // max(1, target.shape[1]))
+    for start in range(0, target.shape[0], rows):
+        block = slice(start, start + rows)
+        target[block] *= 1.0 - values[block]
+    return target
+
+
 def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm rows plus the norms needed to backpropagate through this.
 
-    Zero rows pass through unchanged with a recorded norm of 1.
+    Zero rows pass through unchanged with a recorded norm of 1. The
+    squares the norms are summed from are held in the array that then
+    receives the unit rows, so the result is the only batch-sized array
+    this makes.
     """
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms = np.where(norms == 0.0, 1.0, norms)
-    return matrix / norms, norms
+    normalized = np.multiply(matrix, matrix)
+    norms = np.sqrt(normalized.sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    np.divide(matrix, norms, out=normalized)
+    return normalized, norms
 
 
 def normalize_rows_backward(
@@ -193,9 +234,16 @@ def normalize_rows_backward(
     For one row, d(z/|z|) maps g to (g - (g . zhat) zhat) / |z|: the
     component of g along the row direction does not change the norm-1
     output and is projected away.
+
+    ``grad_normalized``, a float64 array, is overwritten with the result
+    and returned; one work array of its shape is the only other one.
     """
-    along = (grad_normalized * normalized).sum(axis=1, keepdims=True)
-    return (grad_normalized - along * normalized) / norms
+    work = grad_normalized * normalized
+    along = work.sum(axis=1, keepdims=True)
+    np.multiply(along, normalized, out=work)
+    grad_normalized -= work
+    grad_normalized /= norms
+    return grad_normalized
 
 
 @dataclass

@@ -23,6 +23,9 @@ class Batch:
     Attributes:
         features: B x dim anchor frames, video blocks concatenated in order.
         positive_features: B x dim positive frames, row-aligned with anchors.
+            ``build_batch`` reads both into one 2B x dim array; these are
+            its top and bottom halves, so the encoder embeds them in one
+            pass without a copy.
         blocks: (video_id, start_row, length) per video block; rows
             start_row .. start_row+length-1 of ``features`` belong to it.
         positions: source frame index of each anchor, strictly increasing
@@ -129,25 +132,25 @@ def build_batch(
         )
 
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
-    features = np.empty((batch_size, videos[0].dim))
-    positive_features = np.empty_like(features)
     positions = np.empty(batch_size, dtype=np.int64)
     positive_positions = np.empty(batch_size, dtype=np.int64)
     blocks = []
+    reads = []
     row = 0
     for idx in chosen:
         video = videos[int(idx)]
         anchors = sample_ordered(video.num_frames, block_len, rng)
         mates = sample_positive(anchors, window, video.num_frames, rng)
         # Positives lie near their anchors, on the same pages: read both at once.
-        frames = np.concatenate([anchors, mates])
-        rows = video.load_feature_rows(frames)
-        features[row : row + block_len] = rows[:block_len]
-        positive_features[row : row + block_len] = rows[block_len:]
+        reads.append(video.load_feature_rows(np.concatenate([anchors, mates])))
         positions[row : row + block_len] = anchors
         positive_positions[row : row + block_len] = mates
         blocks.append((video.video_id, row, block_len))
         row += block_len
+    rows_read = np.concatenate(
+        [rows[:block_len] for rows in reads] + [rows[block_len:] for rows in reads]
+    )
+    features, positive_features = rows_read[:batch_size], rows_read[batch_size:]
     return Batch(
         features=features,
         positive_features=positive_features,

@@ -214,6 +214,7 @@ def _maybe_normalize(matrix: np.ndarray, normalize: bool):
 def _maybe_normalize_backward(
     grad: np.ndarray, normalized: np.ndarray, norms: np.ndarray | None
 ) -> np.ndarray:
+    """``grad`` pulled back through ``_maybe_normalize``, built in ``grad``."""
     if norms is None:
         return grad
     return encoder.normalize_rows_backward(grad, normalized, norms)
@@ -233,6 +234,31 @@ class Step(NamedTuple):
     scores: np.ndarray
 
 
+def _stacked(anchors: np.ndarray, positives: np.ndarray | None) -> np.ndarray:
+    """Anchor rows over positive rows as one matrix.
+
+    When the two are the top and bottom rows of one C-contiguous array, as
+    ``build_batch`` returns them, that array is used as it is; otherwise
+    they are copied into a new one.
+    """
+    if positives is None:
+        return anchors
+    rows = anchors.base
+    if (
+        isinstance(rows, np.ndarray)
+        and positives.base is rows
+        and rows.flags.c_contiguous
+        and anchors.flags.c_contiguous
+        and positives.flags.c_contiguous
+        and positives.shape[1:] == anchors.shape[1:]
+        and rows.shape == (len(anchors) + len(positives), *anchors.shape[1:])
+        and anchors.ctypes.data == rows.ctypes.data
+        and positives.ctypes.data == rows.ctypes.data + anchors.nbytes
+    ):
+        return rows
+    return np.concatenate([anchors, positives])
+
+
 def forward(
     params: encoder.EncoderParams,
     anchors: np.ndarray,
@@ -243,8 +269,7 @@ def forward(
     row normalization of embeddings and prototypes inside the graph unless
     ``normalize`` is off, and the anchor/prototype scores."""
     batch_size = anchors.shape[0]
-    stacked = anchors if positives is None else np.concatenate([anchors, positives])
-    embeddings, cache = encoder.forward(params, stacked)
+    embeddings, cache = encoder.forward(params, _stacked(anchors, positives))
     normalized, norms = _maybe_normalize(embeddings, normalize)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
     scores = normalized[:batch_size] @ protos.T
@@ -260,7 +285,10 @@ def backward(
     """Losses and parameter gradients of a forward half, codes held fixed.
 
     ``train`` runs this after the transport solve; with ``forward`` it is
-    the complete differentiable path of a step. Each code row is scaled to
+    the complete differentiable path of a step. It writes to no array of
+    ``step`` or ``codes``, so a second call gives the same result; its
+    batch-sized work is one gradient row per embedding row, built and
+    pulled back in place. Each code row is scaled to
     sum to 1 before the clustering loss, so the loss reads it as the
     frame's target distribution whatever its mass on the transport
     polytope (the per-frame mean cross-entropy). The per-block coherence
@@ -285,8 +313,9 @@ def backward(
         scores, codes, loss_config.temperature
     )
 
-    grad_normalized = np.zeros_like(normalized)
-    grad_normalized[:batch_size] = grad_scores @ protos
+    grad_normalized = np.empty_like(normalized)
+    np.matmul(grad_scores, protos, out=grad_normalized[:batch_size])
+    grad_normalized[batch_size:] = 0.0
     grad_protos = grad_scores.T @ anchor_rows
 
     coherence = 0.0
@@ -300,9 +329,11 @@ def backward(
             )
             coherence += weight * piece
             scale = loss_config.alpha * weight
-            grad_normalized[start : start + length] += scale * grad_anchor
+            grad_anchor *= scale
+            grad_normalized[start : start + length] += grad_anchor
             rows = slice(batch_size + start, batch_size + start + length)
-            grad_normalized[rows] += scale * grad_positive
+            grad_positive *= scale
+            grad_normalized[rows] += grad_positive
 
     grad_embeddings = _maybe_normalize_backward(grad_normalized, normalized, norms)
     grads = encoder.backward(cache, grad_embeddings)

@@ -464,3 +464,42 @@ def read_predictions_line_by_line(path) -> np.ndarray:
     if ids.size and ids.min() < 0:
         raise ValueError(f"{path}: prediction ids must be >= 0, got {int(ids.min())}")
     return ids
+
+
+def encoder_backward_allocating(
+    inputs: np.ndarray,
+    hidden: np.ndarray,
+    outputs: np.ndarray,
+    w2: np.ndarray,
+    grad_outputs: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """The two-layer sigmoid MLP's backward pass, one fresh array per line.
+
+    Each pre-activation gradient is one expression of the cached forward
+    arrays; nothing is overwritten. The floating-point operations are the
+    package's, in the same order, so the two must agree bit for bit.
+    """
+    da2 = grad_outputs * outputs * (1.0 - outputs)
+    dh = da2 @ w2.T
+    da1 = dh * hidden * (1.0 - hidden)
+    return {
+        "w1": inputs.T @ da1,
+        "b1": da1.sum(axis=0),
+        "w2": hidden.T @ da2,
+        "b2": da2.sum(axis=0),
+    }
+
+
+def normalize_rows_allocating(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows and their norms (1 for a zero row) from ``np.linalg.norm``."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    norms = np.where(norms == 0.0, 1.0, norms)
+    return matrix / norms, norms
+
+
+def normalize_rows_backward_allocating(
+    grad_normalized: np.ndarray, normalized: np.ndarray, norms: np.ndarray
+) -> np.ndarray:
+    """(g - (g . zhat) zhat) / |z| per row, as one expression."""
+    along = (grad_normalized * normalized).sum(axis=1, keepdims=True)
+    return (grad_normalized - along * normalized) / norms

@@ -340,6 +340,20 @@ class TestMultiActivity:
         assert not (runs / "cooking").exists()
         assert (runs / "repair" / "checkpoint.totc").is_file()
 
+    def test_flags_do_not_carry_over_to_the_next_call(
+        self, two_activities, tmp_path, capsys
+    ):
+        # main() builds its parser once per process and parses each call afresh.
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(*train_args(two_activities, first, iterations=1, activity="repair")) == 0
+        assert run(*train_args(two_activities, second, iterations=1)) == 0
+        out = capsys.readouterr().out
+        assert "activity = repair  (flag)" in out
+        assert not (first / "cooking").exists()
+        assert (second / "cooking" / "checkpoint.totc").is_file()
+        assert (second / "repair" / "checkpoint.totc").is_file()
+
     def test_outputs_do_not_depend_on_the_other_activities(
         self, two_activities, tmp_path, capsys
     ):

@@ -129,7 +129,7 @@ class TestBackward:
         x = rng.normal(size=(6, 4))
         r = rng.normal(size=(6, 3))
         _, cache = forward(params, x)
-        grads = backward(cache, r)
+        grads = backward(cache, r.copy())  # backward overwrites its gradient
 
         def loss_with(key, value):
             trial = EncoderParams(**{**params.as_dict(), key: value})
@@ -148,7 +148,7 @@ class TestBackward:
         r = rng.normal(size=(3, 3))
         _, cache_one = forward(params, x)
         _, cache_two = forward(params, np.vstack([x, x]))
-        grads_one = backward(cache_one, r)
+        grads_one = backward(cache_one, r.copy())  # backward overwrites its gradient
         grads_two = backward(cache_two, np.vstack([r, r]))
         for key in grads_one:
             np.testing.assert_allclose(grads_two[key], 2.0 * grads_one[key], rtol=1e-12)
@@ -180,7 +180,7 @@ class TestNormalizeRows:
         z = rng.normal(size=(5, 4))
         r = rng.normal(size=(5, 4))
         normalized, norms = normalize_rows(z)
-        grad = normalize_rows_backward(r, normalized, norms)
+        grad = normalize_rows_backward(r.copy(), normalized, norms)  # overwrites its gradient
         numeric = oracles.finite_difference(
             lambda v: float((normalize_rows(v)[0] * r).sum()), z
         )
@@ -194,6 +194,64 @@ class TestNormalizeRows:
         normalized, norms = normalize_rows(z)
         grad = normalize_rows_backward(rng.normal(size=(6, 3)), normalized, norms)
         np.testing.assert_allclose((grad * normalized).sum(axis=1), 0.0, atol=1e-14)
+
+
+class TestKernelsMatchTheAllocatingOracle:
+    """The in-place kernels give the bits of the expressions they replace.
+
+    1024 rows of a 60-wide hidden layer span eight of the blocks that
+    ``backward`` multiplies a block at a time, 300 rows three, the last
+    one short.
+    """
+
+    ROWS = [1, 7, 300, 1024]
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_backward(self, rows):
+        rng = np.random.default_rng(rows)
+        params = init_params(9, 60, 30, 4, rng)
+        _, cache = forward(params, 3.0 * rng.normal(size=(rows, 9)))
+        upstream = rng.normal(size=(rows, 30))
+        want = oracles.encoder_backward_allocating(
+            cache.inputs, cache.hidden, cache.outputs, params.w2, upstream
+        )
+        got = backward(cache, upstream.copy())
+        assert sorted(got) == sorted(want)
+        for key, grad in want.items():
+            np.testing.assert_array_equal(got[key], grad, err_msg=key)
+
+    def test_backward_writes_only_its_gradient(self):
+        rng = np.random.default_rng(13)
+        params = init_params(9, 60, 30, 4, rng)
+        _, cache = forward(params, rng.normal(size=(50, 9)))
+        kept = [a.copy() for a in (cache.inputs, cache.hidden, cache.outputs)]
+        upstream = rng.normal(size=(50, 30))
+        first = backward(cache, upstream.copy())
+        second = backward(cache, upstream.copy())
+        for now, before in zip((cache.inputs, cache.hidden, cache.outputs), kept):
+            np.testing.assert_array_equal(now, before)
+        for key in first:
+            np.testing.assert_array_equal(first[key], second[key])
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_normalize_rows(self, rows):
+        rng = np.random.default_rng(100 + rows)
+        matrix = rng.normal(size=(rows, 30)) * rng.uniform(1e-3, 1e3, size=(rows, 1))
+        matrix[::4] = 0.0
+        want = oracles.normalize_rows_allocating(matrix)
+        for got, expected in zip(normalize_rows(matrix), want):
+            np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_normalize_rows_backward(self, rows):
+        rng = np.random.default_rng(200 + rows)
+        normalized, norms = normalize_rows(rng.normal(size=(rows, 30)))
+        grad = rng.normal(size=(rows, 30))
+        want = oracles.normalize_rows_backward_allocating(grad, normalized, norms)
+        owned = grad.copy()
+        got = normalize_rows_backward(owned, normalized, norms)
+        assert got is owned
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAdam:

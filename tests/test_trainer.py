@@ -1,9 +1,11 @@
 """Tests for the training loop, its gradients, and dataset embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from totseg import decode, encoder, transport
+from totseg import decode, encoder, losses, transport
 from totseg.dataio import (
     DatasetCatalog,
     FeatureSequence,
@@ -307,6 +309,181 @@ class TestLossAndGrads:
         protos, _ = encoder.normalize_rows(params.prototypes)
         log_p = np.log(log_softmax_rows(rows @ protos.T, 0.2)[1])
         assert loss == pytest.approx(-(unit * log_p).sum(axis=1).mean(), rel=1e-12)
+
+
+def allocating_step(params, anchors, positives, codes, blocks, loss_config, normalize):
+    """A training step as one fresh array per expression: the stacked copy,
+    zero-filled gradient rows, scaled copies of the coherence gradients and
+    the allocating oracles of the encoder and normalization kernels.
+
+    Returns:
+        (scores, clustering loss, coherence loss, gradient dict).
+    """
+    batch_size = anchors.shape[0]
+    stacked = anchors if positives is None else np.concatenate([anchors, positives])
+    embeddings, cache = encoder.forward(params, stacked)
+    normalized, norms = embeddings, None
+    protos, proto_norms = params.prototypes, None
+    if normalize:
+        normalized, norms = oracles.normalize_rows_allocating(embeddings)
+        protos, proto_norms = oracles.normalize_rows_allocating(params.prototypes)
+    anchor_rows = normalized[:batch_size]
+    scores = anchor_rows @ protos.T
+
+    codes = codes / codes.sum(axis=1, keepdims=True)
+    clustering, grad_scores = losses.cross_entropy(scores, codes, loss_config.temperature)
+    grad_normalized = np.zeros_like(normalized)
+    grad_normalized[:batch_size] = grad_scores @ protos
+    grad_protos = grad_scores.T @ anchor_rows
+    coherence = 0.0
+    if positives is not None:
+        for _, start, length in blocks:
+            anchor_span = slice(start, start + length)
+            positive_span = slice(batch_size + start, batch_size + start + length)
+            piece, grad_anchor, grad_positive = losses.temporal_coherence(
+                normalized[anchor_span], normalized[positive_span]
+            )
+            weight = length / batch_size
+            coherence += weight * piece
+            scale = loss_config.alpha * weight
+            grad_normalized[anchor_span] += scale * grad_anchor
+            grad_normalized[positive_span] += scale * grad_positive
+    if normalize:
+        grad_normalized = oracles.normalize_rows_backward_allocating(
+            grad_normalized, normalized, norms
+        )
+        grad_protos = oracles.normalize_rows_backward_allocating(
+            grad_protos, protos, proto_norms
+        )
+    grads = oracles.encoder_backward_allocating(
+        cache.inputs, cache.hidden, cache.outputs, params.w2, grad_normalized
+    )
+    grads["prototypes"] = grad_protos
+    return scores, clustering, coherence, grads
+
+
+def step_problem(seed, batch, dims=(64, 60, 30, 5), blocks=2):
+    """Parameters, 2B rows read as ``build_batch`` lays them out, codes and blocks."""
+    rng = np.random.default_rng(seed)
+    d_in, hidden, embed, clusters = dims
+    params = encoder.init_params(d_in, hidden, embed, clusters, rng)
+    rows = rng.normal(size=(2 * batch, d_in))
+    codes = rng.dirichlet(np.ones(clusters), size=batch) / batch
+    length = batch // blocks
+    spans = [(f"v{i}", i * length, length) for i in range(blocks)]
+    return params, rows, codes, spans
+
+
+class TestStepMatchesTheAllocatingStep:
+    """forward and backward give the bits of the step they replace, in which
+    every expression made a fresh array (``allocating_step``)."""
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("with_positives", [True, False])
+    @pytest.mark.parametrize("batch", [12, 512])
+    def test_losses_and_gradients_bit_for_bit(self, normalize, with_positives, batch):
+        params, rows, codes, blocks = step_problem(batch, batch)
+        loss_config = LossConfig(temperature=0.1, alpha=0.7)
+        anchors = rows[:batch]
+        layouts = [rows[batch:], rows[batch:].copy()] if with_positives else [None]
+        for positives in layouts:
+            scores, clustering, coherence, want = allocating_step(
+                params, anchors, positives, codes, blocks, loss_config, normalize
+            )
+            step = forward(params, anchors, positives, normalize)
+            got_clustering, got_coherence, got = backward(step, codes, blocks, loss_config)
+            np.testing.assert_array_equal(step.scores, scores)
+            assert (got_clustering, got_coherence) == (clustering, coherence)
+            assert sorted(got) == sorted(want)
+            for key, grad in want.items():
+                np.testing.assert_array_equal(got[key], grad, err_msg=key)
+
+
+class TestStepOwnership:
+    """backward writes to nothing it is given, and forward embeds a batch's
+    rows where ``build_batch`` read them."""
+
+    def test_second_backward_gives_equal_gradients(self):
+        catalog = small_catalog()
+        config = small_config(mode="tot+tcl")
+        rng = np.random.default_rng(3)
+        batch = build_batch(catalog.videos, 2, 32, rng, window=10)
+        params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
+        step = forward(params, batch.features, batch.positive_features, True)
+        codes, _, _ = solve_codes(step.scores, batch.blocks, config)
+        watched = {
+            "features": batch.features,
+            "positive_features": batch.positive_features,
+            "positions": batch.positions,
+            "positive_positions": batch.positive_positions,
+            "inputs": step.cache.inputs,
+            "hidden": step.cache.hidden,
+            "outputs": step.cache.outputs,
+            "embeddings": step.embeddings,
+            "norms": step.norms,
+            "prototypes": step.prototypes,
+            "scores": step.scores,
+            "codes": codes,
+        }
+        kept = {name: array.copy() for name, array in watched.items()}
+        first = backward(step, codes, batch.blocks, config.loss)
+        second = backward(step, codes, batch.blocks, config.loss)
+        for name, array in watched.items():
+            np.testing.assert_array_equal(array, kept[name], err_msg=name)
+        assert first[:2] == second[:2]
+        for key in encoder.PARAM_KEYS:
+            np.testing.assert_array_equal(first[2][key], second[2][key], err_msg=key)
+
+    def test_forward_embeds_the_batch_rows_without_a_copy(self):
+        catalog = small_catalog()
+        rng = np.random.default_rng(4)
+        batch = build_batch(catalog.videos, 2, 32, rng, window=10)
+        params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
+        inputs = forward(params, batch.features, batch.positive_features, True).cache.inputs
+        assert np.shares_memory(inputs, batch.features)
+        assert np.shares_memory(inputs, batch.positive_features)
+        np.testing.assert_array_equal(
+            inputs, np.concatenate([batch.features, batch.positive_features])
+        )
+        # Rows that are not one array's two halves are copied, in order.
+        for anchors, positives in (
+            (batch.features.copy(), batch.positive_features.copy()),
+            (batch.positive_features, batch.features),
+            (batch.features, batch.features),
+        ):
+            inputs = forward(params, anchors, positives, True).cache.inputs
+            assert not np.shares_memory(inputs, anchors)
+            np.testing.assert_array_equal(inputs, np.concatenate([anchors, positives]))
+
+
+class TestStepAllocations:
+    def test_backward_holds_no_more_than_the_arrays_it_must(self):
+        # Shaped like the train-disk benchmark: B = 512 anchors and their
+        # positives, D = 64, embedding 30 (hidden 60), K = 5, two blocks of
+        # L = 256 and +tcl. What backward must hold: one gradient row per
+        # embedding row, one L x L similarity block at a time and the
+        # hidden layer's gradient. The peak of traced allocation stays under
+        # their sum (1232 KiB here).
+        batch, embed, hidden, length = 512, 30, 60, 256
+        params, rows, codes, blocks = step_problem(21, batch, dims=(64, hidden, embed, 5))
+        step = forward(params, rows[:batch], rows[batch:], True)
+        loss_config = LossConfig()
+        backward(step, codes, blocks, loss_config)  # steady state: a second call
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            backward(step, codes, blocks, loss_config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        gradient_rows = 2 * batch * embed * 8
+        similarity_block = length * length * 8
+        hidden_gradient = 2 * batch * hidden * 8
+        assert peak < gradient_rows + similarity_block + hidden_gradient
 
 
 class TestTrainRunsTheOracleStep:
