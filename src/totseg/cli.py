@@ -17,9 +17,12 @@ error when an activity has fewer videos of at least one block's length
 header has a dimension below 1, or a temperature that is not finite and
 positive, is a data error; so is a ground-truth, ``mapping.txt`` or
 prediction file that is not UTF-8 text, and a directory where a
-prediction file should be. An ``--activity`` list that names no activity
-is a usage error, and so is an output path that cannot be created because
-a file is in the way (``--out``, or ``synth``'s OUT, naming a file or a
+prediction file should be, and an ``eval --exclude-background`` id that
+is not an action id of the activity's ``mapping.txt`` (the line names the
+id and the activity). An ``--activity`` list that names no activity
+is a usage error, and so is a negative ``--seed`` (``synth`` or
+``train``), an output path that cannot be created because a file is in
+the way (``--out``, or ``synth``'s OUT, naming a file or a
 path under one), or an output file path that names a directory
 (``train.log``, the checkpoint, a label or timeline file, the ``eval
 --out`` report), or a blocked path inside the dataset ``synth`` writes (a
@@ -231,9 +234,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not root.is_dir():
         raise UsageError(f"dataset path does not exist: {root}")
     for activity in _activities(root, values["activity"]):
-        catalog = dataio.load_catalog(
-            root, activity, split_background=values["split-background"]
-        )
+        catalog = dataio.load_catalog(root, activity)
         out_dir = Path(values["out"]) / activity
         made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
         _output_dir(out_dir)
@@ -348,9 +349,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     mofs: list[float] = []
     f1s: list[float] = []
     for activity in activities:
-        catalog = dataio.load_catalog(
-            root, activity, split_background=values["split-background"]
-        )
+        catalog = dataio.load_catalog(root, activity)
         video_ids, predictions, ground_truth = [], [], []
         for video in catalog.videos:
             pred = dataio.read_predictions(

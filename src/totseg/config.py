@@ -61,7 +61,6 @@ TRAIN_OPTIONS = (
     Option("sinkhorn-iters", "int", TransportConfig.iterations, "sweeps plus Newton steps per transport solve"),
     Option("marginal-tol", "float", TransportConfig.marginal_tolerance, "early-stop tolerance, reached by Newton steps; 0 disables"),
     Option("normalize", "bool", TrainConfig.normalize, "L2-normalize embeddings and prototypes"),
-    Option("split-background", "str", None, "background action to split into edge classes"),
     Option("activity", "str", None, "comma-separated activities, default all"),
     Option("out", "str", "runs", "output directory for checkpoints and logs"),
 )
@@ -93,7 +92,6 @@ EVAL_OPTIONS = (
     Option("activity", "str", None, "comma-separated activities, default all"),
     Option("exclude-background", "int_list", [], "gt ids dropped before scoring"),
     Option("overlap", "str", "gt", "segment overlap ratio", ("gt", "iou")),
-    Option("split-background", "str", None, "background action to split into edge classes"),
     Option("out", "str", None, "write the report to this file as key=value lines"),
 )
 

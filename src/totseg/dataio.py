@@ -195,14 +195,6 @@ class LabelMapping:
     def num_actions(self) -> int:
         return len(self.name_to_id)
 
-    def add(self, name: str) -> int:
-        if name in self.name_to_id:
-            raise DataError(f"label {name!r} already mapped")
-        new_id = max(self.id_to_name, default=-1) + 1
-        self.name_to_id[name] = new_id
-        self.id_to_name[new_id] = name
-        return new_id
-
     @classmethod
     def from_file(cls, path) -> "LabelMapping":
         path = Path(path)
@@ -323,40 +315,18 @@ def read_predictions(path) -> np.ndarray:
     return ids
 
 
-def relabel_background_edges(
-    labels, background_id: int, start_id: int, end_id: int
-) -> np.ndarray:
-    """Split a shared background class into leading and trailing classes.
-
-    The run of ``background_id`` at the start of the sequence becomes
-    ``start_id`` and the run at the end becomes ``end_id``; background
-    frames in the middle keep their id. On an all-background sequence the
-    leading rewrite wins and the whole sequence becomes ``start_id``.
-    """
-    labels = np.asarray(labels, dtype=np.int64).copy()
-    action = np.flatnonzero(labels != background_id)
-    # All background: the leading run is the whole sequence.
-    first, last = (action[0], action[-1]) if action.size else (labels.size, labels.size)
-    labels[:first] = start_id
-    labels[last + 1 :] = end_id
-    return labels
-
-
 @dataclass
 class DatasetCatalog:
     """All videos of one activity plus its label mapping.
 
     ``true_means`` is set only for synthetic data (K x dim matrix of the
     generating cluster centers, row index = action id).
-    ``background_split`` is (background_id, start_id, end_id) when the
-    shared background class has been split into edge classes.
     """
 
     activity: str
     mapping: LabelMapping
     videos: list[FeatureSequence]
     true_means: np.ndarray | None = None
-    background_split: tuple[int, int, int] | None = None
 
     @property
     def num_actions(self) -> int:
@@ -371,7 +341,7 @@ class DatasetCatalog:
         return sum(v.num_frames for v in self.videos)
 
     def video_labels(self, seq: FeatureSequence) -> np.ndarray:
-        """Ground-truth ids for one video, applying any background split."""
+        """Ground-truth ids for one video."""
         if seq.labels is not None:
             labels = np.asarray(seq.labels, dtype=np.int64)
         elif seq.label_path is not None:
@@ -382,24 +352,19 @@ class DatasetCatalog:
             raise DataError(
                 f"video {seq.video_id}: {labels.size} labels for {seq.num_frames} frames"
             )
-        if self.background_split is not None:
-            labels = relabel_background_edges(labels, *self.background_split)
         return labels
 
 
-def load_catalog(root, activity: str, split_background: str | None = None) -> DatasetCatalog:
+def load_catalog(root, activity: str) -> DatasetCatalog:
     """Scan ``root/<activity>/`` into a catalog without reading payloads.
 
     Args:
         root: Dataset root directory.
         activity: Subdirectory name.
-        split_background: Name of a shared background action to split into
-            ``<name>_start`` / ``<name>_end`` edge classes, or None.
 
     Raises:
-        DataError: Missing directories, no feature files, inconsistent
-            or zero feature dimensions, or an unknown ``split_background``
-            name.
+        DataError: Missing directories, no feature files, or inconsistent
+            or zero feature dimensions.
     """
     base = Path(root) / activity
     features_dir = base / "features"
@@ -434,22 +399,10 @@ def load_catalog(root, activity: str, split_background: str | None = None) -> Da
     if 0 in dims:
         raise DataError(f"{features_dir}: feature files have 0 columns")
 
-    background_split = None
-    if split_background is not None:
-        if split_background not in mapping.name_to_id:
-            raise DataError(
-                f"background action {split_background!r} not in {mapping_path}"
-            )
-        background_id = mapping.name_to_id[split_background]
-        start_id = mapping.add(f"{split_background}_start")
-        end_id = mapping.add(f"{split_background}_end")
-        background_split = (background_id, start_id, end_id)
-
     return DatasetCatalog(
         activity=activity,
         mapping=mapping,
         videos=videos,
-        background_split=background_split,
     )
 
 
@@ -557,6 +510,8 @@ class SyntheticSpec:
             raise ValueError(f"permute_prob must be in [0, 1], got {self.permute_prob}")
         if not 0.0 <= self.drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetCatalog:
@@ -581,22 +536,23 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetCatalog:
         kept = [a for a in order if rng.random() >= spec.drop_prob]
         if not kept:
             kept = order  # dropping everything leaves nothing to segment
-        pieces = []
-        labels = []
+        noise, lengths = [], []
         for action in kept:
             jitter = rng.uniform(-spec.len_jitter, spec.len_jitter)
-            length = max(2, round(spec.mean_segment_len * (1.0 + jitter)))
-            noise = rng.normal(scale=spec.noise_sigma, size=(length, d))
-            pieces.append(means[action] + noise)
-            labels.extend([action] * length)
-        frames = np.concatenate(pieces, axis=0)
+            lengths.append(max(2, round(spec.mean_segment_len * (1.0 + jitter))))
+            noise.append(rng.normal(scale=spec.noise_sigma, size=(lengths[-1], d)))
+        labels = np.repeat(np.asarray(kept, dtype=np.int64), lengths)
+        frames = np.concatenate(noise, axis=0)
+        # An inf from overflow is reported by write_catalog's float32 check.
+        with np.errstate(over="ignore"):
+            frames += means[labels]
         videos.append(
             FeatureSequence(
                 video_id=f"video_{v:03d}",
                 num_frames=frames.shape[0],
                 dim=d,
                 array=frames,
-                labels=np.asarray(labels, dtype=np.int64),
+                labels=labels,
             )
         )
 

@@ -27,6 +27,7 @@ from .decode import segments_from_labels
 from .errors import DataError
 
 UNMATCHED = -1
+OVERLAP_THRESHOLD = 0.5
 
 
 def contingency(pred, gt, num_pred: int, num_gt: int, frames=1) -> np.ndarray:
@@ -96,14 +97,12 @@ def _overlap(a: tuple[int, int, int], b: tuple[int, int, int]) -> int:
     return max(0, min(a[2], b[2]) - max(a[1], b[1]))
 
 
-def segment_f1(
-    mapped_pred, gt, overlap: str = "gt", threshold: float = 0.5
-) -> float:
+def segment_f1(mapped_pred, gt, overlap: str = "gt") -> float:
     """Segment-detection F1 for one video.
 
     Each ground-truth segment greedily claims the not-yet-used predicted
     segment with the same label and the highest overlap ratio, and counts
-    as a true positive when that ratio exceeds ``threshold``. With
+    as a true positive when that ratio exceeds ``OVERLAP_THRESHOLD``. With
     ``overlap="gt"`` the ratio divides by the ground-truth segment length;
     with ``overlap="iou"`` by the union of both segments.
 
@@ -118,7 +117,7 @@ def segment_f1(
     true_positives = 0
     for gseg in gt_segments:
         best_idx = -1
-        best_ratio = threshold
+        best_ratio = OVERLAP_THRESHOLD
         for idx, pseg in enumerate(pred_segments):
             if used[idx] or pseg[0] != gseg[0]:
                 continue
@@ -198,14 +197,15 @@ def evaluate_activity(
         num_actions: Number of ground-truth action classes K'.
         activity: Name recorded in the report.
         exclude: Ground-truth ids to drop from both sides before anything
-            else (background exclusion).
+            else (background exclusion), each in 0..num_actions-1.
         overlap: Overlap ratio convention for F1, "gt" or "iou".
 
     Raises:
         ValueError: Misaligned inputs, per-video length mismatches or a
             negative cluster id.
-        DataError: No ground-truth frame is left: the videos
-            have none, or ``exclude`` drops every one.
+        DataError: ``exclude`` holds an id that is not an action id, or
+            no ground-truth frame is left: the videos have none, or
+            ``exclude`` drops every one.
     """
     if not (len(video_ids) == len(predictions) == len(ground_truth)):
         raise ValueError(
@@ -214,6 +214,9 @@ def evaluate_activity(
         )
     if not video_ids:
         raise ValueError("nothing to evaluate")
+    unknown = sorted(set(exclude or ()) - set(range(num_actions)))
+    if unknown:
+        raise DataError(f"activity {activity!r}: excluded id {unknown[0]} is not an action id")
 
     kept_pred: list[np.ndarray] = []
     kept_gt: list[np.ndarray] = []

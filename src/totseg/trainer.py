@@ -76,6 +76,8 @@ class TrainConfig:
             raise ValueError(
                 f"freeze_iterations must be >= 0, got {self.freeze_iterations}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
         encoder.AdamState.check_settings(self.learning_rate, self.weight_decay)

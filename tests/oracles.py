@@ -389,20 +389,6 @@ def f1_by_frame_counting(
     return 2.0 * precision * recall / (precision + recall)
 
 
-def relabel_edges_by_walking(labels, background_id: int, start_id: int, end_id: int) -> np.ndarray:
-    """Frame-by-frame walk: leading background run to start_id, trailing to end_id."""
-    labels = [int(v) for v in labels]
-    i = 0
-    while i < len(labels) and labels[i] == background_id:
-        labels[i] = start_id
-        i += 1
-    j = len(labels) - 1
-    while j >= i and labels[j] == background_id:
-        labels[j] = end_id
-        j -= 1
-    return np.array(labels, dtype=np.int64)
-
-
 def two_buffer_cross_entropy(scores, codes, temperature: float) -> tuple[float, np.ndarray]:
     """Softmax cross-entropy and its score gradient, one fresh array per step.
 

@@ -551,6 +551,12 @@ class TestExitCodes:
         return [*argv, "--exclude-background", "0", "1", "2"], "activity 'synthetic'"
 
     @staticmethod
+    def excluded_id_not_an_action(data, runs, tmp_path):
+        # Excluding nothing would score the background it was meant to drop.
+        argv = zero_predictions(data, tmp_path)
+        return [*argv, "--exclude-background", "99"], "activity 'synthetic': excluded id 99"
+
+    @staticmethod
     def videos_without_frames(data, runs, tmp_path):
         base, pred = data / "hollow", tmp_path / "pred" / "hollow"
         (base / "groundTruth").mkdir(parents=True)
@@ -640,6 +646,7 @@ class TestExitCodes:
             videos_shorter_than_a_block,
             mapping_with_an_id_gap,
             everything_excluded,
+            excluded_id_not_an_action,
             videos_without_frames,
             checkpoint_header_case("checkpoint_old_version", 4, "<H", 1),
             checkpoint_header_case("checkpoint_zero_clusters", 18, "<I", 0),
@@ -764,14 +771,22 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_features_not_finite_in_float32_are_one_line(self, tmp_path, capsys):
-        out = tmp_path / "data"
-        code = run(*synth_args(out, noise=1e308))
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err == (
-            "data error: video video_000: feature value in frame 0 is not finite in float32\n"
-        )
-        assert tree_bytes(out) == {}
+        # The noise alone overflows the float32 cast; mean plus noise also
+        # overflows float64, and its RuntimeWarning is no second line.
+        tiny = {"videos": 3, "k": 2, "dim": 2, "segment-len": 2}
+        cases = {
+            "data": {"noise": 1e308},
+            "overflow": {**tiny, "noise": 1e308, "separation": 1e308},
+        }
+        for name, flags in cases.items():
+            out = tmp_path / name
+            code = run(*synth_args(out, **flags))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err == (
+                "data error: video video_000: feature value in frame 0 is not finite in float32\n"
+            )
+            assert tree_bytes(out) == {}
 
     # Bad settings below each exit 1 with one stderr line, no traceback.
 
@@ -855,6 +870,18 @@ class TestExitCodes:
                 ["--mode", "kmeans"],
                 "argument --mode: invalid choice: 'kmeans'",
                 id="bad_mode_choice",
+            ),
+            pytest.param(
+                "synth",
+                ["--seed", "-1"],
+                "seed must be >= 0, got -1",
+                id="synth_negative_seed",
+            ),
+            pytest.param(
+                "train",
+                ["--seed", "-1"],
+                "seed must be >= 0, got -1",
+                id="train_negative_seed",
             ),
             pytest.param(
                 "synth",

@@ -19,7 +19,6 @@ from totseg.dataio import (
     read_feature_header,
     read_labels,
     read_predictions,
-    relabel_background_edges,
     write_catalog,
     write_features,
 )
@@ -195,13 +194,6 @@ class TestLabelMapping:
         with pytest.raises(DataError, match="empty label mapping"):
             LabelMapping.from_file(path)
 
-    def test_add_appends_next_id(self):
-        mapping = LabelMapping({"pour": 0, "stir": 3})
-        assert mapping.add("serve") == 4
-        assert mapping.name_to_id["serve"] == 4
-        with pytest.raises(DataError, match="already mapped"):
-            mapping.add("pour")
-
 
 class TestReadLabels:
     def test_names_become_ids(self, tmp_path):
@@ -311,35 +303,6 @@ class TestRunLengthReaders:
         np.testing.assert_array_equal(read_predictions(path), [4] * long + [2] * long)
 
 
-class TestRelabelBackgroundEdges:
-    def test_leading_and_trailing_runs_move(self):
-        labels = [0, 0, 1, 2, 0, 3, 0, 0]
-        got = relabel_background_edges(labels, background_id=0, start_id=4, end_id=5)
-        np.testing.assert_array_equal(got, [4, 4, 1, 2, 0, 3, 5, 5])
-
-    def test_interior_background_kept(self):
-        got = relabel_background_edges([1, 0, 1], 0, 2, 3)
-        np.testing.assert_array_equal(got, [1, 0, 1])
-
-    def test_all_background_becomes_start(self):
-        got = relabel_background_edges([0, 0, 0], 0, 7, 8)
-        np.testing.assert_array_equal(got, [7, 7, 7])
-
-    def test_input_not_mutated(self):
-        labels = np.array([0, 1, 0])
-        relabel_background_edges(labels, 0, 5, 6)
-        np.testing.assert_array_equal(labels, [0, 1, 0])
-
-    def test_matches_a_frame_by_frame_walk(self):
-        rng = np.random.default_rng(12)
-        for length in [0, 1, 2, 3, 5, 8, 13] * 20:
-            labels = rng.integers(0, 3, size=length) * rng.integers(0, 2, size=length)
-            np.testing.assert_array_equal(
-                relabel_background_edges(labels, 0, 3, 4),
-                oracles.relabel_edges_by_walking(labels, 0, 3, 4),
-            )
-
-
 class TestCatalog:
     def toy_catalog(self):
         mapping = LabelMapping({"background": 0, "cut": 1})
@@ -357,15 +320,6 @@ class TestCatalog:
         catalog = self.toy_catalog()
         np.testing.assert_array_equal(
             catalog.video_labels(catalog.videos[0]), [0, 0, 1, 0]
-        )
-
-    def test_video_labels_applies_background_split(self):
-        catalog = self.toy_catalog()
-        catalog.mapping.add("background_start")  # id 2
-        catalog.mapping.add("background_end")  # id 3
-        catalog.background_split = (0, 2, 3)
-        np.testing.assert_array_equal(
-            catalog.video_labels(catalog.videos[0]), [2, 2, 1, 3]
         )
 
     def test_video_labels_length_mismatch_rejected(self):
@@ -403,21 +357,6 @@ class TestLoadCatalog:
         np.testing.assert_array_equal(
             catalog.video_labels(catalog.videos[0]), [0, 1, 0]
         )
-
-    def test_split_background_extends_mapping(self, tmp_path):
-        self.write_toy_dataset(tmp_path)
-        catalog = load_catalog(tmp_path, "cooking", split_background="background")
-        assert catalog.mapping.name_to_id["background_start"] == 2
-        assert catalog.mapping.name_to_id["background_end"] == 3
-        assert catalog.background_split == (0, 2, 3)
-        np.testing.assert_array_equal(
-            catalog.video_labels(catalog.videos[0]), [2, 1, 3]
-        )
-
-    def test_unknown_background_name_rejected(self, tmp_path):
-        self.write_toy_dataset(tmp_path)
-        with pytest.raises(DataError, match="'silence' not in"):
-            load_catalog(tmp_path, "cooking", split_background="silence")
 
     def test_missing_features_dir_rejected(self, tmp_path):
         (tmp_path / "empty_activity").mkdir()
