@@ -165,8 +165,11 @@ def write_features(frames, path) -> None:
 def read_feature_header(path) -> tuple[int, int]:
     """(rows, cols) from a feature file without touching the payload."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        raw = fh.read(_FEATURE_HEADER.size)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read(_FEATURE_HEADER.size)
+    except OSError as err:
+        raise DataError(f"{path}: cannot read feature file: {err.strerror}") from None
     if len(raw) < _FEATURE_HEADER.size:
         raise DataError(f"{path}: file shorter than the header")
     magic, version, rows, cols = _FEATURE_HEADER.unpack(raw)
@@ -300,7 +303,7 @@ def read_predictions(path) -> np.ndarray:
     path = Path(path)
     try:
         data = path.read_bytes()
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise DataError(f"missing prediction file: {path}") from None
     except IsADirectoryError:
         raise DataError(f"{path}: a directory, not a prediction file") from None

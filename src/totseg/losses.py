@@ -122,9 +122,3 @@ def temporal_coherence(
     )
     return loss, dsims @ mates, dsims.T @ z
 
-
-def total_loss(clustering: float, coherence: float, alpha: float) -> float:
-    """Training objective: clustering loss plus alpha times coherence."""
-    if alpha < 0:
-        raise ValueError(f"alpha must be >= 0, got {alpha}")
-    return clustering + alpha * coherence

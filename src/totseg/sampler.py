@@ -18,26 +18,33 @@ from .dataio import FeatureSequence
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch of anchor/positive frame features.
+    """One training batch: equal video blocks of anchors, and their positives.
 
     Attributes:
-        features: B x dim anchor frames, video blocks concatenated in order.
-        positive_features: B x dim positive frames, row-aligned with anchors.
-            ``build_batch`` reads both into one 2B x dim array; these are
-            its top and bottom halves, so the encoder embeds them in one
-            pass without a copy.
-        blocks: (video_id, start_row, length) per video block; rows
-            start_row .. start_row+length-1 of ``features`` belong to it.
+        rows: 2B x dim read-only feature rows: the B anchors, one block of
+            B / len(video_ids) rows per video in order, then the B
+            positives, row-aligned with the anchors. The encoder embeds
+            them in one pass as they are.
+        video_ids: Source video of each block, in row order.
         positions: source frame index of each anchor, strictly increasing
             within each block.
         positive_positions: source frame index of each positive.
     """
 
-    features: np.ndarray
-    positive_features: np.ndarray
-    blocks: list[tuple[str, int, int]]
+    rows: np.ndarray
+    video_ids: list[str]
     positions: np.ndarray
     positive_positions: np.ndarray
+
+    @property
+    def features(self) -> np.ndarray:
+        """B x dim anchor rows: the top half of ``rows``."""
+        return self.rows[: len(self.positions)]
+
+    @property
+    def positive_features(self) -> np.ndarray:
+        """B x dim positive rows: the bottom half of ``rows``."""
+        return self.rows[len(self.positions) :]
 
 
 def sample_ordered(num_frames: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -134,7 +141,7 @@ def build_batch(
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
     positions = np.empty(batch_size, dtype=np.int64)
     positive_positions = np.empty(batch_size, dtype=np.int64)
-    blocks = []
+    video_ids = []
     reads = []
     row = 0
     for idx in chosen:
@@ -145,16 +152,10 @@ def build_batch(
         reads.append(video.load_feature_rows(np.concatenate([anchors, mates])))
         positions[row : row + block_len] = anchors
         positive_positions[row : row + block_len] = mates
-        blocks.append((video.video_id, row, block_len))
+        video_ids.append(video.video_id)
         row += block_len
-    rows_read = np.concatenate(
-        [rows[:block_len] for rows in reads] + [rows[block_len:] for rows in reads]
+    rows = np.concatenate(
+        [read[:block_len] for read in reads] + [read[block_len:] for read in reads]
     )
-    features, positive_features = rows_read[:batch_size], rows_read[batch_size:]
-    return Batch(
-        features=features,
-        positive_features=positive_features,
-        blocks=blocks,
-        positions=positions,
-        positive_positions=positive_positions,
-    )
+    rows.flags.writeable = False
+    return Batch(rows, video_ids, positions, positive_positions)

@@ -1,9 +1,10 @@
 """The online training loop: sample, encode, solve codes, step.
 
-Each iteration draws an ordered batch from a couple of videos, embeds it,
-solves optimal transport per video block for pseudo-label codes (with or
-without the temporal prior, depending on mode; the blocks of a batch go to
-the solver as one stack), evaluates the losses, and takes one Adam step.
+Each iteration draws an ordered batch of equal blocks from a couple of
+videos, embeds it, solves optimal transport on each block for pseudo-label
+codes (with or without the temporal prior, depending on mode; the blocks go
+to the solver as one stack, a view of the batch's scores), evaluates the
+losses, and takes one Adam step.
 Working memory stays proportional to the batch: nothing here ever holds a
 matrix with a dataset-length dimension, which is what makes the clustering
 online.
@@ -147,63 +148,47 @@ class TrainResult:
 
 def solve_codes(
     scores: np.ndarray,
-    blocks: list[tuple[str, int, int]],
+    num_blocks: int,
     config: TrainConfig,
-    priors: dict[int, np.ndarray] | None = None,
+    prior: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
-    """Pseudo-label codes for a batch, one stacked transport solve per block length.
+    """Pseudo-label codes for a batch of ``num_blocks`` equal video blocks.
 
     Temporal order only means something inside a video, so each block of
-    ``scores`` is solved on its own equal-partition polytope (with its own
-    prior in tot modes). The blocks of one length go to the solver as one
-    n x length x K stack, whose blocks are solved in lockstep and come back
-    exactly as they would one by one; a training batch has one block
-    length, so a step makes one solve. Block solutions are scaled by
-    block_len / B so the assembled batch matrix again has rows summing to
-    1/B and columns to 1/K.
+    L = B / num_blocks rows of ``scores`` is solved on its own
+    equal-partition polytope. The blocks go to the solver as one
+    n x L x K view of ``scores``, solved in lockstep; each comes back
+    exactly as it would alone. Block solutions are scaled by L / B so the
+    batch matrix again has rows summing to 1/B and columns to 1/K.
 
     Args:
-        priors: Temporal priors by block length, filled on first use; one
-            dict passed for a whole run builds each prior once.
+        prior: The L x K temporal prior (``transport.temporal_prior``);
+            required in tot modes, unused in ot modes.
 
     Returns:
-        (B x K codes, max row error, max col error) across block solves.
+        (B x K codes, max row error, max col error) across the blocks.
     """
-    total = scores.shape[0]
-    codes = np.empty_like(scores)
-    row_err = 0.0
-    col_err = 0.0
+    total, clusters = scores.shape
+    length = total // num_blocks
+    stack = scores.reshape(num_blocks, length, clusters)
     cfg = config.transport
-    priors = {} if priors is None else priors
-    starts_by_length: dict[int, list[int]] = {}
-    for _, start, length in blocks:
-        starts_by_length.setdefault(length, []).append(start)
-    for length, starts in starts_by_length.items():
-        stack = np.stack([scores[start : start + length] for start in starts])
-        if config.uses_prior:
-            prior = priors.get(length)
-            if prior is None:
-                prior = transport.temporal_prior(length, scores.shape[1], cfg.sigma)
-                priors[length] = prior
-            solved = transport.sinkhorn_tot(
-                stack,
-                prior,
-                cfg.rho,
-                iterations=cfg.iterations,
-                tolerance=cfg.marginal_tolerance,
-            )
-        else:
-            solved = transport.sinkhorn_ot(
-                stack,
-                cfg.epsilon,
-                iterations=cfg.iterations,
-                tolerance=cfg.marginal_tolerance,
-            )
-        for start, values in zip(starts, solved.values * (length / total)):
-            codes[start : start + length] = values
-        row_err = max(row_err, solved.row_error)
-        col_err = max(col_err, solved.col_error)
-    return codes, row_err, col_err
+    if config.uses_prior:
+        solved = transport.sinkhorn_tot(
+            stack,
+            prior,
+            cfg.rho,
+            iterations=cfg.iterations,
+            tolerance=cfg.marginal_tolerance,
+        )
+    else:
+        solved = transport.sinkhorn_ot(
+            stack,
+            cfg.epsilon,
+            iterations=cfg.iterations,
+            tolerance=cfg.marginal_tolerance,
+        )
+    codes = solved.values.reshape(total, clusters) * (length / total)
+    return codes, solved.row_error, solved.col_error
 
 
 def _maybe_normalize(matrix: np.ndarray, normalize: bool):
@@ -236,42 +221,17 @@ class Step(NamedTuple):
     scores: np.ndarray
 
 
-def _stacked(anchors: np.ndarray, positives: np.ndarray | None) -> np.ndarray:
-    """Anchor rows over positive rows as one matrix.
-
-    When the two are the top and bottom rows of one C-contiguous array, as
-    ``build_batch`` returns them, that array is used as it is; otherwise
-    they are copied into a new one.
-    """
-    if positives is None:
-        return anchors
-    rows = anchors.base
-    if (
-        isinstance(rows, np.ndarray)
-        and positives.base is rows
-        and rows.flags.c_contiguous
-        and anchors.flags.c_contiguous
-        and positives.flags.c_contiguous
-        and positives.shape[1:] == anchors.shape[1:]
-        and rows.shape == (len(anchors) + len(positives), *anchors.shape[1:])
-        and anchors.ctypes.data == rows.ctypes.data
-        and positives.ctypes.data == rows.ctypes.data + anchors.nbytes
-    ):
-        return rows
-    return np.concatenate([anchors, positives])
-
-
 def forward(
     params: encoder.EncoderParams,
-    anchors: np.ndarray,
-    positives: np.ndarray | None,
+    rows: np.ndarray,
+    batch_size: int,
     normalize: bool,
 ) -> Step:
-    """Stacked encoder pass over B x D_in anchors (and positives, or None),
-    row normalization of embeddings and prototypes inside the graph unless
+    """Encoder pass over ``rows`` as given (B = ``batch_size`` anchors, then
+    any positives row-aligned with them, as in ``Batch.rows``), row
+    normalization of embeddings and prototypes inside the graph unless
     ``normalize`` is off, and the anchor/prototype scores."""
-    batch_size = anchors.shape[0]
-    embeddings, cache = encoder.forward(params, _stacked(anchors, positives))
+    embeddings, cache = encoder.forward(params, rows)
     normalized, norms = _maybe_normalize(embeddings, normalize)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
     scores = normalized[:batch_size] @ protos.T
@@ -281,7 +241,7 @@ def forward(
 def backward(
     step: Step,
     codes: np.ndarray,
-    blocks: list[tuple[str, int, int]],
+    num_blocks: int,
     loss_config: losses.LossConfig,
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses and parameter gradients of a forward half, codes held fixed.
@@ -293,14 +253,15 @@ def backward(
     pulled back in place. Each code row is scaled to
     sum to 1 before the clustering loss, so the loss reads it as the
     frame's target distribution whatever its mass on the transport
-    polytope (the per-frame mean cross-entropy). The per-block coherence
-    term is on exactly when the forward half saw positives.
+    polytope (the per-frame mean cross-entropy). The coherence term, one
+    per video block weighted by its share of the batch, is on exactly when
+    the forward half saw positives.
 
     Args:
         step: The forward half.
         codes: B x K pseudo-label codes with positive row sums, treated
             as constants; only each row's proportions matter.
-        blocks: (video_id, start, length) spans of the anchors.
+        num_blocks: Equal video blocks the anchors split into, in order.
         loss_config: Temperature and alpha.
 
     Returns:
@@ -323,14 +284,15 @@ def backward(
     coherence = 0.0
     if normalized.shape[0] > batch_size:
         positive_rows = normalized[batch_size:]
-        for _, start, length in blocks:
-            weight = length / batch_size
+        length = batch_size // num_blocks
+        weight = length / batch_size
+        scale = loss_config.alpha * weight
+        for start in range(0, batch_size, length):
             piece, grad_anchor, grad_positive = losses.temporal_coherence(
                 anchor_rows[start : start + length],
                 positive_rows[start : start + length],
             )
             coherence += weight * piece
-            scale = loss_config.alpha * weight
             grad_anchor *= scale
             grad_normalized[start : start + length] += grad_anchor
             rows = slice(batch_size + start, batch_size + start + length)
@@ -390,7 +352,11 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
 
     ledger = MatrixLedger()
     records: list[TrainRecord] = []
-    priors: dict[int, np.ndarray] = {}
+    prior = None
+    if config.uses_prior:
+        prior = transport.temporal_prior(
+            block_len, catalog.num_actions, config.transport.sigma
+        )
 
     started = time.perf_counter()
     for iteration in range(iterations):
@@ -401,16 +367,20 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
             rng,
             window=config.loss.window,
         )
-        positives = batch.positive_features if config.uses_coherence else None
-        step = forward(params, batch.features, positives, config.normalize)
-        codes, row_err, col_err = solve_codes(step.scores, batch.blocks, config, priors)
-        clustering, coherence, grads = backward(step, codes, batch.blocks, config.loss)
+        rows = batch.rows if config.uses_coherence else batch.features
+        step = forward(params, rows, config.batch_size, config.normalize)
+        codes, row_err, col_err = solve_codes(
+            step.scores, config.videos_per_batch, config, prior
+        )
+        clustering, coherence, grads = backward(
+            step, codes, config.videos_per_batch, config.loss
+        )
         ledger.record("batch_features", batch.features)
         ledger.record("hidden", step.cache.hidden)
         ledger.record("embeddings", step.cache.outputs[: step.batch_size])
         ledger.record("scores", step.scores)
         ledger.record("codes", codes)
-        total = losses.total_loss(clustering, coherence, config.loss.alpha)
+        total = clustering + config.loss.alpha * coherence
         if not np.isfinite(total):
             raise NumericalError(
                 f"training diverged at iteration {iteration}: loss={total}"
@@ -466,7 +436,7 @@ def embed_dataset(
         for start in range(0, video.num_frames, chunk_size):
             stop = min(start + chunk_size, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
-            scores = forward(params, rows, None, normalize).scores
+            scores = forward(params, rows, len(rows), normalize).scores
             log_p, _ = log_softmax_rows(scores, temperature)
             pieces.append(np.maximum(log_p, log_floor, out=log_p))
         yield video.video_id, np.concatenate(pieces, axis=0)

@@ -593,6 +593,27 @@ class TestExitCodes:
         return argv, f"{path}: a directory, not a prediction file"
 
     @staticmethod
+    def prediction_dir_is_a_file(data, runs, tmp_path):
+        pred = tmp_path / "pred"
+        pred.write_text("0\n")
+        path = pred / "synthetic" / "video_000.txt"
+        return ["eval", data, "--pred", pred], f"missing prediction file: {path}"
+
+    @staticmethod
+    def features_entry_is_a_directory(data, runs, tmp_path):
+        path = data / "synthetic" / "features" / "extra.totf"
+        path.mkdir()
+        argv = ["train", data, "--iterations", "1"]
+        return argv, f"{path}: cannot read feature file: Is a directory"
+
+    @staticmethod
+    def features_entry_is_a_dangling_symlink(data, runs, tmp_path):
+        path = data / "synthetic" / "features" / "extra.totf"
+        path.symlink_to(tmp_path / "nowhere.totf")
+        argv = ["segment", data, "--checkpoints", runs]
+        return argv, f"{path}: cannot read feature file: No such file or directory"
+
+    @staticmethod
     def ground_truth_not_utf8(data, runs, tmp_path):
         argv = zero_predictions(data, tmp_path)
         truth = data / "synthetic" / "groundTruth" / "video_002.txt"
@@ -658,6 +679,9 @@ class TestExitCodes:
             checkpoint_with_trailing_bytes,
             prediction_not_utf8,
             prediction_is_a_directory,
+            prediction_dir_is_a_file,
+            features_entry_is_a_directory,
+            features_entry_is_a_dangling_symlink,
             ground_truth_not_utf8,
             mapping_not_utf8,
             mapping_id_with_two_signs,

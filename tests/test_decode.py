@@ -39,7 +39,8 @@ class TestLogProbabilities:
         )
         params = encoder.init_params(8, 12, 6, 3, np.random.default_rng(4))
         [(_, lattice)] = embed_dataset(params, catalog, temperature=temperature)
-        scores = forward(params, catalog.videos[0].load_features(), None, True).scores
+        video = catalog.videos[0]
+        scores = forward(params, video.load_features(), video.num_frames, True).scores
         return lattice, log_softmax_rows(scores, temperature)[0]
 
     def test_exact_above_the_floor(self):

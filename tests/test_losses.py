@@ -10,7 +10,6 @@ from totseg.losses import (
     LossConfig,
     cross_entropy,
     temporal_coherence,
-    total_loss,
 )
 from totseg.numerics import log_softmax_rows
 
@@ -224,18 +223,6 @@ class TestOneBufferKernel:
         temporal_coherence(z, m)
         for x, before in zip(inputs, copies):
             np.testing.assert_array_equal(x, before)
-
-
-class TestTotalLoss:
-    def test_zero_alpha_drops_coherence(self):
-        assert total_loss(1.5, 99.0, 0.0) == 1.5
-
-    def test_weighted_sum(self):
-        assert total_loss(2.0, 3.0, 0.5) == pytest.approx(3.5)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="alpha"):
-            total_loss(1.0, 1.0, -0.1)
 
 
 class TestLossConfig:

@@ -115,6 +115,15 @@ class TestSamplePositiveArray:
             sample_positive(np.array([3, 12, -1]), 5, 10, np.random.default_rng(0))
 
 
+def block_spans(batch):
+    """(video_id, row slice) of each video block of ``batch``, in row order."""
+    length = len(batch.positions) // len(batch.video_ids)
+    return [
+        (video_id, slice(i * length, (i + 1) * length))
+        for i, video_id in enumerate(batch.video_ids)
+    ]
+
+
 class TestBuildBatch:
     def pool(self, lengths, dim=3):
         return [
@@ -125,19 +134,23 @@ class TestBuildBatch:
     def test_two_blocks_cover_the_batch(self):
         videos = self.pool([300, 280, 400])
         batch = build_batch(videos, 2, 512, np.random.default_rng(8))
+        assert batch.rows.shape == (1024, 3)
         assert batch.features.shape == batch.positive_features.shape == (512, 3)
-        assert len(batch.blocks) == 2
-        assert [b[1] for b in batch.blocks] == [0, 256]
-        assert [b[2] for b in batch.blocks] == [256, 256]
-        assert batch.blocks[0][0] != batch.blocks[1][0]
+        assert batch.positions.shape == batch.positive_positions.shape == (512,)
+        assert len(batch.video_ids) == 2
+        assert batch.video_ids[0] != batch.video_ids[1]
+        # Anchors and positives are read-only views of the rows' two halves.
+        for half, start in ((batch.features, 0), (batch.positive_features, 512)):
+            assert np.shares_memory(half, batch.rows)
+            np.testing.assert_array_equal(half, batch.rows[start : start + 512])
+            assert not half.flags.writeable
 
     def test_rows_match_source_frames(self):
         videos = self.pool([40, 50, 60])
         by_id = {v.video_id: v for v in videos}
         batch = build_batch(videos, 2, 32, np.random.default_rng(9), window=5)
-        for video_id, start, length in batch.blocks:
+        for video_id, rows in block_spans(batch):
             video = by_id[video_id]
-            rows = slice(start, start + length)
             np.testing.assert_array_equal(
                 batch.features[rows], video.array[batch.positions[rows]]
             )
@@ -151,8 +164,8 @@ class TestBuildBatch:
         rng = np.random.default_rng(10)
         for _ in range(100):
             batch = build_batch(videos, 2, 64, rng)
-            for _, start, length in batch.blocks:
-                seq = batch.positions[start : start + length]
+            for _, rows in block_spans(batch):
+                seq = batch.positions[rows]
                 assert np.all(np.diff(seq) > 0)
 
     def test_positives_stay_within_the_window(self):
@@ -161,16 +174,17 @@ class TestBuildBatch:
         for _ in range(20):
             batch = build_batch(videos, 2, 40, rng, window=7)
             assert np.all(np.abs(batch.positive_positions - batch.positions) <= 7)
-            for video_id, start, length in batch.blocks:
+            for video_id, rows in block_spans(batch):
                 video = next(v for v in videos if v.video_id == video_id)
-                mates = batch.positive_positions[start : start + length]
+                mates = batch.positive_positions[rows]
                 assert mates.min() >= 0
                 assert mates.max() < video.num_frames
 
     def test_single_video_batch(self):
         videos = self.pool([128])
         batch = build_batch(videos, 1, 128, np.random.default_rng(12))
-        assert batch.blocks == [("v0", 0, 128)]
+        assert batch.video_ids == ["v0"]
+        assert batch.positions.shape == (128,)
 
     def test_non_finite_row_names_the_file_and_frame(self, tmp_path):
         values = np.zeros((16, 3))
@@ -187,9 +201,8 @@ class TestBuildBatch:
         videos = self.pool([80, 90, 100])
         a = build_batch(videos, 2, 48, np.random.default_rng(13))
         b = build_batch(videos, 2, 48, np.random.default_rng(13))
-        assert a.blocks == b.blocks
-        np.testing.assert_array_equal(a.features, b.features)
-        np.testing.assert_array_equal(a.positive_features, b.positive_features)
+        assert a.video_ids == b.video_ids
+        np.testing.assert_array_equal(a.rows, b.rows)
         np.testing.assert_array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.positive_positions, b.positive_positions)
 
@@ -219,10 +232,8 @@ class TestBuildBatch:
         want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6)
         reads.clear()
         got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6)
-        assert reads == [video_id for video_id, _, _ in got.blocks]
-        assert got.blocks == want.blocks
-        np.testing.assert_array_equal(got.features, want.features)
-        np.testing.assert_array_equal(got.positive_features, want.positive_features)
+        assert reads == got.video_ids == want.video_ids
+        np.testing.assert_array_equal(got.rows, want.rows)
         np.testing.assert_array_equal(got.positions, want.positions)
         np.testing.assert_array_equal(got.positive_positions, want.positive_positions)
 

@@ -134,8 +134,8 @@ class TestSolveCodes:
         rng = np.random.default_rng(0)
         scores = rng.uniform(-1, 1, size=(8, 3))
         config = self.config()
-        codes, row_err, col_err = solve_codes(scores, [("v", 0, 8)], config)
         prior = transport.temporal_prior(8, 3, config.transport.sigma)
+        codes, row_err, col_err = solve_codes(scores, 1, config, prior)
         direct = transport.sinkhorn_tot(scores, prior, config.transport.rho)
         np.testing.assert_array_equal(codes, direct.values)
         assert row_err == direct.row_error
@@ -144,34 +144,33 @@ class TestSolveCodes:
     def test_blocks_assemble_onto_the_batch_polytope(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(-1, 1, size=(12, 3))
-        blocks = [("a", 0, 6), ("b", 6, 6)]
         config = self.config(tolerance=1e-12, iterations=100000)
-        codes, row_err, col_err = solve_codes(scores, blocks, config)
+        prior = transport.temporal_prior(6, 3, config.transport.sigma)
+        codes, row_err, col_err = solve_codes(scores, 2, config, prior)
         np.testing.assert_allclose(codes.sum(axis=1), 1.0 / 12.0, atol=1e-12)
         np.testing.assert_allclose(codes.sum(axis=0), 1.0 / 3.0, atol=1e-12)
         assert row_err < 1e-11
         assert col_err < 1e-11
 
     def test_blocks_are_independent_scaled_solves(self):
-        # Blocks a and c share a length and are solved as one stack; b alone.
+        # Three blocks of 5 rows, solved as one stack: each equals its own solve.
         rng = np.random.default_rng(2)
-        scores = rng.uniform(-1, 1, size=(14, 4))
-        blocks = [("a", 0, 4), ("b", 4, 6), ("c", 10, 4)]
+        scores = rng.uniform(-1, 1, size=(15, 4))
         cases = [("tot", 0.0, 3), ("tot", 1e-9, 500), ("ot", 1e-9, 500)]
         for mode, tolerance, iterations in cases:
             config = self.config(mode=mode, tolerance=tolerance, iterations=iterations)
             cfg = config.transport
-            codes, row_err, col_err = solve_codes(scores, blocks, config)
+            prior = transport.temporal_prior(5, 4, cfg.sigma)
+            codes, row_err, col_err = solve_codes(scores, 3, config, prior)
             errors = []
-            for _, start, length in blocks:
-                block = scores[start : start + length]
+            for start in range(0, 15, 5):
+                block = scores[start : start + 5]
                 if mode == "tot":
-                    prior = transport.temporal_prior(length, 4, cfg.sigma)
                     part = transport.sinkhorn_tot(block, prior, cfg.rho, iterations, tolerance)
                 else:
                     part = transport.sinkhorn_ot(block, cfg.epsilon, iterations, tolerance)
                 np.testing.assert_array_equal(
-                    codes[start : start + length], part.values * (length / 14)
+                    codes[start : start + 5], part.values * (5 / 15)
                 )
                 errors.append((part.row_error, part.col_error))
             assert row_err == max(row for row, _ in errors)
@@ -184,26 +183,30 @@ class TestSolveCodes:
         stacks = []
 
         def spy(scores, *args, **kwargs):
-            stacks.append(np.shape(scores))
+            stacks.append(scores)
             return real(scores, *args, **kwargs)
 
         monkeypatch.setattr(transport, name, spy)
-        scores = np.random.default_rng(5).uniform(-1, 1, size=(20, 3))
-        blocks = [("a", 0, 4), ("b", 4, 6), ("c", 10, 4), ("d", 14, 6)]
-        solve_codes(scores, blocks, self.config(mode=mode))
-        assert sorted(stacks) == [(2, 4, 3), (2, 6, 3)]
+        scores = np.random.default_rng(5).uniform(-1, 1, size=(12, 3))
+        config = self.config(mode=mode)
+        prior = transport.temporal_prior(4, 3, config.transport.sigma)
+        solve_codes(scores, 3, config, prior)
+        [stack] = stacks
+        assert stack.shape == (3, 4, 3)
+        assert np.shares_memory(stack, scores)
 
         stacks.clear()
         config = small_config(mode=mode, iterations=5)
         train(small_catalog(), config)
         block = config.batch_size // config.videos_per_batch
-        assert stacks == [(config.videos_per_batch, block, 3)] * 5
+        shapes = [stack.shape for stack in stacks]
+        assert shapes == [(config.videos_per_batch, block, 3)] * 5
 
     def test_ot_mode_ignores_the_prior(self):
         rng = np.random.default_rng(4)
         scores = rng.uniform(-1, 1, size=(8, 3))
         config = self.config(mode="ot")
-        codes, _, _ = solve_codes(scores, [("v", 0, 8)], config)
+        codes, _, _ = solve_codes(scores, 1, config)
         direct = transport.sinkhorn_ot(scores, config.transport.epsilon)
         np.testing.assert_array_equal(codes, direct.values)
 
@@ -222,10 +225,11 @@ class TestSolveCodes:
         assert built == [(block, 3, config.transport.sigma)]
 
 
-def step_losses(params, anchors, positives, codes, blocks, loss_config, normalize=True):
-    """Both halves of a training step with the codes held fixed."""
-    step = forward(params, anchors, positives, normalize)
-    return backward(step, codes, blocks, loss_config)
+def step_losses(params, anchors, positives, codes, loss_config, normalize=True):
+    """Both halves of a training step over two video blocks, codes held fixed."""
+    rows = anchors if positives is None else np.concatenate([anchors, positives])
+    step = forward(params, rows, len(anchors), normalize)
+    return backward(step, codes, 2, loss_config)
 
 
 class TestLossAndGrads:
@@ -235,21 +239,20 @@ class TestLossAndGrads:
         anchors = rng.normal(size=(batch, 4))
         positives = rng.normal(size=(batch, 4))
         codes = rng.dirichlet(np.ones(clusters), size=batch) / batch
-        blocks = [("a", 0, batch // 2), ("b", batch // 2, batch // 2)]
-        return params, anchors, positives, codes, blocks
+        return params, anchors, positives, codes
 
     def check_gradients(self, positives, normalize, alpha=0.7):
-        params, anchors, pos, codes, blocks = self.setup_problem()
+        params, anchors, pos, codes = self.setup_problem()
         positives = pos if positives else None
         loss_config = LossConfig(temperature=0.2, alpha=alpha, window=5)
         clustering, coherence, grads = step_losses(
-            params, anchors, positives, codes, blocks, loss_config, normalize
+            params, anchors, positives, codes, loss_config, normalize
         )
 
         def objective(key, value):
             trial = encoder.EncoderParams(**{**params.as_dict(), key: value})
             c, t, _ = step_losses(
-                trial, anchors, positives, codes, blocks, loss_config, normalize
+                trial, anchors, positives, codes, loss_config, normalize
             )
             return c + alpha * t
 
@@ -275,15 +278,13 @@ class TestLossAndGrads:
         self.check_gradients(positives=True, normalize=False)
 
     def test_zero_alpha_still_returns_coherence_value(self):
-        params, anchors, positives, codes, blocks = self.setup_problem()
+        params, anchors, positives, codes = self.setup_problem()
         loss_config = LossConfig(alpha=0.0)
         _, coherence, grads_zero = step_losses(
-            params, anchors, positives, codes, blocks, loss_config
+            params, anchors, positives, codes, loss_config
         )
         assert coherence > 0.0
-        _, _, grads_without = step_losses(
-            params, anchors, None, codes, blocks, loss_config
-        )
+        _, _, grads_without = step_losses(params, anchors, None, codes, loss_config)
         for key in encoder.PARAM_KEYS:
             np.testing.assert_allclose(
                 grads_zero[key], grads_without[key], atol=1e-15
@@ -293,13 +294,13 @@ class TestLossAndGrads:
         # Only each code row's proportions matter: positive row factors
         # change neither the loss nor any gradient, and against unit-sum
         # rows the loss is the mean over frames of -sum_j q_ij log p_ij.
-        params, anchors, _, codes, blocks = self.setup_problem()
+        params, anchors, _, codes = self.setup_problem()
         loss_config = LossConfig(temperature=0.2)
         unit = codes / codes.sum(axis=1, keepdims=True)
         factors = np.random.default_rng(6).uniform(0.01, 100.0, size=(8, 1))
-        loss, _, grads = step_losses(params, anchors, None, unit, blocks, loss_config)
+        loss, _, grads = step_losses(params, anchors, None, unit, loss_config)
         scaled_loss, _, scaled_grads = step_losses(
-            params, anchors, None, unit * factors, blocks, loss_config
+            params, anchors, None, unit * factors, loss_config
         )
         assert scaled_loss == pytest.approx(loss, rel=1e-12)
         for key in encoder.PARAM_KEYS:
@@ -311,7 +312,9 @@ class TestLossAndGrads:
         assert loss == pytest.approx(-(unit * log_p).sum(axis=1).mean(), rel=1e-12)
 
 
-def allocating_step(params, anchors, positives, codes, blocks, loss_config, normalize):
+def allocating_step(
+    params, anchors, positives, codes, num_blocks, loss_config, normalize
+):
     """A training step as one fresh array per expression: the stacked copy,
     zero-filled gradient rows, scaled copies of the coherence gradients and
     the allocating oracles of the encoder and normalization kernels.
@@ -337,7 +340,8 @@ def allocating_step(params, anchors, positives, codes, blocks, loss_config, norm
     grad_protos = grad_scores.T @ anchor_rows
     coherence = 0.0
     if positives is not None:
-        for _, start, length in blocks:
+        length = batch_size // num_blocks
+        for start in range(0, batch_size, length):
             anchor_span = slice(start, start + length)
             positive_span = slice(batch_size + start, batch_size + start + length)
             piece, grad_anchor, grad_positive = losses.temporal_coherence(
@@ -362,16 +366,14 @@ def allocating_step(params, anchors, positives, codes, blocks, loss_config, norm
     return scores, clustering, coherence, grads
 
 
-def step_problem(seed, batch, dims=(64, 60, 30, 5), blocks=2):
-    """Parameters, 2B rows read as ``build_batch`` lays them out, codes and blocks."""
+def step_problem(seed, batch, dims=(64, 60, 30, 5)):
+    """Parameters, 2B rows laid out as ``Batch.rows`` and codes."""
     rng = np.random.default_rng(seed)
     d_in, hidden, embed, clusters = dims
     params = encoder.init_params(d_in, hidden, embed, clusters, rng)
     rows = rng.normal(size=(2 * batch, d_in))
     codes = rng.dirichlet(np.ones(clusters), size=batch) / batch
-    length = batch // blocks
-    spans = [(f"v{i}", i * length, length) for i in range(blocks)]
-    return params, rows, codes, spans
+    return params, rows, codes
 
 
 class TestStepMatchesTheAllocatingStep:
@@ -382,21 +384,20 @@ class TestStepMatchesTheAllocatingStep:
     @pytest.mark.parametrize("with_positives", [True, False])
     @pytest.mark.parametrize("batch", [12, 512])
     def test_losses_and_gradients_bit_for_bit(self, normalize, with_positives, batch):
-        params, rows, codes, blocks = step_problem(batch, batch)
+        params, rows, codes = step_problem(batch, batch)
         loss_config = LossConfig(temperature=0.1, alpha=0.7)
         anchors = rows[:batch]
-        layouts = [rows[batch:], rows[batch:].copy()] if with_positives else [None]
-        for positives in layouts:
-            scores, clustering, coherence, want = allocating_step(
-                params, anchors, positives, codes, blocks, loss_config, normalize
-            )
-            step = forward(params, anchors, positives, normalize)
-            got_clustering, got_coherence, got = backward(step, codes, blocks, loss_config)
-            np.testing.assert_array_equal(step.scores, scores)
-            assert (got_clustering, got_coherence) == (clustering, coherence)
-            assert sorted(got) == sorted(want)
-            for key, grad in want.items():
-                np.testing.assert_array_equal(got[key], grad, err_msg=key)
+        positives = rows[batch:] if with_positives else None
+        scores, clustering, coherence, want = allocating_step(
+            params, anchors, positives, codes, 2, loss_config, normalize
+        )
+        step = forward(params, rows if with_positives else anchors, batch, normalize)
+        got_clustering, got_coherence, got = backward(step, codes, 2, loss_config)
+        np.testing.assert_array_equal(step.scores, scores)
+        assert (got_clustering, got_coherence) == (clustering, coherence)
+        assert sorted(got) == sorted(want)
+        for key, grad in want.items():
+            np.testing.assert_array_equal(got[key], grad, err_msg=key)
 
 
 class TestStepOwnership:
@@ -409,11 +410,11 @@ class TestStepOwnership:
         rng = np.random.default_rng(3)
         batch = build_batch(catalog.videos, 2, 32, rng, window=10)
         params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
-        step = forward(params, batch.features, batch.positive_features, True)
-        codes, _, _ = solve_codes(step.scores, batch.blocks, config)
+        step = forward(params, batch.rows, 32, True)
+        prior = transport.temporal_prior(16, 3, config.transport.sigma)
+        codes, _, _ = solve_codes(step.scores, 2, config, prior)
         watched = {
-            "features": batch.features,
-            "positive_features": batch.positive_features,
+            "rows": batch.rows,
             "positions": batch.positions,
             "positive_positions": batch.positive_positions,
             "inputs": step.cache.inputs,
@@ -426,8 +427,8 @@ class TestStepOwnership:
             "codes": codes,
         }
         kept = {name: array.copy() for name, array in watched.items()}
-        first = backward(step, codes, batch.blocks, config.loss)
-        second = backward(step, codes, batch.blocks, config.loss)
+        first = backward(step, codes, 2, config.loss)
+        second = backward(step, codes, 2, config.loss)
         for name, array in watched.items():
             np.testing.assert_array_equal(array, kept[name], err_msg=name)
         assert first[:2] == second[:2]
@@ -439,21 +440,9 @@ class TestStepOwnership:
         rng = np.random.default_rng(4)
         batch = build_batch(catalog.videos, 2, 32, rng, window=10)
         params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
-        inputs = forward(params, batch.features, batch.positive_features, True).cache.inputs
-        assert np.shares_memory(inputs, batch.features)
-        assert np.shares_memory(inputs, batch.positive_features)
-        np.testing.assert_array_equal(
-            inputs, np.concatenate([batch.features, batch.positive_features])
-        )
-        # Rows that are not one array's two halves are copied, in order.
-        for anchors, positives in (
-            (batch.features.copy(), batch.positive_features.copy()),
-            (batch.positive_features, batch.features),
-            (batch.features, batch.features),
-        ):
-            inputs = forward(params, anchors, positives, True).cache.inputs
-            assert not np.shares_memory(inputs, anchors)
-            np.testing.assert_array_equal(inputs, np.concatenate([anchors, positives]))
+        inputs = forward(params, batch.rows, 32, True).cache.inputs
+        assert np.shares_memory(inputs, batch.rows)
+        np.testing.assert_array_equal(inputs, batch.rows)
 
 
 class TestStepAllocations:
@@ -465,17 +454,17 @@ class TestStepAllocations:
         # hidden layer's gradient. The peak of traced allocation stays under
         # their sum (1232 KiB here).
         batch, embed, hidden, length = 512, 30, 60, 256
-        params, rows, codes, blocks = step_problem(21, batch, dims=(64, hidden, embed, 5))
-        step = forward(params, rows[:batch], rows[batch:], True)
+        params, rows, codes = step_problem(21, batch, dims=(64, hidden, embed, 5))
+        step = forward(params, rows, batch, True)
         loss_config = LossConfig()
-        backward(step, codes, blocks, loss_config)  # steady state: a second call
+        backward(step, codes, 2, loss_config)  # steady state: a second call
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            backward(step, codes, blocks, loss_config)
+            backward(step, codes, 2, loss_config)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if not was_tracing:
@@ -521,9 +510,9 @@ class TestTrainRunsTheOracleStep:
         train(small_catalog(), config)
 
         batch = seen["batch"]
-        positives = batch.positive_features if config.uses_coherence else None
-        step = forward(seen["params"], batch.features, positives, config.normalize)
-        _, _, want = backward(step, seen["codes"], batch.blocks, config.loss)
+        rows = batch.rows if config.uses_coherence else batch.features
+        step = forward(seen["params"], rows, config.batch_size, config.normalize)
+        _, _, want = backward(step, seen["codes"], config.videos_per_batch, config.loss)
         assert sorted(seen["grads"]) == sorted(want)
         for key, grad in want.items():
             np.testing.assert_array_equal(seen["grads"][key], grad)
@@ -552,6 +541,14 @@ class TestTrain:
             assert int(fields[0]) == record.iteration
             assert float(fields[1]) == pytest.approx(record.clustering_loss, abs=1e-6)
             assert float(fields[3]) == pytest.approx(record.total_loss, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_total_loss_weighs_coherence(self, alpha):
+        config = small_config(mode="tot+tcl", loss=LossConfig(alpha=alpha, window=10))
+        for record in train(small_catalog(), config).records:
+            assert record.coherence_loss > 0.0
+            weighted = record.clustering_loss + alpha * record.coherence_loss
+            assert record.total_loss == weighted
 
     def test_ot_mode_never_touches_sigma(self):
         catalog = small_catalog()
@@ -725,7 +722,8 @@ class TestEmbedDataset:
         # rounding, and decodes to the same labels.
         catalog, params = self.trained()
         for video, (_, lattice) in zip(catalog.videos, embed_dataset(params, catalog)):
-            scores = forward(params, video.load_features(), None, True).scores
+            features = video.load_features()
+            scores = forward(params, features, len(features), True).scores
             probs = log_softmax_rows(scores, 0.1)[1]
             old = np.log(np.maximum(probs, decode.PROBABILITY_FLOOR))
             np.testing.assert_allclose(lattice, old, rtol=0, atol=1e-13)

@@ -445,7 +445,7 @@ def _assert_stack_equals_blocks(stacked, alone):
 
 @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
 def test_solves_follow_the_one_block_algorithm_exactly(tolerance):
-    # Sharp and smooth kernels, priors with zeros, Newton steps that
+    # Sharp and smooth kernels, prior entries of zero, Newton steps that
     # backtrack (problem 83 of seed 1) or fail (problem 68 of seed 6): the
     # stacked solver on a matrix takes the one-block algorithm's iterates.
     drawn = []
@@ -494,8 +494,8 @@ class TestStacks:
         uneven = 0
         for index, problems in enumerate(stacks):
             scores = np.stack([s for s, _ in problems])
-            priors = np.stack([p for _, p in problems])
-            stacked = _solve_weighted(index, scores, priors, budget, tolerance)
+            prior_stack = np.stack([p for _, p in problems])
+            stacked = _solve_weighted(index, scores, prior_stack, budget, tolerance)
             alone = [_solve_weighted(index, s, p, budget, tolerance) for s, p in problems]
             _assert_stack_equals_blocks(stacked, alone)
             uneven += len({(a.sweeps, a.newton_steps) for a in alone}) > 1
@@ -530,9 +530,9 @@ class TestStacks:
         drawn = [_random_transport_problem(rng) for _ in range(476)]
         problems = [drawn[i] for i in (83, 292, 297, 475)]
         scores = np.stack([s / reg for s, reg, _ in problems])
-        priors = np.stack([prior for _, _, prior in problems])
-        stacked = sinkhorn_tot(scores, priors, 1.0, 500, 1e-9)
-        alone = [sinkhorn_tot(s, p, 1.0, 500, 1e-9) for s, p in zip(scores, priors)]
+        prior_stack = np.stack([prior for _, _, prior in problems])
+        stacked = sinkhorn_tot(scores, prior_stack, 1.0, 500, 1e-9)
+        alone = [sinkhorn_tot(s, p, 1.0, 500, 1e-9) for s, p in zip(scores, prior_stack)]
         _assert_stack_equals_blocks(stacked, alone)
         assert [a.newton_steps for a in alone] == [5, 4, 0, 0]
 
@@ -544,10 +544,10 @@ class TestStacks:
         blocked = np.zeros((6, 3))
         blocked[:3, :2] = blocked[3:, 2] = 1.0
         full = temporal_prior(6, 3, 1.0)
-        priors = np.stack([full, blocked, full])
+        prior_stack = np.stack([full, blocked, full])
         scores = np.random.default_rng(8).uniform(-1.0, 1.0, size=(3, 6, 3))
-        stacked = sinkhorn_tot(scores, priors, 0.1, 50, 1e-9)
-        alone = [sinkhorn_tot(s, p, 0.1, 50, 1e-9) for s, p in zip(scores, priors)]
+        stacked = sinkhorn_tot(scores, prior_stack, 0.1, 50, 1e-9)
+        alone = [sinkhorn_tot(s, p, 0.1, 50, 1e-9) for s, p in zip(scores, prior_stack)]
         _assert_stack_equals_blocks(stacked, alone)
         assert alone[1].newton_steps == 0 and alone[1].sweeps == 50
         assert alone[0].newton_steps > 0 and alone[2].newton_steps > 0
