@@ -20,14 +20,15 @@ prediction file that is not UTF-8 text, and a directory where a
 prediction file should be, and an ``eval --exclude-background`` id that
 is not an action id of the activity's ``mapping.txt`` (the line names the
 id and the activity). An ``--activity`` list that names no activity
-is a usage error, and so is a negative ``--seed`` (``synth`` or
-``train``), an output path that cannot be created because a file is in
-the way (``--out``, or ``synth``'s OUT, naming a file or a
-path under one), or an output file path that names a directory
-(``train.log``, the checkpoint, a label or timeline file, the ``eval
---out`` report), or a blocked path inside the dataset ``synth`` writes (a
-file where ``features/`` goes, a directory where ``mapping.txt`` or a
-ground-truth file goes). A non-finite feature value that ``train`` or
+is a usage error, and so is a ``synth --activity`` name that is empty,
+``.`` or ``..``, or holds ``/`` or ``,`` (no other command could select
+it), a negative ``--seed`` (``synth`` or ``train``), an output path that
+cannot be created because a file is in the way (``--out``, or
+``synth``'s OUT, naming a file or a path under one), or an output file
+path that names a directory (``train.log``, the checkpoint, a label or
+timeline file, the ``eval --out`` report), or a blocked path inside the
+dataset ``synth`` writes (a file where ``features/`` goes, a directory
+where ``mapping.txt`` or a ground-truth file goes). A non-finite feature value that ``train`` or
 ``segment`` reads is a data error naming the feature file and frame, and
 so is one that ``synth`` would write but float32 cannot hold (it names the
 video and frame). ``train`` writes ``train.log`` and the checkpoint only
@@ -183,8 +184,15 @@ def _synthetic_spec(values: dict[str, Any]) -> dataio.SyntheticSpec:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.SYNTH_OPTIONS)
+    activity = values["activity"]
+    # The one directory under OUT that the other commands' --activity selects.
+    if activity in ("", ".", "..") or "/" in activity or "," in activity:
+        raise UsageError(
+            f"--activity {activity!r} is not an activity name: it must be "
+            "non-empty, not '.' or '..', and hold no '/' or ','"
+        )
     catalog = dataio.generate_synthetic(_synthetic_spec(values))
-    catalog.activity = values["activity"]
+    catalog.activity = activity
     _output_dir(Path(args.out) / catalog.activity)
     try:
         base = dataio.write_catalog(catalog, args.out)
@@ -273,8 +281,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.SEGMENT_OPTIONS)
-    if values["chunk-size"] < 1:
-        raise UsageError(f"chunk-size must be >= 1, got {values['chunk-size']}")
     root = Path(args.data)
     if not root.is_dir():
         raise UsageError(f"dataset path does not exist: {root}")
@@ -308,7 +314,6 @@ def cmd_segment(args: argparse.Namespace) -> int:
                     params,
                     catalog,
                     temperature=meta["temperature"],
-                    chunk_size=values["chunk-size"],
                     normalize=meta["normalized"],
                 ):
                     try:

@@ -84,7 +84,6 @@ SEGMENT_OPTIONS = (
     Option("activity", "str", None, "comma-separated activities, default all"),
     Option("out", "str", "segments", "output directory for label files"),
     Option("timeline", "bool", False, "also write cluster,start,end timelines"),
-    Option("chunk-size", "int", 4096, "frames encoded per chunk"),
 )
 
 EVAL_OPTIONS = (

@@ -22,29 +22,22 @@ class Batch:
 
     Attributes:
         rows: 2B x dim read-only feature rows: the B anchors, one block of
-            B / len(video_ids) rows per video in order, then the B
-            positives, row-aligned with the anchors. The encoder embeds
-            them in one pass as they are.
-        video_ids: Source video of each block, in row order.
-        positions: source frame index of each anchor, strictly increasing
-            within each block.
-        positive_positions: source frame index of each positive.
+            consecutive rows per video, each block in increasing frame
+            order, then the B positives, row-aligned with the anchors. The
+            encoder embeds them in one pass as they are.
     """
 
     rows: np.ndarray
-    video_ids: list[str]
-    positions: np.ndarray
-    positive_positions: np.ndarray
 
     @property
     def features(self) -> np.ndarray:
         """B x dim anchor rows: the top half of ``rows``."""
-        return self.rows[: len(self.positions)]
+        return self.rows[: len(self.rows) // 2]
 
     @property
     def positive_features(self) -> np.ndarray:
         """B x dim positive rows: the bottom half of ``rows``."""
-        return self.rows[len(self.positions) :]
+        return self.rows[len(self.rows) // 2 :]
 
 
 def sample_ordered(num_frames: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -82,6 +75,9 @@ def sample_positive(anchor, window: int, num_frames: int, rng: np.random.Generat
     if outside.any():
         bad = int(anchors[outside].flat[0])
         raise ValueError(f"anchor {bad} outside video of {num_frames} frames")
+    # A window past the video's length draws as the whole video does; clamped
+    # first, anchors +- window cannot leave int64.
+    window = min(window, num_frames)
     lo = np.maximum(0, anchors - window)
     hi = np.minimum(num_frames - 1, anchors + window)
     draws = rng.integers(lo, hi + 1)
@@ -139,23 +135,15 @@ def build_batch(
         )
 
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
-    positions = np.empty(batch_size, dtype=np.int64)
-    positive_positions = np.empty(batch_size, dtype=np.int64)
-    video_ids = []
     reads = []
-    row = 0
     for idx in chosen:
         video = videos[int(idx)]
         anchors = sample_ordered(video.num_frames, block_len, rng)
         mates = sample_positive(anchors, window, video.num_frames, rng)
         # Positives lie near their anchors, on the same pages: read both at once.
         reads.append(video.load_feature_rows(np.concatenate([anchors, mates])))
-        positions[row : row + block_len] = anchors
-        positive_positions[row : row + block_len] = mates
-        video_ids.append(video.video_id)
-        row += block_len
     rows = np.concatenate(
         [read[:block_len] for read in reads] + [read[block_len:] for read in reads]
     )
     rows.flags.writeable = False
-    return Batch(rows, video_ids, positions, positive_positions)
+    return Batch(rows)

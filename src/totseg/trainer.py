@@ -36,6 +36,9 @@ MODES = ("ot", "ot+tcl", "tot", "tot+tcl")
 
 LOG_HEADER = "iter,L_CE,L_TC,L,row_err,col_err"
 
+# Frames ``embed_dataset`` encodes at once: bounds segmentation's peak memory.
+_CHUNK_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -64,10 +67,8 @@ class TrainConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.mode.lower() not in MODES:
+        if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode != self.mode.lower():
-            object.__setattr__(self, "mode", self.mode.lower())
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.iterations is not None and self.iterations < 1:
@@ -158,8 +159,10 @@ def solve_codes(
     L = B / num_blocks rows of ``scores`` is solved on its own
     equal-partition polytope. The blocks go to the solver as one
     n x L x K view of ``scores``, solved in lockstep; each comes back
-    exactly as it would alone. Block solutions are scaled by L / B so the
-    batch matrix again has rows summing to 1/B and columns to 1/K.
+    exactly as it would alone. The codes are the block solutions as solved,
+    each on its own polytope (rows summing to 1/L, columns to 1/K, to the
+    reported errors): ``backward`` reads each code row as a distribution,
+    so only a row's proportions matter.
 
     Args:
         prior: The L x K temporal prior (``transport.temporal_prior``);
@@ -187,8 +190,7 @@ def solve_codes(
             iterations=cfg.iterations,
             tolerance=cfg.marginal_tolerance,
         )
-    codes = solved.values.reshape(total, clusters) * (length / total)
-    return codes, solved.row_error, solved.col_error
+    return solved.values.reshape(total, clusters), solved.row_error, solved.col_error
 
 
 def _maybe_normalize(matrix: np.ndarray, normalize: bool):
@@ -411,30 +413,27 @@ def embed_dataset(
     params: encoder.EncoderParams,
     catalog: DatasetCatalog,
     temperature: float = 0.1,
-    chunk_size: int = 4096,
     normalize: bool = True,
 ) -> Iterator[tuple[str, np.ndarray]]:
     """Per-frame cluster log-probabilities, one video at a time: the
     lattice ``decode.viterbi_fixed_order`` takes.
 
     Videos are processed independently and frames within a video in
-    chunks, so peak memory follows the longest single video, never the
-    dataset.  `normalize` must match the setting the checkpoint was
-    trained with, otherwise scores live on a different scale than the
-    prototypes expect. Each chunk's ``log_softmax_rows`` is floored in
+    chunks of ``_CHUNK_SIZE``, so peak memory follows the longest single
+    video, never the dataset. `normalize` must match the setting the
+    checkpoint was trained with, otherwise scores live on a different
+    scale than the prototypes expect. Each chunk's ``log_softmax_rows`` is floored in
     place at log(decode.PROBABILITY_FLOOR), so the lattice is finite
     wherever the scores are.
 
     Yields:
         (video_id, F x K floored log-probabilities) per video, catalog order.
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     log_floor = np.log(decode.PROBABILITY_FLOOR)
     for video in catalog.videos:
         pieces = []
-        for start in range(0, video.num_frames, chunk_size):
-            stop = min(start + chunk_size, video.num_frames)
+        for start in range(0, video.num_frames, _CHUNK_SIZE):
+            stop = min(start + _CHUNK_SIZE, video.num_frames)
             rows = video.load_feature_rows(np.arange(start, stop))
             scores = forward(params, rows, len(rows), normalize).scores
             log_p, _ = log_softmax_rows(scores, temperature)

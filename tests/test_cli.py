@@ -151,6 +151,20 @@ class TestPipeline:
         assert log_lines[0] == "iter,L_CE,L_TC,L,row_err,col_err"
         assert len(log_lines) == 1 + 30
 
+    @pytest.mark.parametrize("window", [10**20, 2**63 - 1])
+    def test_lambda_past_every_video_trains_as_a_video_long_window(
+        self, dataset, tmp_path, capsys, window
+    ):
+        # Synth's videos are about 60 frames, so --lambda 1000000 already
+        # draws positives from the whole video.
+        logs = []
+        for name, value in (("huge", window), ("long", 10**6)):
+            out = tmp_path / name
+            assert run(*train_args(dataset, out, **{"lambda": value})) == 0
+            logs.append((out / "synthetic" / "train.log").read_bytes())
+        capsys.readouterr()
+        assert logs[0] == logs[1]
+
     def test_segment_writes_one_monotone_labeling_per_video(
         self, trained, tmp_path, capsys
     ):
@@ -206,7 +220,7 @@ class TestPipeline:
     def test_label_file_holds_one_line_per_decoded_frame(
         self, tmp_path, capsys, monkeypatch, k, tiny_video, chunk
     ):
-        from totseg import decode, encoder
+        from totseg import decode, encoder, trainer
         from totseg.dataio import load_catalog
 
         data, runs, seg = tmp_path / "data", tmp_path / "runs", tmp_path / "seg"
@@ -225,8 +239,8 @@ class TestPipeline:
             return decoded[-1]
 
         monkeypatch.setattr(decode, "viterbi_fixed_order", recording_viterbi)
-        argv = ["segment", data, "--checkpoints", runs, "--out", seg]
-        assert run(*argv, "--chunk-size", chunk) == 0
+        monkeypatch.setattr(trainer, "_CHUNK_SIZE", chunk)
+        assert run("segment", data, "--checkpoints", runs, "--out", seg) == 0
         capsys.readouterr()
 
         videos = load_catalog(data, "synthetic").videos
@@ -836,18 +850,6 @@ class TestExitCodes:
                 id="batch_not_a_multiple",
             ),
             pytest.param(
-                "segment",
-                ["--chunk-size", "0"],
-                "chunk-size must be >= 1, got 0",
-                id="zero_chunk_size",
-            ),
-            pytest.param(
-                "segment",
-                ["--chunk-size", "-5"],
-                "chunk-size must be >= 1, got -5",
-                id="negative_chunk_size",
-            ),
-            pytest.param(
                 "train",
                 ["--lr", "0"],
                 "learning_rate must be positive, got 0.0",
@@ -931,6 +933,36 @@ class TestExitCodes:
                 "--activity ',' names no activity",
                 id="eval_activity_list_without_a_name",
             ),
+            pytest.param(
+                "synth",
+                ["--activity", ""],
+                "--activity '' is not an activity name",
+                id="synth_empty_activity",
+            ),
+            pytest.param(
+                "synth",
+                ["--activity", "."],
+                "--activity '.' is not an activity name",
+                id="synth_activity_dot",
+            ),
+            pytest.param(
+                "synth",
+                ["--activity", ".."],
+                "--activity '..' is not an activity name",
+                id="synth_activity_dot_dot",
+            ),
+            pytest.param(
+                "synth",
+                ["--activity", "a/b"],
+                "--activity 'a/b' is not an activity name",
+                id="synth_activity_with_a_slash",
+            ),
+            pytest.param(
+                "synth",
+                ["--activity", "a,b"],
+                "--activity 'a,b' is not an activity name",
+                id="synth_activity_with_a_comma",
+            ),
         ],
     )
     def test_usage_error_is_one_line(
@@ -943,6 +975,7 @@ class TestExitCodes:
             "train": ["train", data, "--iterations", 1, "--out", tmp_path / "out"],
             "segment": ["segment", data, "--checkpoints", runs, "--out", tmp_path / "out"],
         }.get(command) or zero_predictions(data, tmp_path)
+        before = sorted(tmp_path.rglob("*"))
         code = run(*argv, *flags)
         err = capsys.readouterr().err
         assert code == 1
@@ -950,6 +983,7 @@ class TestExitCodes:
         assert err.startswith("usage error: ")
         assert names in err
         assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before  # rejected before any write
 
     # An output path with a file in the way, or an output file path that is a
     # directory, exits 1 with one line naming it.

@@ -1,5 +1,7 @@
 """Tests for ordered anchor sampling and batch construction."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,18 @@ class TestSamplePositive:
         with pytest.raises(ValueError, match="anchor 10 outside"):
             sample_positive(10, 5, 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("window", [10**20, 2**63 - 1])
+    def test_window_past_the_video_draws_as_the_whole_video(self, window):
+        # Both windows cover every frame, so the draws are those of
+        # window=num_frames, and int64 anchor arithmetic never sees them.
+        anchors = sample_ordered(50, 10, np.random.default_rng(1))
+        huge, whole = (np.random.default_rng(2) for _ in range(2))
+        np.testing.assert_array_equal(
+            sample_positive(anchors, window, 50, huge),
+            sample_positive(anchors, 50, 50, whole),
+        )
+        assert sample_positive(3, window, 50, huge) == sample_positive(3, 50, 50, whole)
+
 
 class TestSamplePositiveArray:
     def test_array_draw_equals_per_anchor_draws(self):
@@ -115,13 +129,25 @@ class TestSamplePositiveArray:
             sample_positive(np.array([3, 12, -1]), 5, 10, np.random.default_rng(0))
 
 
-def block_spans(batch):
-    """(video_id, row slice) of each video block of ``batch``, in row order."""
-    length = len(batch.positions) // len(batch.video_ids)
-    return [
-        (video_id, slice(i * length, (i + 1) * length))
-        for i, video_id in enumerate(batch.video_ids)
-    ]
+def replay(videos, videos_per_batch, batch_size, rng, window=30):
+    """(video, anchors, positives) of each block ``build_batch`` draws with
+    ``rng``: its generator calls replayed in its order, block by block."""
+    length = batch_size // videos_per_batch
+    blocks = []
+    for idx in rng.choice(len(videos), size=videos_per_batch, replace=False):
+        video = videos[int(idx)]
+        anchors = sample_ordered(video.num_frames, length, rng)
+        positives = sample_positive(anchors, window, video.num_frames, rng)
+        blocks.append((video, anchors, positives))
+    return blocks
+
+
+def replayed_rows(blocks):
+    """The rows of ``blocks`` laid out as ``Batch.rows``: every block's
+    anchors in order, then every block's positives."""
+    anchors = [video.array[frames] for video, frames, _ in blocks]
+    positives = [video.array[frames] for video, _, frames in blocks]
+    return np.concatenate(anchors + positives)
 
 
 class TestBuildBatch:
@@ -136,55 +162,51 @@ class TestBuildBatch:
         batch = build_batch(videos, 2, 512, np.random.default_rng(8))
         assert batch.rows.shape == (1024, 3)
         assert batch.features.shape == batch.positive_features.shape == (512, 3)
-        assert batch.positions.shape == batch.positive_positions.shape == (512,)
-        assert len(batch.video_ids) == 2
-        assert batch.video_ids[0] != batch.video_ids[1]
         # Anchors and positives are read-only views of the rows' two halves.
         for half, start in ((batch.features, 0), (batch.positive_features, 512)):
             assert np.shares_memory(half, batch.rows)
             np.testing.assert_array_equal(half, batch.rows[start : start + 512])
             assert not half.flags.writeable
+        blocks = replay(videos, 2, 512, np.random.default_rng(8))
+        assert blocks[0][0] is not blocks[1][0]
+        np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
 
     def test_rows_match_source_frames(self):
         videos = self.pool([40, 50, 60])
-        by_id = {v.video_id: v for v in videos}
         batch = build_batch(videos, 2, 32, np.random.default_rng(9), window=5)
-        for video_id, rows in block_spans(batch):
-            video = by_id[video_id]
-            np.testing.assert_array_equal(
-                batch.features[rows], video.array[batch.positions[rows]]
-            )
-            np.testing.assert_array_equal(
-                batch.positive_features[rows],
-                video.array[batch.positive_positions[rows]],
-            )
+        blocks = replay(videos, 2, 32, np.random.default_rng(9), window=5)
+        np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
 
     def test_positions_increase_within_every_block(self):
+        # Each batch's anchors are its blocks' sample_ordered draws, so they
+        # come out in increasing frame order within every block.
         videos = self.pool([64, 70, 90, 128])
         rng = np.random.default_rng(10)
         for _ in range(100):
+            blocks = replay(videos, 2, 64, copy.deepcopy(rng))
             batch = build_batch(videos, 2, 64, rng)
-            for _, rows in block_spans(batch):
-                seq = batch.positions[rows]
-                assert np.all(np.diff(seq) > 0)
+            np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
+            for _, anchors, _ in blocks:
+                assert np.all(np.diff(anchors) > 0)
 
     def test_positives_stay_within_the_window(self):
         videos = self.pool([100, 120])
         rng = np.random.default_rng(11)
         for _ in range(20):
+            blocks = replay(videos, 2, 40, copy.deepcopy(rng), window=7)
             batch = build_batch(videos, 2, 40, rng, window=7)
-            assert np.all(np.abs(batch.positive_positions - batch.positions) <= 7)
-            for video_id, rows in block_spans(batch):
-                video = next(v for v in videos if v.video_id == video_id)
-                mates = batch.positive_positions[rows]
-                assert mates.min() >= 0
-                assert mates.max() < video.num_frames
+            np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
+            for video, anchors, positives in blocks:
+                assert np.all(np.abs(positives - anchors) <= 7)
+                assert positives.min() >= 0
+                assert positives.max() < video.num_frames
 
     def test_single_video_batch(self):
+        # A block as long as its video holds every frame, in order.
         videos = self.pool([128])
         batch = build_batch(videos, 1, 128, np.random.default_rng(12))
-        assert batch.video_ids == ["v0"]
-        assert batch.positions.shape == (128,)
+        np.testing.assert_array_equal(batch.features, videos[0].array)
+        assert batch.positive_features.shape == (128, 3)
 
     def test_non_finite_row_names_the_file_and_frame(self, tmp_path):
         values = np.zeros((16, 3))
@@ -201,10 +223,9 @@ class TestBuildBatch:
         videos = self.pool([80, 90, 100])
         a = build_batch(videos, 2, 48, np.random.default_rng(13))
         b = build_batch(videos, 2, 48, np.random.default_rng(13))
-        assert a.video_ids == b.video_ids
         np.testing.assert_array_equal(a.rows, b.rows)
-        np.testing.assert_array_equal(a.positions, b.positions)
-        np.testing.assert_array_equal(a.positive_positions, b.positive_positions)
+        blocks = replay(videos, 2, 48, np.random.default_rng(13))
+        np.testing.assert_array_equal(a.rows, replayed_rows(blocks))
 
     def test_disk_pool_reads_each_block_once_and_matches_memory(
         self, tmp_path, monkeypatch
@@ -232,10 +253,10 @@ class TestBuildBatch:
         want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6)
         reads.clear()
         got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6)
-        assert reads == got.video_ids == want.video_ids
+        blocks = replay(in_memory, 3, 60, np.random.default_rng(14), window=6)
+        assert reads == [video.video_id for video, _, _ in blocks]
         np.testing.assert_array_equal(got.rows, want.rows)
-        np.testing.assert_array_equal(got.positions, want.positions)
-        np.testing.assert_array_equal(got.positive_positions, want.positive_positions)
+        np.testing.assert_array_equal(got.rows, replayed_rows(blocks))
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="positive multiple"):
