@@ -21,8 +21,11 @@ prediction file should be, and an ``eval --exclude-background`` id that
 is not an action id of the activity's ``mapping.txt`` (the line names the
 id and the activity). An ``--activity`` list that names no activity
 is a usage error, and so is a ``synth --activity`` name that is empty,
-``.`` or ``..``, or holds ``/`` or ``,`` (no other command could select
-it), a negative ``--seed`` (``synth`` or ``train``), an output path that
+``.`` or ``..``, holds ``/`` or ``,``, or starts or ends with whitespace
+(no other command could select it), a ``synth --dim`` or
+``--segment-len`` or a ``train --embed-dim`` that sizes an array past
+numpy's limits (the cluster-mean basis, the longest segment, the
+encoder's ``w2``), a negative ``--seed`` (``synth`` or ``train``), an output path that
 cannot be created because a file is in the way (``--out``, or
 ``synth``'s OUT, naming a file or a path under one), or an output file
 path that names a directory (``train.log``, the checkpoint, a label or
@@ -185,11 +188,14 @@ def _synthetic_spec(values: dict[str, Any]) -> dataio.SyntheticSpec:
 def cmd_synth(args: argparse.Namespace) -> int:
     values = _resolve(args, cfg.SYNTH_OPTIONS)
     activity = values["activity"]
-    # The one directory under OUT that the other commands' --activity selects.
-    if activity in ("", ".", "..") or "/" in activity or "," in activity:
+    # The one directory under OUT that the other commands' --activity selects;
+    # they split it on ',' and strip each name.
+    bad = activity in ("", ".", "..") or "/" in activity or "," in activity
+    if bad or activity != activity.strip():
         raise UsageError(
             f"--activity {activity!r} is not an activity name: it must be "
-            "non-empty, not '.' or '..', and hold no '/' or ','"
+            "non-empty, not '.' or '..', hold no '/' or ',', and neither "
+            "start nor end with whitespace"
         )
     catalog = dataio.generate_synthetic(_synthetic_spec(values))
     catalog.activity = activity

@@ -33,6 +33,7 @@ import numpy as np
 
 from .decode import segments_from_labels
 from .errors import DataError
+from .numerics import check_addressable
 
 FEATURE_MAGIC = b"TOTF"
 FEATURE_VERSION = 1
@@ -515,6 +516,13 @@ class SyntheticSpec:
             raise ValueError(f"drop_prob must be in [0, 1), got {self.drop_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_addressable("the cluster-mean basis", self.dim, self.num_actions)
+        # A segment length past numpy's limit fails as it is; one below it
+        # keeps the float product finite.
+        longest = self.mean_segment_len
+        if longest <= np.iinfo(np.intp).max:
+            longest = round(longest * (1.0 + self.len_jitter))
+        check_addressable("the longest segment", longest, self.dim)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetCatalog:

@@ -2,11 +2,13 @@
 
 The package's matrix type is a plain 2-D C-contiguous float64 numpy array.
 numpy supplies the arithmetic; this module pins down the contracts the rest
-of the code relies on: an explicit shape check and one overflow-safe row
-softmax.
+of the code relies on: an explicit shape check, a size check for settings
+that shape arrays, and one overflow-safe row softmax.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,6 +29,21 @@ def as_matrix(values) -> np.ndarray:
     if matrix.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got array of shape {matrix.shape}")
     return matrix
+
+
+def check_addressable(what: str, *shape: int) -> None:
+    """Raise ValueError if a float64 array of ``shape`` is past numpy's limits.
+
+    The byte size is computed in Python ints, so no setting can overflow
+    it, and checked against ``np.iinfo(np.intp).max``; with every dimension
+    at least 1, no dimension is then past it either.
+    """
+    limit = np.iinfo(np.intp).max
+    if math.prod(shape) * 8 > limit:
+        raise ValueError(
+            f"{what} would be a {' x '.join(map(str, shape))} float64 array, "
+            f"past numpy's largest ({limit} bytes)"
+        )
 
 
 def log_softmax_rows(matrix, temperature: float) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ import numpy as np
 from . import decode, encoder, losses, transport
 from .dataio import DatasetCatalog
 from .errors import DataError, NumericalError
-from .numerics import log_softmax_rows
+from .numerics import check_addressable, log_softmax_rows
 from .sampler import block_length, build_batch
 
 logger = logging.getLogger(__name__)
@@ -82,6 +82,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.embed_dim < 1:
             raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        check_addressable("the encoder's w2", 2 * self.embed_dim, self.embed_dim)
         encoder.AdamState.check_settings(self.learning_rate, self.weight_decay)
 
     @property
@@ -158,7 +159,7 @@ def solve_codes(
     Temporal order only means something inside a video, so each block of
     L = B / num_blocks rows of ``scores`` is solved on its own
     equal-partition polytope. The blocks go to the solver as one
-    n x L x K view of ``scores``, solved in lockstep; each comes back
+    n x L x K view of ``scores``, solved as one stack; each comes back
     exactly as it would alone. The codes are the block solutions as solved,
     each on its own polytope (rows summing to 1/L, columns to 1/K, to the
     reported errors): ``backward`` reads each code row as a distribution,

@@ -36,12 +36,13 @@ sweeps only.
 Both solvers also take an n x B x K stack of equal-sized blocks, each its
 own problem on its own polytope, and scale them together as batched
 matrix products (as Cuturi 2013 batches Sinkhorn distances). The blocks
-advance in lockstep, with one batched K x K solve per Newton round and an
-Armijo step length per block, and each leaves the stack at the sweep or
-step where it would stop alone. A stack therefore returns exactly the
-solves of its blocks one by one, with one set of numpy calls per round
-instead of one per block. Training solves the video blocks of a batch as
-one stack.
+sweep together, then step together, with one batched K x K solve per
+Newton round and an Armijo step length per block. The blocks whose step
+fails in a round sweep on together, and each block leaves the stack at
+the sweep or step where it would stop alone. A stack therefore returns
+exactly the solves of its blocks one by one, with one set of numpy calls
+per sweep or step of a group instead of one per block. Training solves
+the video blocks of a batch as one stack.
 
 Codes are targets, not variables: callers must not backpropagate through
 the returned matrix, and nothing here is differentiable.
@@ -276,14 +277,15 @@ def sinkhorn_tot(
 
 
 class _Blocks:
-    """Solver state of the blocks of a stack that run in one phase.
+    """Solver state of the blocks of a stack that run in one group.
 
     ``index`` holds their positions in the stack. Every other attribute has
     one row per block: the coupling diag(u) kernel diag(v), whose absorbed
     log potentials are f and g; kv, the product of kernel and v (in the
-    Newton phase, where u and v are ones, the row sums); col_gap, the
-    kernel's column sums minus 1/K in the Newton phase; and steps, the
-    Newton steps the block has accepted.
+    Newton phase, where u and v are ones, the row sums); and col_gap, the
+    kernel's column sums minus 1/K in the Newton phase. The blocks of a
+    group have taken the same number of sweeps and of Newton steps, which
+    the solver counts once for the group.
     """
 
     def __init__(self, **arrays: np.ndarray) -> None:
@@ -292,17 +294,6 @@ class _Blocks:
     def take(self, rows: np.ndarray) -> _Blocks:
         """The blocks at positions ``rows`` of this state."""
         return _Blocks(**{name: array[rows] for name, array in vars(self).items()})
-
-    def join(self, other: _Blocks | None) -> _Blocks:
-        """These blocks followed by ``other``'s."""
-        if other is None:
-            return self
-        return _Blocks(
-            **{
-                name: np.concatenate([array, getattr(other, name)])
-                for name, array in vars(self).items()
-            }
-        )
 
 
 def _scale_to_polytope(
@@ -314,11 +305,11 @@ def _scale_to_polytope(
     """Stabilized exp-domain Sinkhorn-Knopp onto rows=1/B, columns=1/K.
 
     ``log_kernel`` is one B x K block or an n x B x K stack of blocks, each
-    solved on its own polytope. The blocks of a stack advance in lockstep,
-    one sweep or Newton step each per round, through batched products.
-    Each keeps its own counts, stop test, absorption test and Newton
-    fallback, and leaves the stack at the round where it would stop alone,
-    so every block's result equals its solve as a stack of one bit for bit.
+    solved on its own polytope by batched products over its group. A block
+    leaves its group only by stopping or by failing a Newton step, so the
+    blocks of a group share their counts of sweeps and Newton steps, while
+    each keeps its own stop test and fallback: every block's result equals
+    its solve as a stack of one bit for bit.
 
     A block's coupling is Q = diag(u) exp(log_kernel + f 1' + 1 g') diag(v)
     with absorbed log potentials f, g. The first shift makes every row and
@@ -330,18 +321,19 @@ def _scale_to_polytope(
     columns are exact after a column update), so stopping on ``tolerance``
     costs a few small ufuncs and happens at the first sweep within it.
 
-    With ``tolerance > 0`` and budget left after ``_NEWTON_AFTER`` sweeps
-    (Sinkhorn-Newton, Brauer, Clason, Lorenz & Wirth 2017), the scalings are
-    folded into the kernel and the blocks take Newton steps on the K column
-    potentials instead, the row potentials following in closed form (see
-    ``_newton_step``); near the optimum each step squares the error. Each
-    accepted step counts against ``iterations`` like a sweep, so a running
-    block has spent one unit of budget per round. A block's first step
-    that fails hands its last accepted coupling back to plain sweeps for
-    the rest of the budget, which is how unreachable polytopes (zero
-    patterns in a prior) and sharp kernels far from their optimum end; the
-    other blocks keep stepping. With ``tolerance == 0`` no Newton step runs
-    and the iterates are the plain ones.
+    The solve runs in phases. All blocks first sweep: ``_NEWTON_AFTER``
+    times if ``tolerance > 0`` leaves budget after them, otherwise for the
+    whole of ``iterations``. In the Newton phase (Sinkhorn-Newton, Brauer,
+    Clason, Lorenz & Wirth 2017) the scalings are folded into the kernel
+    and the blocks step on the K column potentials instead, the row
+    potentials following in closed form (see ``_newton_step``); near the
+    optimum each step squares the error. Each accepted step counts against
+    ``iterations`` like a sweep. The blocks whose step fails in a round
+    take their last accepted coupling back to plain sweeps for the rest of
+    the budget, which is how unreachable polytopes (zero patterns in a
+    prior) and sharp kernels far from their optimum end; the other blocks
+    then step on. With ``tolerance == 0`` no Newton step runs and the
+    iterates are the plain ones.
 
     -inf entries (zero kernel mass) are legal; NaN / +inf are not, and an
     all-zero row or column makes the marginals unreachable.
@@ -371,9 +363,13 @@ def _scale_to_polytope(
     sweeps = np.empty(n, dtype=np.int64)
     newton_steps = np.empty(n, dtype=np.int64)
 
-    def finish(blocks: _Blocks, done: np.ndarray | None, spent: int) -> _Blocks | None:
+    def finish(
+        blocks: _Blocks | None, done: np.ndarray | None, swept: int, steps: int
+    ) -> _Blocks | None:
         """Write out the blocks where ``done`` holds (all if it is None)
-        after ``spent`` rounds; the others run on."""
+        after ``swept`` sweeps and ``steps`` Newton steps; the others run on."""
+        if blocks is None:
+            return None
         rest = None
         if done is not None:
             rows = np.flatnonzero(done)
@@ -381,98 +377,92 @@ def _scale_to_polytope(
                 rest = blocks.take(np.flatnonzero(~done))
                 blocks = blocks.take(rows)
         values[blocks.index] = blocks.u[:, :, None] * blocks.kernel * blocks.v[:, None, :]
-        sweeps[blocks.index] = spent - blocks.steps
-        newton_steps[blocks.index] = blocks.steps
+        sweeps[blocks.index] = swept
+        newton_steps[blocks.index] = steps
         return rest
+
+    def sweep(blocks: _Blocks, swept: int, steps: int, budget: int) -> _Blocks | None:
+        """Plain sweeps until ``swept + steps`` reaches ``budget``; the
+        blocks that have not stopped by then, if any."""
+        while swept + steps < budget:
+            blocks.u = row_target / blocks.kv
+            blocks.v = col_target / np.matmul(blocks.u[:, None, :], blocks.kernel)[:, 0, :]
+            blocks.kv = np.matmul(blocks.kernel, blocks.v[:, :, None])[:, :, 0]
+            swept += 1
+            if tolerance > 0:
+                error = np.abs(blocks.u * blocks.kv - row_target).max(axis=1)
+                if error.min() <= tolerance:
+                    blocks = finish(blocks, error <= tolerance, swept, steps)
+                    if blocks is None:
+                        return None
+            if swept % _ABSORB_EVERY == 0:
+                grown = np.flatnonzero(
+                    np.maximum(blocks.u.max(axis=1), blocks.v.max(axis=1)) > _ABSORB_ABOVE
+                )
+                if grown.size:
+                    blocks.f[grown] += np.log(blocks.u[grown])
+                    blocks.g[grown] += np.log(blocks.v[grown])
+                    blocks.kernel[grown] = np.exp(
+                        log_kernel[blocks.index[grown]]
+                        + blocks.f[grown][:, :, None]
+                        + blocks.g[grown][:, None, :]
+                    )
+                    blocks.u[grown] = 1.0
+                    blocks.v[grown] = 1.0
+                    blocks.kv[grown] = blocks.kernel[grown].sum(axis=2)
+        return blocks
 
     kernel = np.exp(log_kernel + f[:, :, None] + g[:, None, :])
     v = np.exp(-g)
-    sweeping = _Blocks(
+    blocks = _Blocks(
         index=np.arange(n),
         kernel=kernel,
         f=f,
         g=g,
-        u=np.empty((n, b)),
         v=v,
         kv=np.matmul(kernel, v[:, :, None])[:, :, 0],
-        col_gap=np.empty((n, k)),
-        steps=np.zeros(n, dtype=np.int64),
     )
-    # A running block spends one unit of budget per round, on a sweep or an
-    # accepted Newton step, so its sweeps are spent - steps. Its absorption
-    # test is therefore due when spent % _ABSORB_EVERY equals its steps %
-    # _ABSORB_EVERY; absorb_phases holds the residues among sweeping blocks.
-    stepping = None
-    absorb_phases = {0}
-    for spent in range(1, iterations + 1):
-        if stepping is not None:
-            failed, kernel, log_u, shift = _newton_step(
-                stepping.kernel, stepping.kv, stepping.col_gap, row_target
-            )
-            if failed is not None:
-                out = stepping.take(np.flatnonzero(failed))
-                absorb_phases.update((out.steps % _ABSORB_EVERY).tolist())
-                sweeping = out.join(sweeping)
-                kept = np.flatnonzero(~failed)
-                stepping = stepping.take(kept) if kept.size else None
-        if stepping is not None:
-            stepping.kernel = kernel
-            stepping.f += log_u
-            stepping.g += shift
-            stepping.steps += 1
-            stepping.kv = kernel.sum(axis=2)
-            stepping.col_gap = kernel.sum(axis=1) - col_target
-            # Rows are exact up to rounding after a step, so the columns
-            # decide first whether any block may be done.
-            done = np.abs(stepping.col_gap).max(axis=1) <= tolerance
-            if done.any():
-                done &= np.abs(stepping.kv - row_target).max(axis=1) <= tolerance
-                if done.any():
-                    stepping = finish(stepping, done, spent)
-        s = sweeping
-        if s is None:
-            if stepping is None:
+    # Every block not yet written out has taken `first` sweeps and `steps`
+    # Newton steps.
+    first = _NEWTON_AFTER if tolerance > 0 and _NEWTON_AFTER < iterations else iterations
+    blocks = sweep(blocks, 0, 0, first)
+    steps = 0
+    if blocks is not None and first < iterations:
+        # Fold the scalings and the next row update into the kernel, so
+        # that it holds a coupling with exact rows.
+        u = row_target / blocks.kv
+        blocks.f += np.log(u)
+        blocks.g += np.log(blocks.v)
+        blocks.kernel = u[:, :, None] * blocks.kernel * blocks.v[:, None, :]
+        blocks.u = np.ones_like(u)
+        blocks.v = np.ones_like(blocks.v)
+        blocks.kv = blocks.kernel.sum(axis=2)
+        blocks.col_gap = blocks.kernel.sum(axis=1) - col_target
+    while blocks is not None and first + steps < iterations:
+        failed, kernel, log_u, shift = _newton_step(
+            blocks.kernel, blocks.kv, blocks.col_gap, row_target
+        )
+        if failed is not None:
+            back = sweep(blocks.take(np.flatnonzero(failed)), first, steps, iterations)
+            finish(back, None, iterations - steps, steps)
+            if failed.all():
+                blocks = None
                 break
-            continue
-        s.u = row_target / s.kv
-        s.v = col_target / np.matmul(s.u[:, None, :], s.kernel)[:, 0, :]
-        s.kv = np.matmul(s.kernel, s.v[:, :, None])[:, :, 0]
-        if tolerance > 0:
-            error = np.abs(s.u * s.kv - row_target).max(axis=1)
-            if error.min() <= tolerance:
-                s = finish(s, error <= tolerance, spent)
-            if s is not None and spent == _NEWTON_AFTER and spent < iterations:
-                # Fold the scalings and the next row update into the kernel,
-                # so that it holds a coupling with exact rows.
-                u = row_target / s.kv
-                s.f += np.log(u)
-                s.g += np.log(s.v)
-                s.kernel = u[:, :, None] * s.kernel * s.v[:, None, :]
-                s.u = np.ones_like(s.u)
-                s.v = np.ones_like(s.v)
-                s.kv = s.kernel.sum(axis=2)
-                s.col_gap = s.kernel.sum(axis=1) - col_target
-                stepping, s = s, None
-            sweeping = s
-        if s is not None and spent % _ABSORB_EVERY in absorb_phases:
-            grown = np.flatnonzero(
-                ((spent - s.steps) % _ABSORB_EVERY == 0)
-                & (np.maximum(s.u.max(axis=1), s.v.max(axis=1)) > _ABSORB_ABOVE)
-            )
-            if grown.size:
-                s.f[grown] += np.log(s.u[grown])
-                s.g[grown] += np.log(s.v[grown])
-                s.kernel[grown] = np.exp(
-                    log_kernel[s.index[grown]]
-                    + s.f[grown][:, :, None]
-                    + s.g[grown][:, None, :]
-                )
-                s.u[grown] = 1.0
-                s.v[grown] = 1.0
-                s.kv[grown] = s.kernel[grown].sum(axis=2)
-    for blocks in (sweeping, stepping):
-        if blocks is not None:
-            finish(blocks, None, spent)
+            blocks = blocks.take(np.flatnonzero(~failed))
+        blocks.kernel = kernel
+        blocks.f += log_u
+        blocks.g += shift
+        blocks.kv = kernel.sum(axis=2)
+        blocks.col_gap = kernel.sum(axis=1) - col_target
+        steps += 1
+        # Rows are exact up to rounding after a step, so the columns decide
+        # first whether any block may be done.
+        done = np.abs(blocks.col_gap).max(axis=1) <= tolerance
+        if done.any():
+            done &= np.abs(blocks.kv - row_target).max(axis=1) <= tolerance
+            if done.any():
+                blocks = finish(blocks, done, first, steps)
+    finish(blocks, None, first, steps)
     row_err, col_err = marginal_error(values)
     return CodeMatrix(
         values=values.reshape(shape),

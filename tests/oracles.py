@@ -139,7 +139,7 @@ def log_domain_sinkhorn(log_kernel: np.ndarray, iterations: int) -> np.ndarray:
 
 
 def sinkhorn_newton_one_block(
-    log_kernel: np.ndarray, iterations: int, tolerance: float
+    log_kernel: np.ndarray, iterations: int, tolerance: float, absorb_above: float = 1e50
 ) -> tuple[np.ndarray, int, int]:
     """(coupling, sweeps, Newton steps) of the one-block solver, step by step.
 
@@ -147,9 +147,10 @@ def sinkhorn_newton_one_block(
     finish, written for one B x K block in 2-D numpy calls and Python
     scalars: three sweeps, then safeguarded Newton steps on the column dual
     with Armijo backtracking until the first one fails, then sweeps again;
-    scalings fold into log potentials past 1e50 every eighth sweep. It runs
-    the same floating-point operations in the same order as the package, so
-    the package's results, for one block or for each block of a stack, must
+    every eighth sweep, scalings past ``absorb_above`` (the package's
+    ``_ABSORB_ABOVE``) fold into the log potentials. It runs the same
+    floating-point operations in the same order as the package, so the
+    package's results, for one block or for each block of a stack, must
     equal it bit for bit.
     """
     b, k = log_kernel.shape
@@ -217,7 +218,7 @@ def sinkhorn_newton_one_block(
                 kv, col_sums = kernel.sum(axis=1), kernel.sum(axis=0)
                 newton = True
                 continue
-        if sweeps % 8 == 0 and max(u.max(), v.max()) > 1e50:
+        if sweeps % 8 == 0 and max(u.max(), v.max()) > absorb_above:
             f += np.log(u)
             g += np.log(v)
             kernel = np.exp(log_kernel + f[:, None] + g[None, :])

@@ -963,6 +963,30 @@ class TestExitCodes:
                 "--activity 'a,b' is not an activity name",
                 id="synth_activity_with_a_comma",
             ),
+            pytest.param(
+                "synth",
+                ["--activity", " x"],
+                "--activity ' x' is not an activity name",
+                id="synth_activity_with_surrounding_space",
+            ),
+            pytest.param(
+                "synth",
+                ["--dim", "100000000000000000000"],
+                "the cluster-mean basis would be a 100000000000000000000 x 5",
+                id="synth_dim_past_numpy_limits",
+            ),
+            pytest.param(
+                "synth",
+                ["--segment-len", "100000000000000000000"],
+                "the longest segment would be a",
+                id="synth_segment_len_past_numpy_limits",
+            ),
+            pytest.param(
+                "train",
+                ["--embed-dim", "100000000000000000000"],
+                "the encoder's w2 would be a 200000000000000000000 x 100000000000000000000",
+                id="train_embed_dim_past_numpy_limits",
+            ),
         ],
     )
     def test_usage_error_is_one_line(

@@ -1,4 +1,4 @@
-"""Matrix kernel contracts: shapes and softmax stability."""
+"""Matrix kernel contracts: shapes, array sizes and softmax stability."""
 
 import numpy as np
 import pytest
@@ -20,6 +20,16 @@ def test_as_matrix_rejects_wrong_rank():
         numerics.as_matrix([1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="2-D"):
         numerics.as_matrix(np.zeros((2, 2, 2)))
+
+
+def test_check_addressable_stops_at_numpys_largest_byte_size():
+    # Only shapes are passed: nothing is allocated.
+    largest = np.iinfo(np.intp).max // 8
+    numerics.check_addressable("an array", largest)
+    numerics.check_addressable("an array", 3, largest // 3)
+    for shape in [(largest + 1,), (2, largest // 2 + 1), (10**400, 1)]:
+        with pytest.raises(ValueError, match="an array would be a .* past numpy's largest"):
+            numerics.check_addressable("an array", *shape)
 
 
 def probabilities(matrix, temperature):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from totseg import transport
 from totseg.errors import NumericalError
 from totseg.transport import (
     MAX_SIGMA,
@@ -466,6 +467,39 @@ def test_solves_follow_the_one_block_algorithm_exactly(tolerance):
             np.testing.assert_array_equal(solved.values, values)
             assert (solved.sweeps, solved.newton_steps) == (sweeps, steps)
             assert (solved.row_error, solved.col_error) == marginal_error(values)
+
+
+def test_blocks_back_from_newton_absorb_on_their_own_sweep_count(monkeypatch):
+    # Problem 262 of seed 1 and problems 68, 330 and 528 of seed 6, as plain
+    # ot solves to 1e-9 with 200 to spend, accept a Newton step, fail the
+    # next and sweep to the budget. With every scaling past 1 folded in,
+    # absorption fires on most eighth sweeps, so a block that absorbs on the
+    # wrong round leaves the one-block iterates. Each is solved alone and
+    # stacked with the other draws of its shape, most of which fail their
+    # first step and so sweep on from an earlier round.
+    monkeypatch.setattr(transport, "_ABSORB_ABOVE", 1.0)
+    drawn = {}
+    for seed in (1, 6):
+        rng = np.random.default_rng(seed)
+        problems = [_random_transport_problem(rng) for _ in range(600)]
+        drawn[seed] = [scores / reg for scores, reg, _ in problems]
+    pool = drawn[1] + drawn[6]
+    for seed, index in ((1, 262), (6, 68), (6, 330), (6, 528)):
+        block = drawn[seed][index]
+        kernels = [block] + [k for k in pool if k.shape == block.shape and k is not block]
+        assert len(kernels) >= 3
+        expected = [oracles.sinkhorn_newton_one_block(k, 200, 1e-9, 1.0) for k in kernels]
+        values, sweeps, steps = expected[0]
+        assert steps >= 1 and sweeps + steps == 200
+        unabsorbed, _, _ = oracles.sinkhorn_newton_one_block(block, 200, 1e-9)
+        assert not np.array_equal(values, unabsorbed)
+        alone = sinkhorn_ot(block, 1.0, 200, 1e-9)
+        np.testing.assert_array_equal(alone.values, values)
+        assert (alone.sweeps, alone.newton_steps) == (sweeps, steps)
+        stacked = sinkhorn_ot(np.stack(kernels), 1.0, 200, 1e-9)
+        np.testing.assert_array_equal(stacked.values, np.stack([e[0] for e in expected]))
+        assert stacked.sweeps == sum(e[1] for e in expected)
+        assert stacked.newton_steps == sum(e[2] for e in expected)
 
 
 class TestStacks:
