@@ -12,9 +12,11 @@ uint32, column count as uint32 (14 header bytes), then rows*cols float32
 values in row-major order. Readers promote to float64. See
 docs/file-formats.md for the byte-level layout.
 
-Videos load lazily: the catalog reads only headers, and training reads
-the frame rows it needs through a memory map of the payload, so memory
-stays proportional to the batch rather than the dataset.
+Videos load lazily: the catalog reads only headers, and every read goes
+through a memory map of the payload, so memory stays proportional to the
+batch rather than the dataset. ``train`` holds one ``FeatureMaps`` per
+run, which maps each video once and releases the pages of a video's map
+after each read; ``load_feature_rows`` maps the file for its call alone.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import mmap
 import os
 import re
 import struct
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,6 +41,14 @@ from .numerics import check_addressable
 FEATURE_MAGIC = b"TOTF"
 FEATURE_VERSION = 1
 _FEATURE_HEADER = struct.Struct("<4sHII")
+
+# Maps a FeatureMaps holds open at once. Before Python 3.13 each map keeps a
+# duplicated file descriptor, so the cap stays well under common soft limits.
+_MAX_OPEN_MAPS = 256
+
+# Bytes of source rows one step of a gather copies, so its temporary stays
+# well under 64 KiB.
+_GATHER_BYTES = 32768
 
 
 @dataclass
@@ -64,7 +75,7 @@ class FeatureSequence:
         return self.load_feature_rows(np.arange(self.num_frames))
 
     def load_feature_rows(self, rows) -> np.ndarray:
-        """Only the requested frame rows, via a per-call memory map when disk-backed.
+        """Only the requested frame rows, via a map for this call alone when disk-backed.
 
         The map is closed before returning; the rows come back as a copy.
 
@@ -75,9 +86,9 @@ class FeatureSequence:
             len(rows) x dim float64 matrix, in the order given.
 
         Raises:
-            DataError: A row read holds a non-finite value; names the
-                feature file (or the in-memory video) and the lowest such
-                frame read.
+            DataError: A requested row lies past the end of the file (the
+                first such is named), or a row read holds a non-finite
+                value (see ``check_finite``).
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_frames):
@@ -91,33 +102,143 @@ class FeatureSequence:
             # Nothing to read, and a zero dim gives no row width to count by.
             return np.empty((rows.size, self.dim), dtype=np.float64)
         else:
-            with open(self.path, "rb") as fh:
-                payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
-                present = min(self.num_frames, max(0, payload_bytes) // (self.dim * 4))
-                missing = rows[rows >= present]
-                if missing.size:
-                    raise DataError(
-                        f"{self.path}: row {int(missing[0])} extends past end of file"
-                    )
+            view, payload = _map_payload(self.path, self.num_frames, self.dim, rows)
+            with view:
                 # Consecutive frames (a chunk of embed_dataset) copy out of
                 # the map as one slice, which is cheaper than a gather.
                 index = rows
                 if rows[-1] - rows[0] == rows.size - 1 and (rows[1:] > rows[:-1]).all():
                     index = slice(int(rows[0]), int(rows[-1]) + 1)
-                with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as view:
-                    payload = np.frombuffer(
-                        view, dtype="<f4", count=present * self.dim,
-                        offset=_FEATURE_HEADER.size,
-                    )
-                    gathered = payload.reshape(present, self.dim)[index].astype(np.float64)
-                    # The map cannot close while an array still exports its buffer.
-                    del payload
-        finite = np.isfinite(gathered)
+                gathered = payload[index].astype(np.float64)
+                # The map cannot close while an array still exports its buffer.
+                del payload
+        self.check_finite(rows, gathered)
+        return gathered
+
+    def check_finite(self, frames: np.ndarray, values: np.ndarray) -> None:
+        """Raise DataError if ``values``, this video's rows ``frames``, hold a
+        NaN or an infinity; it names the feature file (or the in-memory
+        video) and the lowest such frame."""
+        finite = np.isfinite(values)
         if not finite.all():
-            bad = int(rows[~finite.all(axis=1)].min())
+            bad = int(frames[~finite.all(axis=1)].min())
             source = self.path or f"video {self.video_id}"
             raise DataError(f"{source}: non-finite feature value in frame {bad}")
-        return gathered
+
+
+def _map_payload(
+    path: Path, num_frames: int, dim: int, rows: np.ndarray | None = None
+) -> tuple[mmap.mmap, np.ndarray]:
+    """A feature file's payload, mapped read-only: (the map, its rows as a
+    float32 array of ``dim`` columns).
+
+    The array holds the rows the file holds in full, at most ``num_frames``.
+    The file's descriptor is closed before this returns; the map can close
+    only once no array of it is left.
+
+    Raises:
+        DataError: A frame of ``rows`` (by default, of the whole video) lies
+            past the end of the file; names the first such.
+    """
+    with open(path, "rb") as fh:
+        payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
+        present = min(num_frames, max(0, payload_bytes) // (dim * 4)) if dim else num_frames
+        missing = [present] if rows is None else rows[rows >= present]
+        if present < num_frames and len(missing):
+            raise DataError(f"{path}: row {int(missing[0])} extends past end of file")
+        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    payload = np.frombuffer(
+        view, dtype="<f4", count=present * dim, offset=_FEATURE_HEADER.size
+    )
+    return view, payload.reshape(present, dim)
+
+
+def _copy_rows(source: np.ndarray, frames: np.ndarray, out: np.ndarray) -> None:
+    """``out[..., i, :] = source[frames[..., i]]``, cast to out's dtype.
+
+    It copies a few frames of the last axis at a time, so the gathered
+    temporary stays within ``_GATHER_BYTES`` (or one frame of each part).
+    """
+    # One frame of the last axis, in every part of the leading axes.
+    frame_bytes = source.itemsize * source.shape[1] * (frames.size // max(1, frames.shape[-1]))
+    step = max(1, _GATHER_BYTES // max(1, frame_bytes))
+    for start in range(0, frames.shape[-1], step):
+        span = slice(start, start + step)
+        np.copyto(out[..., span, :], source[frames[..., span]])
+
+
+class FeatureMaps:
+    """Read-only maps of disk-backed videos, each opened once and kept open.
+
+    ``train`` holds one for its run: it maps the pool when it starts, so a
+    file shorter than its header stops the run before the first step, and
+    every batch then reads through the maps. After each read the map's
+    pages are released (``MADV_DONTNEED``), so resident memory stays that
+    of one batch; the next read faults them back in from the page cache.
+    At most ``_MAX_OPEN_MAPS`` maps stay open: the least recently read one
+    is closed, and mapped again when it is next read. ``close`` (or leaving
+    a ``with`` block) closes them all.
+
+    A feature file must not be truncated or rewritten while it is mapped:
+    reading past the end of a truncated map is a SIGBUS, not a DataError.
+    """
+
+    def __init__(self, videos=()) -> None:
+        self._maps: OrderedDict[Path, tuple[mmap.mmap, np.ndarray]] = OrderedDict()
+        try:
+            for video in videos:
+                if video.array is None:
+                    self._payload(video)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "FeatureMaps":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        while self._maps:
+            self._close_oldest()
+
+    def read(self, video: FeatureSequence, frames: np.ndarray, out: np.ndarray) -> None:
+        """Copy ``video``'s rows ``frames`` into ``out``, then release the pages read.
+
+        Args:
+            frames: Integer array (..., n) of frames in [0, num_frames).
+            out: Float array (..., n, dim) that receives the rows, cast from
+                the file's float32 (or from an in-memory video's array).
+                Whether they are finite is the caller's to check.
+
+        Raises:
+            DataError: The video's file was first mapped here and is
+                shorter than its header.
+        """
+        if video.array is not None:
+            _copy_rows(video.array, frames, out)
+            return
+        view, payload = self._payload(video)
+        _copy_rows(payload, frames, out)
+        view.madvise(mmap.MADV_DONTNEED)
+
+    def _payload(self, video: FeatureSequence) -> tuple[mmap.mmap, np.ndarray]:
+        """The video's map and its num_frames x dim rows, mapped on a miss."""
+        entry = self._maps.get(video.path)
+        if entry is None:
+            entry = _map_payload(video.path, video.num_frames, video.dim)
+            self._maps[video.path] = entry
+            if len(self._maps) > _MAX_OPEN_MAPS:
+                self._close_oldest()
+        else:
+            self._maps.move_to_end(video.path)
+        return entry
+
+    def _close_oldest(self) -> None:
+        _, (view, payload) = self._maps.popitem(last=False)
+        del payload  # the map cannot close while an array still exports its buffer
+        view.close()
 
 
 @contextmanager

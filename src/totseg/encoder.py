@@ -18,12 +18,18 @@ exact: 1.0 for x above ~37, and 0.0 for x below ~-709.78, where
 less, already subnormal) round to 0.
 
 Ownership: ``backward`` and ``normalize_rows_backward`` overwrite the
-gradient they are given and build their results in it, so a training step
-holds a short, fixed list of batch-sized arrays and reuses them instead of
-allocating fresh ones at every line. A caller that still needs that
-gradient passes a copy. Nothing here writes to a ``ForwardCache``, to the
-forward inputs or to normalized rows and norms: a second backward of the
-same forward pass gives the same gradients.
+gradient they are given and build their results in it. Each batch-sized
+result also has an ``out``-style argument (``forward``'s ``hidden`` and
+``outputs``, ``normalize_rows``' ``out``, ``normalize_rows_backward``'s
+``work``, ``backward``'s ``grad_hidden``): given one, the kernel writes
+there instead of allocating, and without one it allocates, in the same
+code. ``trainer.train`` owns those arrays, allocates them once per run and
+passes them at every step, so a steady-state step makes no batch-sized
+array. A step's activations last until the next step overwrites them, and
+its inputs are the batch's rows, which the next ``build_batch`` overwrites.
+A caller that still needs a gradient passes a copy. Nothing here writes to a
+``ForwardCache``, to the forward inputs or to normalized rows and norms: a
+second backward of the same forward pass gives the same gradients.
 
 Checkpoints are a fixed little-endian binary format (magic ``TOTC``); see
 docs/file-formats.md.
@@ -136,12 +142,19 @@ class ForwardCache:
     params: EncoderParams
 
 
-def forward(params: EncoderParams, x) -> tuple[np.ndarray, ForwardCache]:
+def forward(
+    params: EncoderParams,
+    x,
+    hidden: np.ndarray | None = None,
+    outputs: np.ndarray | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
     """Embed a batch of rows.
 
     Args:
         params: Encoder parameters.
         x: B x input_dim matrix.
+        hidden, outputs: B x hidden_dim and B x embed_dim float64 arrays
+            that receive the activations; new arrays when None.
 
     Returns:
         (B x embed_dim embeddings in (0, 1), cache for ``backward``).
@@ -151,16 +164,18 @@ def forward(params: EncoderParams, x) -> tuple[np.ndarray, ForwardCache]:
         raise ValueError(
             f"encoder expects rows of dim {params.w1.shape[0]}, got shape {x.shape}"
         )
-    hidden = x @ params.w1
+    hidden = np.matmul(x, params.w1, out=hidden)
     hidden += params.b1
     sigmoid_in_place(hidden)
-    outputs = hidden @ params.w2
+    outputs = np.matmul(hidden, params.w2, out=outputs)
     outputs += params.b2
     sigmoid_in_place(outputs)
     return outputs, ForwardCache(inputs=x, hidden=hidden, outputs=outputs, params=params)
 
 
-def backward(cache: ForwardCache, grad_outputs: np.ndarray) -> dict[str, np.ndarray]:
+def backward(
+    cache: ForwardCache, grad_outputs: np.ndarray, grad_hidden: np.ndarray | None = None
+) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss w.r.t. the two layers.
 
     Each pre-activation gradient is built in the array it starts from:
@@ -173,6 +188,8 @@ def backward(cache: ForwardCache, grad_outputs: np.ndarray) -> dict[str, np.ndar
         grad_outputs: dLoss/dZ, a float64 array of the forward output's
             shape. Overwritten: it ends as the output layer's
             pre-activation gradient.
+        grad_hidden: Float64 array of the hidden activations' shape that
+            receives the hidden layer's gradient; a new array when None.
 
     Returns:
         Dict with keys w1, b1, w2, b2 (prototype gradients are the
@@ -189,7 +206,7 @@ def backward(cache: ForwardCache, grad_outputs: np.ndarray) -> dict[str, np.ndar
     _times_one_minus(da2, z)
     dw2 = hidden.T @ da2
     db2 = da2.sum(axis=0)
-    da1 = da2 @ cache.params.w2.T
+    da1 = np.matmul(da2, cache.params.w2.T, out=grad_hidden)
     da1 *= hidden
     _times_one_minus(da1, hidden)
     dw1 = cache.inputs.T @ da1
@@ -211,15 +228,17 @@ def _times_one_minus(target: np.ndarray, values: np.ndarray) -> np.ndarray:
     return target
 
 
-def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalize_rows(
+    matrix: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Unit-norm rows plus the norms needed to backpropagate through this.
 
     Zero rows pass through unchanged with a recorded norm of 1. The
     squares the norms are summed from are held in the array that then
-    receives the unit rows, so the result is the only batch-sized array
-    this makes.
+    receives the unit rows: ``out``, a float64 array of the matrix's shape,
+    or else the one batch-sized array this makes.
     """
-    normalized = np.multiply(matrix, matrix)
+    normalized = np.multiply(matrix, matrix, out=out)
     norms = np.sqrt(normalized.sum(axis=1, keepdims=True))
     norms[norms == 0.0] = 1.0
     np.divide(matrix, norms, out=normalized)
@@ -227,7 +246,10 @@ def normalize_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normalize_rows_backward(
-    grad_normalized: np.ndarray, normalized: np.ndarray, norms: np.ndarray
+    grad_normalized: np.ndarray,
+    normalized: np.ndarray,
+    norms: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pull a gradient back through row normalization.
 
@@ -236,9 +258,10 @@ def normalize_rows_backward(
     output and is projected away.
 
     ``grad_normalized``, a float64 array, is overwritten with the result
-    and returned; one work array of its shape is the only other one.
+    and returned; one work array of its shape is the only other one:
+    ``work`` if given, else a new one.
     """
-    work = grad_normalized * normalized
+    work = np.multiply(grad_normalized, normalized, out=work)
     along = work.sum(axis=1, keepdims=True)
     np.multiply(along, normalized, out=work)
     grad_normalized -= work

@@ -92,7 +92,7 @@ def _target_cross_entropy(
 
 
 def temporal_coherence(
-    anchors, positives
+    anchors, positives, similarity: np.ndarray | None = None
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Each anchor should score its own positive above everyone else's.
 
@@ -105,6 +105,8 @@ def temporal_coherence(
     Args:
         anchors: N x D matrix.
         positives: N x D matrix, row-aligned with anchors.
+        similarity: N x N float64 array that holds the similarities and
+            then their gradient; a new array when None.
 
     Returns:
         (loss value, gradient w.r.t. anchors, gradient w.r.t. positives).
@@ -116,9 +118,11 @@ def temporal_coherence(
             f"anchors {z.shape} and positives {mates.shape} differ in shape"
         )
     rows = np.arange(z.shape[0])
-    # The similarity matrix is ours, so the kernel may overwrite it.
+    # The similarity matrix is ours or the caller's scratch, so the kernel
+    # may overwrite it.
+    sims = np.matmul(z, mates.T, out=similarity)
     loss, dsims = _target_cross_entropy(
-        *_log_softmax_in_place(z @ mates.T, rows), rows, 1.0
+        *_log_softmax_in_place(sims, rows), rows, 1.0
     )
     return loss, dsims @ mates, dsims.T @ z
 

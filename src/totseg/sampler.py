@@ -9,11 +9,12 @@ uniformly from a window around it, for the coherence loss.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FeatureSequence
+from .dataio import FeatureMaps, FeatureSequence
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,9 @@ class Batch:
         rows: 2B x dim read-only feature rows: the B anchors, one block of
             consecutive rows per video, each block in increasing frame
             order, then the B positives, row-aligned with the anchors. The
-            encoder embeds them in one pass as they are.
+            encoder embeds them in one pass as they are. They are a view of
+            the array ``build_batch`` gathered into: in ``train``, the
+            run's workspace, which the next batch overwrites.
     """
 
     rows: np.ndarray
@@ -107,6 +110,8 @@ def build_batch(
     batch_size: int,
     rng: np.random.Generator,
     window: int = 30,
+    out: np.ndarray | None = None,
+    maps: FeatureMaps | None = None,
 ) -> Batch:
     """Draw a batch of ``videos_per_batch`` blocks totalling ``batch_size`` rows.
 
@@ -117,12 +122,18 @@ def build_batch(
         batch_size: Total anchors; must divide evenly into blocks.
         rng: Source of randomness; a fixed seed fixes the batch.
         window: Half-width of the positive sampling window, in frames.
+        out: 2B x dim float64 array the rows are gathered into; the batch's
+            rows are a read-only view of it, so the next call given the
+            same ``out`` overwrites them. A new array when None.
+        maps: The ``FeatureMaps`` disk-backed videos are read through; when
+            None, each chosen video is mapped for this call alone.
 
     Raises:
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
         DataError: A row read holds a non-finite value (see
-            ``FeatureSequence.load_feature_rows``).
+            ``FeatureSequence.check_finite``), or a chosen video's file,
+            mapped here, is shorter than its header.
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
@@ -134,16 +145,29 @@ def build_batch(
             f"only {len(videos)} available"
         )
 
+    if out is None:
+        out = np.empty((2 * batch_size, videos[0].dim))
+    # Block i's anchors are rows i*L.. of the top half, its positives the
+    # same rows of the bottom half: blocks[:, i] is the pair.
+    blocks = out.reshape(2, videos_per_batch, block_len, out.shape[1])
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
     reads = []
-    for idx in chosen:
-        video = videos[int(idx)]
-        anchors = sample_ordered(video.num_frames, block_len, rng)
-        mates = sample_positive(anchors, window, video.num_frames, rng)
-        # Positives lie near their anchors, on the same pages: read both at once.
-        reads.append(video.load_feature_rows(np.concatenate([anchors, mates])))
-    rows = np.concatenate(
-        [read[:block_len] for read in reads] + [read[block_len:] for read in reads]
-    )
+    with FeatureMaps() if maps is None else nullcontext(maps) as source:
+        for block, idx in enumerate(chosen):
+            video = videos[int(idx)]
+            anchors = sample_ordered(video.num_frames, block_len, rng)
+            mates = sample_positive(anchors, window, video.num_frames, rng)
+            # Positives lie near their anchors, on the same pages: read both at once.
+            frames = np.stack([anchors, mates])
+            source.read(video, frames, blocks[:, block])
+            reads.append((video, frames))
+    # One pass over the batch; only a batch that fails it is searched for
+    # the video and frame to name. A sum that overflows on finite rows
+    # finds nothing there and passes.
+    if not np.isfinite(out.sum()):
+        for block, (video, frames) in enumerate(reads):
+            values = blocks[:, block].reshape(-1, out.shape[1])
+            video.check_finite(frames.ravel(), values)
+    rows = out.view()
     rows.flags.writeable = False
     return Batch(rows)

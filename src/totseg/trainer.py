@@ -7,7 +7,11 @@ to the solver as one stack, a view of the batch's scores), evaluates the
 losses, and takes one Adam step.
 Working memory stays proportional to the batch: nothing here ever holds a
 matrix with a dataset-length dimension, which is what makes the clustering
-online.
+online. ``train`` owns that memory: it maps each pool video once
+(``dataio.FeatureMaps``) and allocates one ``Workspace`` of batch-sized
+arrays per run, which every step overwrites, so a batch's rows and a
+step's activations last only until the next ``build_batch`` and
+``forward``.
 
 The four training modes differ only in two switches: whether the transport
 kernel includes the temporal prior (ot vs tot) and whether the coherence
@@ -25,7 +29,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import decode, encoder, losses, transport
-from .dataio import DatasetCatalog
+from .dataio import DatasetCatalog, FeatureMaps
 from .errors import DataError, NumericalError
 from .numerics import check_addressable, log_softmax_rows
 from .sampler import block_length, build_batch
@@ -148,6 +152,53 @@ class TrainResult:
     elapsed_seconds: float
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """Batch-sized arrays that a step writes into instead of allocating.
+
+    ``train`` allocates one per run (``for_run``) and passes it to
+    ``build_batch``, ``forward`` and ``backward`` at every step, which
+    overwrite it. A field left None is allocated by the call that needs
+    it, which is all that the default ``Workspace()`` does. With N = 2B
+    rows when coherence is on (anchors and positives) and B otherwise:
+
+    Attributes:
+        rows: 2B x dim batch rows (``Batch.rows`` is a view of them).
+        hidden, grad_hidden: N x hidden activations and their gradient.
+        outputs: N x embed encoder outputs.
+        normalized, norm_work: N x embed unit rows and the work array of
+            their backward; unused without normalization.
+        grad_normalized: N x embed gradient of the embedding rows.
+        similarity: L x L similarities of one video block, for coherence.
+    """
+
+    rows: np.ndarray | None = None
+    hidden: np.ndarray | None = None
+    grad_hidden: np.ndarray | None = None
+    outputs: np.ndarray | None = None
+    normalized: np.ndarray | None = None
+    norm_work: np.ndarray | None = None
+    grad_normalized: np.ndarray | None = None
+    similarity: np.ndarray | None = None
+
+    @classmethod
+    def for_run(cls, config: TrainConfig, dim: int) -> "Workspace":
+        """The arrays a run of ``config`` on ``dim``-column features uses."""
+        batch, embed = config.batch_size, config.embed_dim
+        rows = 2 * batch if config.uses_coherence else batch
+        block = block_length(batch, config.videos_per_batch)
+        return cls(
+            rows=np.empty((2 * batch, dim)),
+            hidden=np.empty((rows, 2 * embed)),
+            grad_hidden=np.empty((rows, 2 * embed)),
+            outputs=np.empty((rows, embed)),
+            normalized=np.empty((rows, embed)) if config.normalize else None,
+            norm_work=np.empty((rows, embed)) if config.normalize else None,
+            grad_normalized=np.empty((rows, embed)),
+            similarity=np.empty((block, block)) if config.uses_coherence else None,
+        )
+
+
 def solve_codes(
     scores: np.ndarray,
     num_blocks: int,
@@ -194,20 +245,21 @@ def solve_codes(
     return solved.values.reshape(total, clusters), solved.row_error, solved.col_error
 
 
-def _maybe_normalize(matrix: np.ndarray, normalize: bool):
-    """Row normalization, or identity pass-through with norms=None."""
+def _maybe_normalize(matrix: np.ndarray, normalize: bool, out=None):
+    """Row normalization (into ``out`` if given), or identity pass-through
+    with norms=None."""
     if normalize:
-        return encoder.normalize_rows(matrix)
+        return encoder.normalize_rows(matrix, out)
     return matrix, None
 
 
 def _maybe_normalize_backward(
-    grad: np.ndarray, normalized: np.ndarray, norms: np.ndarray | None
+    grad: np.ndarray, normalized: np.ndarray, norms: np.ndarray | None, work=None
 ) -> np.ndarray:
     """``grad`` pulled back through ``_maybe_normalize``, built in ``grad``."""
     if norms is None:
         return grad
-    return encoder.normalize_rows_backward(grad, normalized, norms)
+    return encoder.normalize_rows_backward(grad, normalized, norms, work)
 
 
 class Step(NamedTuple):
@@ -229,13 +281,17 @@ def forward(
     rows: np.ndarray,
     batch_size: int,
     normalize: bool,
+    workspace: Workspace = Workspace(),
 ) -> Step:
     """Encoder pass over ``rows`` as given (B = ``batch_size`` anchors, then
     any positives row-aligned with them, as in ``Batch.rows``), row
     normalization of embeddings and prototypes inside the graph unless
-    ``normalize`` is off, and the anchor/prototype scores."""
-    embeddings, cache = encoder.forward(params, rows)
-    normalized, norms = _maybe_normalize(embeddings, normalize)
+    ``normalize`` is off, and the anchor/prototype scores. The activations
+    and unit rows are written into ``workspace``."""
+    embeddings, cache = encoder.forward(
+        params, rows, workspace.hidden, workspace.outputs
+    )
+    normalized, norms = _maybe_normalize(embeddings, normalize, workspace.normalized)
     protos, proto_norms = _maybe_normalize(params.prototypes, normalize)
     scores = normalized[:batch_size] @ protos.T
     return Step(cache, normalized, norms, protos, proto_norms, batch_size, scores)
@@ -246,6 +302,7 @@ def backward(
     codes: np.ndarray,
     num_blocks: int,
     loss_config: losses.LossConfig,
+    workspace: Workspace = Workspace(),
 ) -> tuple[float, float, dict[str, np.ndarray]]:
     """Losses and parameter gradients of a forward half, codes held fixed.
 
@@ -253,7 +310,8 @@ def backward(
     the complete differentiable path of a step. It writes to no array of
     ``step`` or ``codes``, so a second call gives the same result; its
     batch-sized work is one gradient row per embedding row, built and
-    pulled back in place. Each code row is scaled to
+    pulled back in place, and it goes into ``workspace``'s gradient, work
+    and similarity arrays. Each code row is scaled to
     sum to 1 before the clustering loss, so the loss reads it as the
     frame's target distribution whatever its mass on the transport
     polytope (the per-frame mean cross-entropy). The coherence term, one
@@ -279,7 +337,9 @@ def backward(
         scores, codes, loss_config.temperature
     )
 
-    grad_normalized = np.empty_like(normalized)
+    grad_normalized = workspace.grad_normalized
+    if grad_normalized is None:
+        grad_normalized = np.empty_like(normalized)
     np.matmul(grad_scores, protos, out=grad_normalized[:batch_size])
     grad_normalized[batch_size:] = 0.0
     grad_protos = grad_scores.T @ anchor_rows
@@ -294,6 +354,7 @@ def backward(
             piece, grad_anchor, grad_positive = losses.temporal_coherence(
                 anchor_rows[start : start + length],
                 positive_rows[start : start + length],
+                workspace.similarity,
             )
             coherence += weight * piece
             grad_anchor *= scale
@@ -302,8 +363,10 @@ def backward(
             grad_positive *= scale
             grad_normalized[rows] += grad_positive
 
-    grad_embeddings = _maybe_normalize_backward(grad_normalized, normalized, norms)
-    grads = encoder.backward(cache, grad_embeddings)
+    grad_embeddings = _maybe_normalize_backward(
+        grad_normalized, normalized, norms, workspace.norm_work
+    )
+    grads = encoder.backward(cache, grad_embeddings, workspace.grad_hidden)
     grads["prototypes"] = _maybe_normalize_backward(grad_protos, protos, proto_norms)
     return clustering, coherence, grads
 
@@ -316,7 +379,9 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     than one block (batch_size / videos_per_batch frames) are skipped with
     a warning each. Raises NumericalError naming the iteration if the loss
     leaves the reals, and DataError when a batch reads a non-finite feature
-    value or fewer than ``videos_per_batch`` videos are one block long.
+    value, a pool video's feature file is shorter than its header (before
+    the first step), or fewer than ``videos_per_batch`` videos are one
+    block long.
 
     Args:
         catalog: Videos of one activity.
@@ -343,64 +408,70 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     if iterations is None:
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)
 
-    rng = np.random.default_rng(config.seed)
-    params = encoder.init_params(
-        catalog.dim, 2 * config.embed_dim, config.embed_dim, catalog.num_actions, rng
-    )
-    state = encoder.AdamState.for_params(
-        params,
-        learning_rate=config.learning_rate,
-        weight_decay=config.weight_decay,
-    )
+    # Mapped before anything is sized by the header: a file shorter than its
+    # header stops the run here, before the first step.
+    with FeatureMaps(videos) as maps:
+        rng = np.random.default_rng(config.seed)
+        params = encoder.init_params(
+            catalog.dim, 2 * config.embed_dim, config.embed_dim, catalog.num_actions, rng
+        )
+        state = encoder.AdamState.for_params(
+            params,
+            learning_rate=config.learning_rate,
+            weight_decay=config.weight_decay,
+        )
+        workspace = Workspace.for_run(config, catalog.dim)
 
-    ledger = MatrixLedger()
-    records: list[TrainRecord] = []
-    prior = None
-    if config.uses_prior:
-        prior = transport.temporal_prior(
-            block_len, catalog.num_actions, config.transport.sigma
-        )
-
-    started = time.perf_counter()
-    for iteration in range(iterations):
-        batch = build_batch(
-            videos,
-            config.videos_per_batch,
-            config.batch_size,
-            rng,
-            window=config.loss.window,
-        )
-        rows = batch.rows if config.uses_coherence else batch.features
-        step = forward(params, rows, config.batch_size, config.normalize)
-        codes, row_err, col_err = solve_codes(
-            step.scores, config.videos_per_batch, config, prior
-        )
-        clustering, coherence, grads = backward(
-            step, codes, config.videos_per_batch, config.loss
-        )
-        ledger.record("batch_features", batch.features)
-        ledger.record("hidden", step.cache.hidden)
-        ledger.record("embeddings", step.cache.outputs[: step.batch_size])
-        ledger.record("scores", step.scores)
-        ledger.record("codes", codes)
-        total = clustering + config.loss.alpha * coherence
-        if not np.isfinite(total):
-            raise NumericalError(
-                f"training diverged at iteration {iteration}: loss={total}"
+        ledger = MatrixLedger()
+        records: list[TrainRecord] = []
+        prior = None
+        if config.uses_prior:
+            prior = transport.temporal_prior(
+                block_len, catalog.num_actions, config.transport.sigma
             )
 
-        state.prototypes_frozen = iteration < config.freeze_iterations
-        encoder.adam_step(params, grads, state)
+        started = time.perf_counter()
+        for iteration in range(iterations):
+            batch = build_batch(
+                videos,
+                config.videos_per_batch,
+                config.batch_size,
+                rng,
+                window=config.loss.window,
+                out=workspace.rows,
+                maps=maps,
+            )
+            rows = batch.rows if config.uses_coherence else batch.features
+            step = forward(params, rows, config.batch_size, config.normalize, workspace)
+            codes, row_err, col_err = solve_codes(
+                step.scores, config.videos_per_batch, config, prior
+            )
+            clustering, coherence, grads = backward(
+                step, codes, config.videos_per_batch, config.loss, workspace
+            )
+            ledger.record("batch_features", batch.features)
+            ledger.record("hidden", step.cache.hidden)
+            ledger.record("embeddings", step.cache.outputs[: step.batch_size])
+            ledger.record("scores", step.scores)
+            ledger.record("codes", codes)
+            total = clustering + config.loss.alpha * coherence
+            if not np.isfinite(total):
+                raise NumericalError(
+                    f"training diverged at iteration {iteration}: loss={total}"
+                )
 
-        record = TrainRecord(
-            iteration=iteration,
-            clustering_loss=clustering,
-            coherence_loss=coherence,
-            total_loss=total,
-            row_error=row_err,
-            col_error=col_err,
-        )
-        records.append(record)
+            state.prototypes_frozen = iteration < config.freeze_iterations
+            encoder.adam_step(params, grads, state)
+
+            record = TrainRecord(
+                iteration=iteration,
+                clustering_loss=clustering,
+                coherence_loss=coherence,
+                total_loss=total,
+                row_error=row_err,
+                col_error=col_err,
+            )
+            records.append(record)
 
     return TrainResult(
         params=params,

@@ -502,6 +502,19 @@ class TestExitCodes:
         return ["segment", data, "--checkpoints", runs], "video_001.totf"
 
     @staticmethod
+    def features_wider_than_their_payload(data, runs, tmp_path):
+        # Headers that claim 2**31 columns over the same payload: the pool is
+        # mapped, and the short payload found, before any array is sized by
+        # the header (the encoder's w1 would be hundreds of GiB).
+        paths = sorted((data / "synthetic" / "features").glob("*.totf"))
+        for path in paths:
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<I", raw, 10, 2**31)
+            path.write_bytes(raw)
+        argv = train_args(data, tmp_path / "out")
+        return argv, f"{paths[0]}: row 0 extends past end of file"
+
+    @staticmethod
     def inf_feature_in_training(data, runs, tmp_path):
         # One inf frame used to train on silently into a NaN checkpoint.
         path = data / "synthetic" / "features" / "video_001.totf"
@@ -672,6 +685,7 @@ class TestExitCodes:
             prediction_beyond_64_bits,
             short_video,
             truncated_features,
+            features_wider_than_their_payload,
             inf_feature_in_training,
             inf_feature_in_segment,
             bad_magic_features,

@@ -149,6 +149,68 @@ class TestLoadFeatureRows:
                 seq.load_feature_rows(rows)
 
 
+class TestFeatureMaps:
+    @staticmethod
+    def videos(tmp_path, count, frames=12, dim=3):
+        rng = np.random.default_rng(2)
+        videos = []
+        for index in range(count):
+            values = rng.normal(size=(frames, dim)).astype(np.float32).astype(np.float64)
+            path = tmp_path / f"v{index}.totf"
+            write_features(values, path)
+            videos.append((FeatureSequence(f"v{index}", frames, dim, path=path), values))
+        return videos
+
+    def test_reads_cast_into_out_and_match_the_file(self, tmp_path):
+        [(video, values)] = self.videos(tmp_path, 1)
+        frames = np.array([[0, 4, 11], [1, 4, 10]])
+        out = np.empty((2, 3, 3))
+        with dataio.FeatureMaps([video]) as maps:
+            maps.read(video, frames, out)
+            maps.read(video, frames, out)  # read again after its pages were released
+        np.testing.assert_array_equal(out, values[frames])
+
+    def test_a_gather_copies_a_few_frames_at_a_time(self, tmp_path, monkeypatch):
+        # Two frames of each part per step: 2 parts x 2 frames x 3 dims x 4 bytes.
+        monkeypatch.setattr(dataio, "_GATHER_BYTES", 48)
+        [(video, values)] = self.videos(tmp_path, 1)
+        frames = np.array([[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+        out = np.empty((2, 5, 3))
+        with dataio.FeatureMaps() as maps:
+            maps.read(video, frames, out)
+        np.testing.assert_array_equal(out, values[frames])
+
+    def test_least_recently_read_map_closes_past_the_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dataio, "_MAX_OPEN_MAPS", 2)
+        opens = []
+        map_payload = dataio._map_payload
+
+        def counted(path, *args):
+            opens.append(path.stem)
+            return map_payload(path, *args)
+
+        monkeypatch.setattr(dataio, "_map_payload", counted)
+        videos = self.videos(tmp_path, 3)
+        out = np.empty((1, 3))
+        with dataio.FeatureMaps([video for video, _ in videos]) as maps:
+            assert opens == ["v0", "v1", "v2"]  # v0 closed when v2 opened
+            for index in (1, 0, 0, 2, 1):
+                video, values = videos[index]
+                maps.read(video, np.array([5]), out)
+                np.testing.assert_array_equal(out, values[[5]])
+        # v0 maps again and closes v2; v2 maps again and closes v1, which
+        # then maps again and closes v0.
+        assert opens == ["v0", "v1", "v2", "v0", "v2", "v1"]
+
+    def test_a_file_shorter_than_its_header_fails_when_mapped(self, tmp_path):
+        [(video, _)] = self.videos(tmp_path, 1, frames=5)
+        video.path.write_bytes(video.path.read_bytes()[: 14 + 4 * 3 * 3])
+        with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
+            dataio.FeatureMaps([video])
+        # load_feature_rows still reads the rows that are present.
+        assert video.load_feature_rows([2]).shape == (1, 3)
+
+
 class TestLabelMapping:
     def test_from_file(self, tmp_path):
         path = tmp_path / "mapping.txt"

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 
+from totseg import dataio
 from totseg.dataio import FeatureSequence, write_features
 from totseg.errors import DataError
 from totseg.sampler import build_batch, sample_ordered, sample_positive
@@ -242,19 +243,19 @@ class TestBuildBatch:
             on_disk.append(
                 FeatureSequence(video.video_id, video.num_frames, video.dim, path=path)
             )
-        reads = []
-        load = FeatureSequence.load_feature_rows
+        opens = []
+        map_payload = dataio._map_payload
 
-        def counted(video, rows):
-            reads.append(video.video_id)
-            return load(video, rows)
+        def counted(path, *args):
+            opens.append(path.stem)
+            return map_payload(path, *args)
 
-        monkeypatch.setattr(FeatureSequence, "load_feature_rows", counted)
+        monkeypatch.setattr(dataio, "_map_payload", counted)
         want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6)
-        reads.clear()
+        assert opens == []
         got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6)
         blocks = replay(in_memory, 3, 60, np.random.default_rng(14), window=6)
-        assert reads == [video.video_id for video, _, _ in blocks]
+        assert opens == [video.video_id for video, _, _ in blocks]
         np.testing.assert_array_equal(got.rows, want.rows)
         np.testing.assert_array_equal(got.rows, replayed_rows(blocks))
 

@@ -1,17 +1,25 @@
 """Tests for the training loop, its gradients, and dataset embedding."""
 
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from totseg import decode, encoder, losses, transport
+from totseg import dataio, decode, encoder, losses, transport
 from totseg.dataio import (
     DatasetCatalog,
     FeatureSequence,
     LabelMapping,
     SyntheticSpec,
     generate_synthetic,
+    load_catalog,
+    write_catalog,
+    write_features,
 )
 from totseg.errors import DataError, NumericalError
 from totseg.losses import LossConfig
@@ -21,6 +29,7 @@ from totseg.trainer import (
     MODES,
     MatrixLedger,
     TrainConfig,
+    Workspace,
     backward,
     embed_dataset,
     forward,
@@ -29,9 +38,12 @@ from totseg.trainer import (
 )
 from totseg.transport import TransportConfig
 from totseg import trainer
-from totseg.sampler import build_batch
+from totseg.sampler import Batch, build_batch
 
 import oracles
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_catalog(seed=0, num_videos=6):
@@ -400,6 +412,43 @@ class TestStepMatchesTheAllocatingStep:
             np.testing.assert_array_equal(got[key], grad, err_msg=key)
 
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("with_positives", [True, False])
+    def test_a_run_workspace_gives_the_same_bits_at_every_step(
+        self, normalize, with_positives
+    ):
+        batch = 512
+        params, rows, codes = step_problem(batch, batch)
+        loss_config = LossConfig(temperature=0.1, alpha=0.7)
+        config = TrainConfig(
+            mode="tot+tcl" if with_positives else "tot",
+            batch_size=batch,
+            embed_dim=30,
+            normalize=normalize,
+            loss=loss_config,
+        )
+        workspace = Workspace.for_run(config, rows.shape[1])
+        anchors = rows[:batch]
+        positives = rows[batch:] if with_positives else None
+        scores, clustering, coherence, want = allocating_step(
+            params, anchors, positives, codes, 2, loss_config, normalize
+        )
+        for _ in range(2):  # the second step overwrites every array of the first
+            step = forward(
+                params, rows if with_positives else anchors, batch, normalize, workspace
+            )
+            assert step.cache.hidden is workspace.hidden
+            assert step.cache.outputs is workspace.outputs
+            got_clustering, got_coherence, got = backward(
+                step, codes, 2, loss_config, workspace
+            )
+            np.testing.assert_array_equal(step.scores, scores)
+            assert (got_clustering, got_coherence) == (clustering, coherence)
+            assert sorted(got) == sorted(want)
+            for key, grad in want.items():
+                np.testing.assert_array_equal(got[key], grad, err_msg=key)
+
+
 class TestStepOwnership:
     """backward writes to nothing it is given, and forward embeds a batch's
     rows where ``build_batch`` read them."""
@@ -473,6 +522,55 @@ class TestStepAllocations:
         assert peak < gradient_rows + similarity_block + hidden_gradient
 
 
+    def test_a_steady_train_step_allocates_no_block_of_64_kib(
+        self, tmp_path, monkeypatch
+    ):
+        # A train-disk-shaped run: B = 512 anchors and their positives, read
+        # from disk with D = 64, embedding 30, K = 5, tot+tcl. From the third
+        # build_batch call to the fourth (one whole step after two warm-up
+        # steps), no numpy block of 64 KiB or more is alive at any Python
+        # call or return, or at a call into C.
+        rng = np.random.default_rng(0)
+        for name in ("v0", "v1", "v2"):
+            path = tmp_path / "act" / "features" / f"{name}.totf"
+            write_features(rng.normal(size=(600, 64)), path)
+        LabelMapping({f"a{i}": i for i in range(5)}).to_file(tmp_path / "act" / "mapping.txt")
+        catalog = load_catalog(tmp_path, "act")
+        config = TrainConfig(
+            mode="tot+tcl", iterations=4, batch_size=512, embed_dim=30, freeze_iterations=1
+        )
+        numpy_blocks = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        largest = []
+
+        def probe(frame, event, arg):
+            traces = tracemalloc.take_snapshot().filter_traces(numpy_blocks).traces
+            largest.append(max((trace.size for trace in traces), default=0))
+
+        calls = []
+        was_tracing = tracemalloc.is_tracing()
+
+        def spy_build(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                if not was_tracing:
+                    tracemalloc.start()
+                tracemalloc.clear_traces()
+                sys.setprofile(probe)
+            elif len(calls) == 4:
+                sys.setprofile(None)
+            return build_batch(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "build_batch", spy_build)
+        try:
+            train(catalog, config)
+        finally:
+            sys.setprofile(None)
+            if not was_tracing:
+                tracemalloc.stop()
+        assert len(largest) > 100  # the probe saw the step
+        assert max(largest) < 64 * 1024
+
+
 class TestTrainRunsTheOracleStep:
     """The gradients train() steps with are exactly the public halves' output."""
 
@@ -483,7 +581,8 @@ class TestTrainRunsTheOracleStep:
 
         def spy_build(*args, **kwargs):
             batch = real_build(*args, **kwargs)
-            seen.setdefault("batch", batch)
+            # The rows alias the run's workspace, which the next step overwrites.
+            seen.setdefault("batch", Batch(batch.rows.copy()))
             return batch
 
         def spy_solve(*args, **kwargs):
@@ -624,6 +723,54 @@ class TestTrain:
         # Stacked anchor+positive activations are the largest anything gets.
         assert ledger.max_dimension() == 64
         assert ledger.max_dimension() < catalog.total_frames
+
+    def test_each_disk_video_is_mapped_once_per_run(self, tmp_path, monkeypatch):
+        write_catalog(small_catalog(), tmp_path)
+        catalog = load_catalog(tmp_path, "synthetic")
+        opens = []
+        map_payload = dataio._map_payload
+
+        def counted(path, *args):
+            opens.append(path.stem)
+            return map_payload(path, *args)
+
+        monkeypatch.setattr(dataio, "_map_payload", counted)
+        train(catalog, small_config(iterations=20))
+        assert opens == [video.video_id for video in catalog.videos]
+
+    def test_a_pool_past_the_open_map_cap_trains_under_a_low_descriptor_limit(
+        self, tmp_path
+    ):
+        # Before Python 3.13 every open map holds a file descriptor. A child
+        # lowers its own soft limit below the pool's size, above the cap.
+        cap = dataio._MAX_OPEN_MAPS
+        limit = cap + 32
+        soft, _ = resource.getrlimit(resource.RLIMIT_NOFILE)
+        if soft != resource.RLIM_INFINITY and soft < limit:
+            pytest.skip(f"soft descriptor limit {soft} is already below {limit}")
+        rng = np.random.default_rng(0)
+        for index in range(cap + 64):
+            frames = rng.normal(size=(8, 2))
+            write_features(frames, tmp_path / "many" / "features" / f"v{index:03d}.totf")
+        LabelMapping({"a": 0, "b": 1}).to_file(tmp_path / "many" / "mapping.txt")
+        script = (
+            "import resource, sys\n"
+            "from totseg import dataio, trainer\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            f"resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, hard))\n"
+            "catalog = dataio.load_catalog(sys.argv[1], 'many')\n"
+            "config = trainer.TrainConfig(iterations=3, batch_size=8, embed_dim=2)\n"
+            "trainer.train(catalog, config)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_pool_too_small_rejected(self):
         catalog = small_catalog(num_videos=2)
