@@ -19,10 +19,10 @@ positive, is a data error; so is a ground-truth, ``mapping.txt`` or
 prediction file that is not UTF-8 text, and a directory where a
 prediction file should be, and an ``eval --exclude-background`` id that
 is not an action id of the activity's ``mapping.txt`` (the line names the
-id and the activity). An ``--activity`` list that names no activity
-is a usage error, and so is a ``synth --activity`` name that is empty,
-``.`` or ``..``, holds ``/`` or ``,``, or starts or ends with whitespace
-(no other command could select it), a ``synth --dim`` or
+id and the activity). An ``--activity`` list that names no activity, or
+names one twice, is a usage error, and so is a ``synth --activity`` name
+that is empty, ``.`` or ``..``, holds ``/`` or ``,``, or starts or ends
+with whitespace (no other command could select it), a ``synth --dim`` or
 ``--segment-len`` or a ``train --embed-dim`` that sizes an array past
 numpy's limits (the cluster-mean basis, the longest segment, the
 encoder's ``w2``), a negative ``--seed`` (``synth`` or ``train``), an output path that
@@ -155,6 +155,9 @@ def _activities(root: Path, requested: str | None) -> list[str]:
         names = [name.strip() for name in requested.split(",") if name.strip()]
         if not names:
             raise UsageError(f"--activity {requested!r} names no activity")
+        twice = next((name for name in names if names.count(name) > 1), None)
+        if twice is not None:
+            raise UsageError(f"--activity {requested!r} names {twice!r} twice")
         for name in names:
             if not (root / name / "features").is_dir():
                 raise DataError(f"activity {name!r} not found under {root}")

@@ -12,11 +12,14 @@ uint32, column count as uint32 (14 header bytes), then rows*cols float32
 values in row-major order. Readers promote to float64. See
 docs/file-formats.md for the byte-level layout.
 
-Videos load lazily: the catalog reads only headers, and every read goes
-through a memory map of the payload, so memory stays proportional to the
-batch rather than the dataset. ``train`` holds one ``FeatureMaps`` per
-run, which maps each video once and releases the pages of a video's map
-after each read; ``load_feature_rows`` maps the file for its call alone.
+Videos load lazily: the catalog reads only headers, and every frame any
+command reads goes through ``FeatureSequence.load_feature_rows``, which
+gathers from a memory map of the payload and checks finiteness with one
+sum per read, so memory stays proportional to the batch rather than the
+dataset. ``train`` passes it one ``FeatureMaps`` per run, which maps each
+video once, before the first step, and releases the pages of a video's
+map after each read; ``segment`` maps a file for each chunk it reads. A
+payload shorter than its header is a DataError whenever it is mapped.
 """
 
 from __future__ import annotations
@@ -74,21 +77,23 @@ class FeatureSequence:
             return self.array
         return self.load_feature_rows(np.arange(self.num_frames))
 
-    def load_feature_rows(self, rows) -> np.ndarray:
-        """Only the requested frame rows, via a map for this call alone when disk-backed.
-
-        The map is closed before returning; the rows come back as a copy.
+    def load_feature_rows(
+        self, rows, out: np.ndarray | None = None, maps: FeatureMaps | None = None
+    ) -> np.ndarray:
+        """Frame ``rows`` of this video, gathered into ``out`` and returned:
+        every frame any command reads comes through here.
 
         Args:
-            rows: 1-D integer array of frame indices in [0, num_frames).
-
-        Returns:
-            len(rows) x dim float64 matrix, in the order given.
+            rows: Integer array (..., n) of frames in [0, num_frames).
+            out: Float64 array (..., n, dim) that receives the rows; a new
+                array when None.
+            maps: The ``FeatureMaps`` a disk-backed video is read through;
+                when None, the file is mapped for this call alone.
 
         Raises:
-            DataError: A requested row lies past the end of the file (the
-                first such is named), or a row read holds a non-finite
-                value (see ``check_finite``).
+            DataError: The video's file, mapped here, is shorter than its
+                header, or a row read holds a NaN or an infinity (names the
+                file, or the in-memory video, and the lowest such frame).
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_frames):
@@ -96,69 +101,60 @@ class FeatureSequence:
                 f"frame index out of range for {self.video_id}: "
                 f"requested {rows.min()}..{rows.max()} of {self.num_frames} frames"
             )
-        if self.array is not None:
-            gathered = self.array[rows]
-        elif not (rows.size and self.dim):
-            # Nothing to read, and a zero dim gives no row width to count by.
-            return np.empty((rows.size, self.dim), dtype=np.float64)
+        if out is None:
+            out = np.empty((*rows.shape, self.dim))
+        if maps is not None:
+            maps.read(self, rows, out)
         else:
-            view, payload = _map_payload(self.path, self.num_frames, self.dim, rows)
-            with view:
-                # Consecutive frames (a chunk of embed_dataset) copy out of
-                # the map as one slice, which is cheaper than a gather.
-                index = rows
-                if rows[-1] - rows[0] == rows.size - 1 and (rows[1:] > rows[:-1]).all():
-                    index = slice(int(rows[0]), int(rows[-1]) + 1)
-                gathered = payload[index].astype(np.float64)
-                # The map cannot close while an array still exports its buffer.
-                del payload
-        self.check_finite(rows, gathered)
-        return gathered
-
-    def check_finite(self, frames: np.ndarray, values: np.ndarray) -> None:
-        """Raise DataError if ``values``, this video's rows ``frames``, hold a
-        NaN or an infinity; it names the feature file (or the in-memory
-        video) and the lowest such frame."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            bad = int(frames[~finite.all(axis=1)].min())
-            source = self.path or f"video {self.video_id}"
-            raise DataError(f"{source}: non-finite feature value in frame {bad}")
+            with FeatureMaps() as maps:
+                maps.read(self, rows, out)
+        # One sum per read; only a read that fails it is searched for the
+        # frame to name. A sum that overflows on finite rows finds nothing
+        # there and passes.
+        if not np.isfinite(out.sum()):
+            bad = rows[~np.isfinite(out).all(axis=-1)]
+            if bad.size:
+                source = self.path or f"video {self.video_id}"
+                raise DataError(f"{source}: non-finite feature value in frame {int(bad.min())}")
+        return out
 
 
-def _map_payload(
-    path: Path, num_frames: int, dim: int, rows: np.ndarray | None = None
-) -> tuple[mmap.mmap, np.ndarray]:
-    """A feature file's payload, mapped read-only: (the map, its rows as a
-    float32 array of ``dim`` columns).
+def _map_payload(path: Path, num_frames: int, dim: int) -> tuple[mmap.mmap, np.ndarray]:
+    """A feature file's payload, mapped read-only: (the map, its
+    num_frames x dim rows as a float32 array).
 
-    The array holds the rows the file holds in full, at most ``num_frames``.
     The file's descriptor is closed before this returns; the map can close
     only once no array of it is left.
 
     Raises:
-        DataError: A frame of ``rows`` (by default, of the whole video) lies
-            past the end of the file; names the first such.
+        DataError: The payload is shorter than the header claims; names the
+            first missing row.
     """
     with open(path, "rb") as fh:
         payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
-        present = min(num_frames, max(0, payload_bytes) // (dim * 4)) if dim else num_frames
-        missing = [present] if rows is None else rows[rows >= present]
-        if present < num_frames and len(missing):
-            raise DataError(f"{path}: row {int(missing[0])} extends past end of file")
+        present = max(0, payload_bytes) // (dim * 4) if dim else num_frames
+        if present < num_frames:
+            raise DataError(f"{path}: row {present} extends past end of file")
         view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     payload = np.frombuffer(
-        view, dtype="<f4", count=present * dim, offset=_FEATURE_HEADER.size
+        view, dtype="<f4", count=num_frames * dim, offset=_FEATURE_HEADER.size
     )
-    return view, payload.reshape(present, dim)
+    return view, payload.reshape(num_frames, dim)
 
 
 def _copy_rows(source: np.ndarray, frames: np.ndarray, out: np.ndarray) -> None:
     """``out[..., i, :] = source[frames[..., i]]``, cast to out's dtype.
 
-    It copies a few frames of the last axis at a time, so the gathered
-    temporary stays within ``_GATHER_BYTES`` (or one frame of each part).
+    Consecutive frames (a chunk of ``embed_dataset``) copy as one slice,
+    which is cheaper than a gather. Otherwise it copies a few frames of the
+    last axis at a time, so the gathered temporary stays within
+    ``_GATHER_BYTES`` (or one frame of each part).
     """
+    if frames.ndim == 1 and frames.size:
+        first, last = int(frames[0]), int(frames[-1])
+        if last - first == frames.size - 1 and (frames[1:] > frames[:-1]).all():
+            np.copyto(out, source[first : last + 1])
+            return
     # One frame of the last axis, in every part of the leading axes.
     frame_bytes = source.itemsize * source.shape[1] * (frames.size // max(1, frames.shape[-1]))
     step = max(1, _GATHER_BYTES // max(1, frame_bytes))
@@ -210,7 +206,8 @@ class FeatureMaps:
             frames: Integer array (..., n) of frames in [0, num_frames).
             out: Float array (..., n, dim) that receives the rows, cast from
                 the file's float32 (or from an in-memory video's array).
-                Whether they are finite is the caller's to check.
+                ``FeatureSequence.load_feature_rows`` checks that they are
+                finite.
 
         Raises:
             DataError: The video's file was first mapped here and is

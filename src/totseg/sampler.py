@@ -9,7 +9,6 @@ uniformly from a window around it, for the coherence loss.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,14 +125,14 @@ def build_batch(
             rows are a read-only view of it, so the next call given the
             same ``out`` overwrites them. A new array when None.
         maps: The ``FeatureMaps`` disk-backed videos are read through; when
-            None, each chosen video is mapped for this call alone.
+            None, each chosen video is mapped for its read alone.
 
     Raises:
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
-        DataError: A row read holds a non-finite value (see
-            ``FeatureSequence.check_finite``), or a chosen video's file,
-            mapped here, is shorter than its header.
+        DataError: From ``FeatureSequence.load_feature_rows``, which reads
+            each block: a row read holds a non-finite value, or a chosen
+            video's file, mapped here, is shorter than its header.
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
@@ -151,23 +150,12 @@ def build_batch(
     # same rows of the bottom half: blocks[:, i] is the pair.
     blocks = out.reshape(2, videos_per_batch, block_len, out.shape[1])
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
-    reads = []
-    with FeatureMaps() if maps is None else nullcontext(maps) as source:
-        for block, idx in enumerate(chosen):
-            video = videos[int(idx)]
-            anchors = sample_ordered(video.num_frames, block_len, rng)
-            mates = sample_positive(anchors, window, video.num_frames, rng)
-            # Positives lie near their anchors, on the same pages: read both at once.
-            frames = np.stack([anchors, mates])
-            source.read(video, frames, blocks[:, block])
-            reads.append((video, frames))
-    # One pass over the batch; only a batch that fails it is searched for
-    # the video and frame to name. A sum that overflows on finite rows
-    # finds nothing there and passes.
-    if not np.isfinite(out.sum()):
-        for block, (video, frames) in enumerate(reads):
-            values = blocks[:, block].reshape(-1, out.shape[1])
-            video.check_finite(frames.ravel(), values)
+    for block, idx in enumerate(chosen):
+        video = videos[int(idx)]
+        anchors = sample_ordered(video.num_frames, block_len, rng)
+        mates = sample_positive(anchors, window, video.num_frames, rng)
+        # Positives lie near their anchors, on the same pages: read both at once.
+        video.load_feature_rows(np.stack([anchors, mates]), blocks[:, block], maps)
     rows = out.view()
     rows.flags.writeable = False
     return Batch(rows)

@@ -948,6 +948,24 @@ class TestExitCodes:
                 id="eval_activity_list_without_a_name",
             ),
             pytest.param(
+                "train",
+                ["--activity", "synthetic,synthetic"],
+                "--activity 'synthetic,synthetic' names 'synthetic' twice",
+                id="train_activity_named_twice",
+            ),
+            pytest.param(
+                "segment",
+                ["--activity", "synthetic,synthetic"],
+                "--activity 'synthetic,synthetic' names 'synthetic' twice",
+                id="segment_activity_named_twice",
+            ),
+            pytest.param(
+                "eval",
+                ["--activity", "synthetic,synthetic"],
+                "--activity 'synthetic,synthetic' names 'synthetic' twice",
+                id="eval_activity_named_twice",
+            ),
+            pytest.param(
                 "synth",
                 ["--activity", ""],
                 "--activity '' is not an activity name",

@@ -259,6 +259,32 @@ class TestBuildBatch:
         np.testing.assert_array_equal(got.rows, want.rows)
         np.testing.assert_array_equal(got.rows, replayed_rows(blocks))
 
+    def test_each_block_is_one_load_feature_rows_call_into_the_batch(self, monkeypatch):
+        # Replaced on the class, as perfbench's tracer wraps it.
+        calls = []
+        load = FeatureSequence.load_feature_rows
+
+        def counted(self, rows, out=None, maps=None):
+            calls.append((self, np.shape(rows), out, maps))
+            return load(self, rows, out, maps)
+
+        monkeypatch.setattr(FeatureSequence, "load_feature_rows", counted)
+        videos = self.pool([90, 120, 150], dim=4)
+        out = np.empty((120, 4))
+        with dataio.FeatureMaps() as maps:
+            batch = build_batch(videos, 3, 60, np.random.default_rng(15), 6, out, maps)
+        blocks = out.reshape(2, 3, 20, 4)
+        assert len(calls) == 3
+        for block, (video, shape, into, through) in enumerate(calls):
+            assert shape == (2, 20)
+            assert through is maps
+            # Block i's anchors and positives: rows i*20.. of each half.
+            assert into.__array_interface__ == blocks[:, block].__array_interface__
+            assert np.shares_memory(into, batch.rows)
+        replayed = replay(videos, 3, 60, np.random.default_rng(15), window=6)
+        assert [video for video, *_ in calls] == [video for video, _, _ in replayed]
+        np.testing.assert_array_equal(batch.rows, replayed_rows(replayed))
+
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="positive multiple"):
             build_batch(self.pool([100, 100, 100]), 3, 10, np.random.default_rng(0))
