@@ -14,8 +14,9 @@ has clusters: such a video has no ordered segmentation, and skipping it
 would leave ``eval`` a missing label file. ``train`` fails with a data
 error when an activity has fewer videos of at least one block's length
 (batch / videos-per-batch frames) than a batch draws. A checkpoint whose
-header has a dimension below 1, or a temperature that is not finite and
-positive, is a data error; so is a ground-truth, ``mapping.txt`` or
+header has a dimension below 1, a normalized flag other than 0 or 1, or a
+temperature that is not finite and positive, is a data error; so is a
+feature file of another size than its header claims, a ground-truth, ``mapping.txt`` or
 prediction file that is not UTF-8 text, and a directory where a
 prediction file should be, and an ``eval --exclude-background`` id that
 is not an action id of the activity's ``mapping.txt`` (the line names the

@@ -19,7 +19,8 @@ sum per read, so memory stays proportional to the batch rather than the
 dataset. ``train`` passes it one ``FeatureMaps`` per run, which maps each
 video once, before the first step, and releases the pages of a video's
 map after each read; ``segment`` maps a file for each chunk it reads. A
-payload shorter than its header is a DataError whenever it is mapped.
+file whose size is not the one its header claims is a DataError whenever it
+is mapped.
 """
 
 from __future__ import annotations
@@ -91,8 +92,8 @@ class FeatureSequence:
                 when None, the file is mapped for this call alone.
 
         Raises:
-            DataError: The video's file, mapped here, is shorter than its
-                header, or a row read holds a NaN or an infinity (names the
+            DataError: The video's file, mapped here, is not the size its
+                header claims, or a row read holds a NaN or an infinity (names the
                 file, or the in-memory video, and the lowest such frame).
         """
         rows = np.asarray(rows, dtype=np.int64)
@@ -127,14 +128,17 @@ def _map_payload(path: Path, num_frames: int, dim: int) -> tuple[mmap.mmap, np.n
     only once no array of it is left.
 
     Raises:
-        DataError: The payload is shorter than the header claims; names the
-            first missing row.
+        DataError: The file is not exactly the size its header claims: a
+            short payload names the first missing row, a long one both sizes.
     """
     with open(path, "rb") as fh:
-        payload_bytes = os.fstat(fh.fileno()).st_size - _FEATURE_HEADER.size
-        present = max(0, payload_bytes) // (dim * 4) if dim else num_frames
-        if present < num_frames:
+        size = os.fstat(fh.fileno()).st_size
+        expected = _FEATURE_HEADER.size + 4 * num_frames * dim
+        if size < expected:
+            present = max(0, size - _FEATURE_HEADER.size) // (dim * 4)
             raise DataError(f"{path}: row {present} extends past end of file")
+        if size > expected:
+            raise DataError(f"{path}: feature file promises {expected} bytes, file has {size}")
         view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     payload = np.frombuffer(
         view, dtype="<f4", count=num_frames * dim, offset=_FEATURE_HEADER.size
@@ -167,7 +171,7 @@ class FeatureMaps:
     """Read-only maps of disk-backed videos, each opened once and kept open.
 
     ``train`` holds one for its run: it maps the pool when it starts, so a
-    file shorter than its header stops the run before the first step, and
+    file of the wrong size stops the run before the first step, and
     every batch then reads through the maps. After each read the map's
     pages are released (``MADV_DONTNEED``), so resident memory stays that
     of one batch; the next read faults them back in from the page cache.
@@ -210,8 +214,8 @@ class FeatureMaps:
                 finite.
 
         Raises:
-            DataError: The video's file was first mapped here and is
-                shorter than its header.
+            DataError: The video's file was first mapped here and is not
+                the size its header claims.
         """
         if video.array is not None:
             _copy_rows(video.array, frames, out)
@@ -607,6 +611,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A negative zero passes the range checks below, but numpy's generator
+        # rejects it; + 0.0 turns it into 0.0 and leaves any other value as is.
+        for name in ("len_jitter", "noise_sigma"):
+            object.__setattr__(self, name, getattr(self, name) + 0.0)
         if self.num_videos < 1:
             raise ValueError(f"num_videos must be >= 1, got {self.num_videos}")
         if self.num_actions < 2:

@@ -19,17 +19,26 @@ less, already subnormal) round to 0.
 
 Ownership: ``backward`` and ``normalize_rows_backward`` overwrite the
 gradient they are given and build their results in it. Each batch-sized
-result also has an ``out``-style argument (``forward``'s ``hidden`` and
-``outputs``, ``normalize_rows``' ``out``, ``normalize_rows_backward``'s
-``work``, ``backward``'s ``grad_hidden``): given one, the kernel writes
-there instead of allocating, and without one it allocates, in the same
-code. ``trainer.train`` owns those arrays, allocates them once per run and
-passes them at every step, so a steady-state step makes no batch-sized
-array. A step's activations last until the next step overwrites them, and
+result, and the parameter gradient, also has an ``out``-style argument
+(``forward``'s ``hidden`` and ``outputs``, ``normalize_rows``' ``out``,
+``normalize_rows_backward``'s ``work``, ``backward``'s ``grad_hidden`` and
+``grads``): given one, the kernel writes there instead of allocating, and
+without one it allocates, in the same code. ``trainer.train`` owns those
+arrays, allocates them once per run and passes them at every step, so a
+steady-state step makes no batch-sized array. A step's activations last until the next step overwrites them, and
 its inputs are the batch's rows, which the next ``build_batch`` overwrites.
 A caller that still needs a gradient passes a copy. Nothing here writes to a
 ``ForwardCache``, to the forward inputs or to normalized rows and norms: a
 second backward of the same forward pass gives the same gradients.
+
+Parameters, their gradient and Adam's two moments share one layout
+(``EncoderParams``): five arrays that are views into one float64 vector, in
+``PARAM_KEYS`` order. ``backward`` writes each layer's gradient into its
+view of one gradient vector, and the caller writes the prototypes'.
+``adam_step`` updates the parameter and moment vectors in place with a few
+whole-vector ufuncs and two parameter-sized temporaries, over a prefix
+while the prototypes, the vector's tail, are frozen. A checkpoint's
+payload is the parameter vector's bytes.
 
 Checkpoints are a fixed little-endian binary format (magic ``TOTC``); see
 docs/file-formats.md.
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,15 +72,50 @@ ADAM_EPS = 1e-8
 _BLOCK_ELEMENTS = 8192
 
 
-@dataclass
-class EncoderParams:
-    """Learnable parameters: two dense layers plus cluster prototypes."""
+class EncoderParams(Mapping):
+    """Learnable parameters (two dense layers plus cluster prototypes), or a
+    gradient, a moment or any other array of their layout.
 
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    prototypes: np.ndarray
+    The five arrays are views into one float64 ``vector``, flattened in
+    ``PARAM_KEYS`` order: the checkpoint payload's order, with the
+    prototypes last, so ``adam_step`` freezes them by updating a prefix.
+    Writing into a field writes into ``vector``; rebinding one would
+    detach it. ``EncoderParams(w1=..., ...)`` copies five arrays into a
+    fresh vector, and ``from_vector`` views one without copying. It reads
+    as a mapping from ``PARAM_KEYS`` to the arrays.
+    """
+
+    def __init__(self, w1, b1, w2, b2, prototypes) -> None:
+        arrays = [np.asarray(a, dtype=np.float64) for a in (w1, b1, w2, b2, prototypes)]
+        self._bind(np.concatenate([a.ravel() for a in arrays]), [a.shape for a in arrays])
+
+    @classmethod
+    def from_vector(cls, vector: np.ndarray, dims: tuple[int, int, int, int]) -> "EncoderParams":
+        """Views of a float64 ``vector`` of ``dims``' total size, not a copy."""
+        params = cls.__new__(cls)
+        params._bind(vector, _param_shapes(dims))
+        return params
+
+    def _bind(self, vector: np.ndarray, shapes) -> None:
+        self.vector = vector
+        offset = 0
+        for key, shape in zip(PARAM_KEYS, shapes):
+            size = math.prod(shape)
+            setattr(self, key, vector[offset : offset + size].reshape(shape))
+            offset += size
+        if offset != vector.size:
+            raise ValueError(f"parameter vector of {vector.size} entries, shapes need {offset}")
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in PARAM_KEYS:
+            raise KeyError(key)
+        return getattr(self, key)
+
+    def __iter__(self):
+        return iter(PARAM_KEYS)
+
+    def __len__(self) -> int:
+        return len(PARAM_KEYS)
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -83,7 +128,17 @@ class EncoderParams:
         )
 
     def as_dict(self) -> dict[str, np.ndarray]:
-        return {key: getattr(self, key) for key in PARAM_KEYS}
+        return dict(self)
+
+    def zeros_like(self) -> "EncoderParams":
+        """A zero array of this layout, in a new vector."""
+        return EncoderParams.from_vector(np.zeros(self.vector.size), self.dims)
+
+
+def _param_shapes(dims: tuple[int, int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """Shapes of w1, b1, w2, b2 and prototypes for (input, hidden, embed, clusters)."""
+    d_in, hidden, d_embed, clusters = dims
+    return ((d_in, hidden), (hidden,), (hidden, d_embed), (d_embed,), (clusters, d_embed))
 
 
 def init_params(
@@ -174,13 +229,17 @@ def forward(
 
 
 def backward(
-    cache: ForwardCache, grad_outputs: np.ndarray, grad_hidden: np.ndarray | None = None
-) -> dict[str, np.ndarray]:
+    cache: ForwardCache,
+    grad_outputs: np.ndarray,
+    grad_hidden: np.ndarray | None = None,
+    grads: EncoderParams | None = None,
+) -> EncoderParams:
     """Gradients of a scalar loss w.r.t. the two layers.
 
     Each pre-activation gradient is built in the array it starts from:
     the output layer's in ``grad_outputs``, the hidden layer's in the
-    matmul result that carries it back through ``w2``.
+    matmul result that carries it back through ``w2``. Each layer's
+    gradient is written into its view of one gradient vector.
 
     Args:
         cache: Cache returned by the forward pass being differentiated;
@@ -190,10 +249,13 @@ def backward(
             pre-activation gradient.
         grad_hidden: Float64 array of the hidden activations' shape that
             receives the hidden layer's gradient; a new array when None.
+        grads: Array of the parameters' layout whose w1, b1, w2 and b2
+            views receive the gradient, its prototypes left as they are; a
+            new one, with zero prototypes, when None.
 
     Returns:
-        Dict with keys w1, b1, w2, b2 (prototype gradients are the
-        caller's business since prototypes never enter the forward pass).
+        ``grads``. Prototypes never enter the forward pass: a caller whose
+        loss reads them writes their gradient into that view.
     """
     z = cache.outputs
     hidden = cache.hidden
@@ -201,17 +263,19 @@ def backward(
         raise ValueError(
             f"grad shape {grad_outputs.shape} does not match output shape {z.shape}"
         )
+    if grads is None:
+        grads = cache.params.zeros_like()
     da2 = grad_outputs
     da2 *= z
     _times_one_minus(da2, z)
-    dw2 = hidden.T @ da2
-    db2 = da2.sum(axis=0)
+    np.matmul(hidden.T, da2, out=grads.w2)
+    da2.sum(axis=0, out=grads.b2)
     da1 = np.matmul(da2, cache.params.w2.T, out=grad_hidden)
     da1 *= hidden
     _times_one_minus(da1, hidden)
-    dw1 = cache.inputs.T @ da1
-    db1 = da1.sum(axis=0)
-    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    np.matmul(cache.inputs.T, da1, out=grads.w1)
+    da1.sum(axis=0, out=grads.b1)
+    return grads
 
 
 def _times_one_minus(target: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -271,10 +335,14 @@ def normalize_rows_backward(
 
 @dataclass
 class AdamState:
-    """First/second moments and hyperparameters of the Adam update."""
+    """First/second moments and hyperparameters of the Adam update.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    ``m`` and ``v`` have the parameters' layout: each is one vector, which
+    ``adam_step`` updates in place.
+    """
+
+    m: EncoderParams
+    v: EncoderParams
     step: int = 0
     learning_rate: float = 1e-3
     weight_decay: float = 1e-4
@@ -296,42 +364,70 @@ class AdamState:
         weight_decay: float = 1e-4,
     ) -> "AdamState":
         cls.check_settings(learning_rate, weight_decay)
-        zeros = lambda: {k: np.zeros_like(v) for k, v in params.as_dict().items()}
-        return cls(m=zeros(), v=zeros(), learning_rate=learning_rate, weight_decay=weight_decay)
+        return cls(
+            m=params.zeros_like(),
+            v=params.zeros_like(),
+            learning_rate=learning_rate,
+            weight_decay=weight_decay,
+        )
 
 
 def adam_step(
-    params: EncoderParams, grads: dict[str, np.ndarray], state: AdamState
+    params: EncoderParams, grads: Mapping[str, np.ndarray], state: AdamState
 ) -> None:
     """One in-place Adam update with decoupled weight decay.
 
     Bias-corrected moments drive the step; weight decay is applied
-    directly to the parameters (not mixed into the gradient). While
-    ``state.prototypes_frozen`` is set, the prototypes and their moments
-    are left untouched.
+    directly to the parameters (not mixed into the gradient). The update
+    runs over the parameter vector, or, while ``state.prototypes_frozen``
+    is set, over its prefix before the prototypes, which leaves them and
+    their moments untouched.
+
+    Args:
+        grads: The gradient, read in place when it is an ``EncoderParams``
+            (``backward``'s result) and packed into one otherwise; it must
+            hold every key of ``PARAM_KEYS`` in its parameter's shape.
     """
+    for key in PARAM_KEYS:
+        if key not in grads:
+            raise ValueError(f"missing gradient for parameter {key!r}")
+        if grads[key].shape != params[key].shape:
+            raise ValueError(
+                f"gradient shape {grads[key].shape} does not match {key} shape "
+                f"{params[key].shape}"
+            )
+    if not isinstance(grads, EncoderParams):
+        grads = EncoderParams(*(grads[key] for key in PARAM_KEYS))
     state.step += 1
     t = state.step
     correct1 = 1.0 - ADAM_BETA1**t
     correct2 = 1.0 - ADAM_BETA2**t
-    for key in PARAM_KEYS:
-        if key == "prototypes" and state.prototypes_frozen:
-            continue
-        if key not in grads:
-            raise ValueError(f"missing gradient for parameter {key!r}")
-        grad = grads[key]
-        param = getattr(params, key)
-        if grad.shape != param.shape:
-            raise ValueError(
-                f"gradient shape {grad.shape} does not match {key} shape {param.shape}"
-            )
-        state.m[key] = ADAM_BETA1 * state.m[key] + (1.0 - ADAM_BETA1) * grad
-        state.v[key] = ADAM_BETA2 * state.v[key] + (1.0 - ADAM_BETA2) * grad**2
-        m_hat = state.m[key] / correct1
-        v_hat = state.v[key] / correct2
-        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        if state.weight_decay > 0:
-            param -= state.learning_rate * state.weight_decay * param
+    end = params.vector.size
+    if state.prototypes_frozen:
+        end -= params.prototypes.size
+    param, grad = params.vector[:end], grads.vector[:end]
+    m, v = state.m.vector[:end], state.v.vector[:end]
+    # Each expression is evaluated as in the per-array update
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g**2
+    #   param -= lr * m_hat / (sqrt(v_hat) + eps);  param -= lr * wd * param
+    # with its operands in the same order, so the bits are the same.
+    work = (1.0 - ADAM_BETA1) * grad
+    m *= ADAM_BETA1
+    m += work
+    np.square(grad, out=work)
+    work *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += work
+    update = m / correct1
+    update *= state.learning_rate
+    np.divide(v, correct2, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    update /= work
+    param -= update
+    if state.weight_decay > 0:
+        np.multiply(param, state.learning_rate * state.weight_decay, out=update)
+        param -= update
 
 
 def save_checkpoint(
@@ -360,8 +456,7 @@ def save_checkpoint(
     )
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        for key in PARAM_KEYS:
-            fh.write(np.ascontiguousarray(getattr(params, key), dtype="<f8").tobytes())
+        fh.write(np.asarray(params.vector, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[EncoderParams, dict]:
@@ -373,8 +468,9 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
 
     Raises:
         DataError: Naming the file, on a wrong magic or version, a header
-            dimension below 1, a temperature that is not finite and
-            positive, or a payload of the wrong length.
+            dimension below 1, a normalized flag other than 0 or 1, a
+            temperature that is not finite and positive, or a payload of the
+            wrong length.
     """
     path = Path(path)
     raw = path.read_bytes()
@@ -401,33 +497,21 @@ def load_checkpoint(path) -> tuple[EncoderParams, dict]:
             f"{path}: checkpoint dimensions must be >= 1, got input {d_in}, "
             f"hidden {hidden}, embedding {d_embed}, clusters {clusters}"
         )
+    if normalized not in (0, 1):
+        raise DataError(f"{path}: checkpoint normalized flag must be 0 or 1, got {normalized}")
     if not (math.isfinite(temperature) and temperature > 0):
         raise DataError(
             f"{path}: checkpoint temperature must be finite and positive, "
             f"got {temperature}"
         )
 
-    shapes = {
-        "w1": (d_in, hidden),
-        "b1": (hidden,),
-        "w2": (hidden, d_embed),
-        "b2": (d_embed,),
-        "prototypes": (clusters, d_embed),
-    }
-    total = sum(int(np.prod(s)) for s in shapes.values())
+    dims = (d_in, hidden, d_embed, clusters)
+    total = sum(math.prod(shape) for shape in _param_shapes(dims))
     expected = _CKPT_HEADER.size + total * 8
     if len(raw) != expected:
         raise DataError(f"{path}: checkpoint promises {expected} bytes, file has {len(raw)}")
 
-    offset = _CKPT_HEADER.size
-
-    def take(shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        return arr.reshape(shape).astype(np.float64)
-
-    params = EncoderParams(**{key: take(shapes[key]) for key in PARAM_KEYS})
+    vector = np.frombuffer(raw, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
+    params = EncoderParams.from_vector(vector, dims)
     meta = {"temperature": temperature, "normalized": bool(normalized)}
     return params, meta

@@ -4,7 +4,9 @@ A batch concatenates equal-sized blocks from a few videos. Within a block,
 anchors are drawn one per equal temporal bin, so the block covers its video
 start to finish in strictly increasing frame order; the solvers downstream
 rely on that ordering. Each anchor also gets a positive: a frame drawn
-uniformly from a window around it, for the coherence loss.
+uniformly from a window around it, for the coherence loss; a batch
+gathered without positives still draws them, so every mode consumes the
+generator alike.
 """
 
 from __future__ import annotations
@@ -18,28 +20,33 @@ from .dataio import FeatureMaps, FeatureSequence
 
 @dataclass(frozen=True)
 class Batch:
-    """One training batch: equal video blocks of anchors, and their positives.
+    """One training batch: equal video blocks of anchors, and their positives
+    when the batch was gathered with them.
 
     Attributes:
-        rows: 2B x dim read-only feature rows: the B anchors, one block of
-            consecutive rows per video, each block in increasing frame
-            order, then the B positives, row-aligned with the anchors. The
-            encoder embeds them in one pass as they are. They are a view of
-            the array ``build_batch`` gathered into: in ``train``, the
-            run's workspace, which the next batch overwrites.
+        rows: Read-only feature rows, B x dim or 2B x dim: the B anchors, one
+            block of consecutive rows per video, each block in increasing
+            frame order, then, in a 2B-row batch, the B positives,
+            row-aligned with the anchors. The encoder embeds them in one pass
+            as they are. They are a view of the array ``build_batch``
+            gathered into: in ``train``, the run's workspace, which the next
+            batch overwrites.
+        batch_size: B, the number of anchors.
     """
 
     rows: np.ndarray
+    batch_size: int
 
     @property
     def features(self) -> np.ndarray:
-        """B x dim anchor rows: the top half of ``rows``."""
-        return self.rows[: len(self.rows) // 2]
+        """B x dim anchor rows: the first B of ``rows``."""
+        return self.rows[: self.batch_size]
 
     @property
     def positive_features(self) -> np.ndarray:
-        """B x dim positive rows: the bottom half of ``rows``."""
-        return self.rows[len(self.rows) // 2 :]
+        """Positive rows: the rows after the anchors, B x dim in a 2B-row
+        batch and none in a B-row one."""
+        return self.rows[self.batch_size :]
 
 
 def sample_ordered(num_frames: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -121,9 +128,12 @@ def build_batch(
         batch_size: Total anchors; must divide evenly into blocks.
         rng: Source of randomness; a fixed seed fixes the batch.
         window: Half-width of the positive sampling window, in frames.
-        out: 2B x dim float64 array the rows are gathered into; the batch's
-            rows are a read-only view of it, so the next call given the
-            same ``out`` overwrites them. A new array when None.
+        out: Float64 array the rows are gathered into: 2B x dim for anchors
+            and positives, or B x dim for the anchors alone (``train`` without
+            coherence). The positives are drawn either way, so the generator
+            ends in the same state. The batch's rows are a read-only view of
+            ``out``, so the next call given the same ``out`` overwrites them.
+            A new 2B x dim array when None.
         maps: The ``FeatureMaps`` disk-backed videos are read through; when
             None, each chosen video is mapped for its read alone.
 
@@ -132,7 +142,7 @@ def build_batch(
             videos_per_batch, or the pool is too small.
         DataError: From ``FeatureSequence.load_feature_rows``, which reads
             each block: a row read holds a non-finite value, or a chosen
-            video's file, mapped here, is shorter than its header.
+            video's file, mapped here, is not the size its header claims.
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]
@@ -146,16 +156,18 @@ def build_batch(
 
     if out is None:
         out = np.empty((2 * batch_size, videos[0].dim))
-    # Block i's anchors are rows i*L.. of the top half, its positives the
-    # same rows of the bottom half: blocks[:, i] is the pair.
-    blocks = out.reshape(2, videos_per_batch, block_len, out.shape[1])
+    # Block i's anchors are rows i*L.. of the first B rows, its positives (if
+    # read) the same rows of the next B: blocks[:, i] is the pair.
+    halves = len(out) // batch_size
+    blocks = out.reshape(halves, videos_per_batch, block_len, out.shape[1])
     chosen = rng.choice(len(videos), size=videos_per_batch, replace=False)
     for block, idx in enumerate(chosen):
         video = videos[int(idx)]
         anchors = sample_ordered(video.num_frames, block_len, rng)
         mates = sample_positive(anchors, window, video.num_frames, rng)
         # Positives lie near their anchors, on the same pages: read both at once.
-        video.load_feature_rows(np.stack([anchors, mates]), blocks[:, block], maps)
+        frames = np.stack((anchors, mates)[:halves])
+        video.load_feature_rows(frames, blocks[:, block], maps)
     rows = out.view()
     rows.flags.writeable = False
-    return Batch(rows)
+    return Batch(rows, batch_size)

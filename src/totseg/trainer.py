@@ -154,7 +154,8 @@ class TrainResult:
 
 @dataclass(frozen=True)
 class Workspace:
-    """Batch-sized arrays that a step writes into instead of allocating.
+    """Batch-sized arrays, and the parameter gradient, that a step writes into
+    instead of allocating.
 
     ``train`` allocates one per run (``for_run``) and passes it to
     ``build_batch``, ``forward`` and ``backward`` at every step, which
@@ -163,13 +164,16 @@ class Workspace:
     rows when coherence is on (anchors and positives) and B otherwise:
 
     Attributes:
-        rows: 2B x dim batch rows (``Batch.rows`` is a view of them).
+        rows: N x dim batch rows (``Batch.rows`` is a view of them): without
+            coherence ``build_batch`` reads no positive rows.
         hidden, grad_hidden: N x hidden activations and their gradient.
         outputs: N x embed encoder outputs.
         normalized, norm_work: N x embed unit rows and the work array of
             their backward; unused without normalization.
         grad_normalized: N x embed gradient of the embedding rows.
         similarity: L x L similarities of one video block, for coherence.
+        grads: The gradient in the parameters' layout (one vector), which
+            ``backward`` fills and returns.
     """
 
     rows: np.ndarray | None = None
@@ -180,15 +184,17 @@ class Workspace:
     norm_work: np.ndarray | None = None
     grad_normalized: np.ndarray | None = None
     similarity: np.ndarray | None = None
+    grads: encoder.EncoderParams | None = None
 
     @classmethod
-    def for_run(cls, config: TrainConfig, dim: int) -> "Workspace":
-        """The arrays a run of ``config`` on ``dim``-column features uses."""
+    def for_run(cls, config: TrainConfig, params: encoder.EncoderParams) -> "Workspace":
+        """The arrays a run of ``config`` that trains ``params`` uses."""
+        dim = params.dims[0]
         batch, embed = config.batch_size, config.embed_dim
         rows = 2 * batch if config.uses_coherence else batch
         block = block_length(batch, config.videos_per_batch)
         return cls(
-            rows=np.empty((2 * batch, dim)),
+            rows=np.empty((rows, dim)),
             hidden=np.empty((rows, 2 * embed)),
             grad_hidden=np.empty((rows, 2 * embed)),
             outputs=np.empty((rows, embed)),
@@ -196,6 +202,7 @@ class Workspace:
             norm_work=np.empty((rows, embed)) if config.normalize else None,
             grad_normalized=np.empty((rows, embed)),
             similarity=np.empty((block, block)) if config.uses_coherence else None,
+            grads=params.zeros_like(),
         )
 
 
@@ -303,7 +310,7 @@ def backward(
     num_blocks: int,
     loss_config: losses.LossConfig,
     workspace: Workspace = Workspace(),
-) -> tuple[float, float, dict[str, np.ndarray]]:
+) -> tuple[float, float, encoder.EncoderParams]:
     """Losses and parameter gradients of a forward half, codes held fixed.
 
     ``train`` runs this after the transport solve; with ``forward`` it is
@@ -326,8 +333,9 @@ def backward(
         loss_config: Temperature and alpha.
 
     Returns:
-        (clustering loss, coherence loss, gradient dict covering every
-        parameter including prototypes).
+        (clustering loss, coherence loss, the gradient of every parameter
+        including prototypes, in one vector of the parameters' layout:
+        ``workspace.grads``, which the next call overwrites, or a new one).
     """
     cache, normalized, norms, protos, proto_norms, batch_size, scores = step
     anchor_rows = normalized[:batch_size]
@@ -342,7 +350,6 @@ def backward(
         grad_normalized = np.empty_like(normalized)
     np.matmul(grad_scores, protos, out=grad_normalized[:batch_size])
     grad_normalized[batch_size:] = 0.0
-    grad_protos = grad_scores.T @ anchor_rows
 
     coherence = 0.0
     if normalized.shape[0] > batch_size:
@@ -366,8 +373,9 @@ def backward(
     grad_embeddings = _maybe_normalize_backward(
         grad_normalized, normalized, norms, workspace.norm_work
     )
-    grads = encoder.backward(cache, grad_embeddings, workspace.grad_hidden)
-    grads["prototypes"] = _maybe_normalize_backward(grad_protos, protos, proto_norms)
+    grads = encoder.backward(cache, grad_embeddings, workspace.grad_hidden, workspace.grads)
+    np.matmul(grad_scores.T, anchor_rows, out=grads.prototypes)
+    _maybe_normalize_backward(grads.prototypes, protos, proto_norms)
     return clustering, coherence, grads
 
 
@@ -379,8 +387,8 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     than one block (batch_size / videos_per_batch frames) are skipped with
     a warning each. Raises NumericalError naming the iteration if the loss
     leaves the reals, and DataError when a batch reads a non-finite feature
-    value, a pool video's feature file is shorter than its header (before
-    the first step), or fewer than ``videos_per_batch`` videos are one
+    value, a pool video's feature file is not the size its header claims
+    (before the first step), or fewer than ``videos_per_batch`` videos are one
     block long.
 
     Args:
@@ -408,8 +416,8 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     if iterations is None:
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)
 
-    # Mapped before anything is sized by the header: a file shorter than its
-    # header stops the run here, before the first step.
+    # Mapped before anything is sized by the header: a file of another size
+    # than its header claims stops the run here, before the first step.
     with FeatureMaps(videos) as maps:
         rng = np.random.default_rng(config.seed)
         params = encoder.init_params(
@@ -420,7 +428,7 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
             learning_rate=config.learning_rate,
             weight_decay=config.weight_decay,
         )
-        workspace = Workspace.for_run(config, catalog.dim)
+        workspace = Workspace.for_run(config, params)
 
         ledger = MatrixLedger()
         records: list[TrainRecord] = []
@@ -441,8 +449,9 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
                 out=workspace.rows,
                 maps=maps,
             )
-            rows = batch.rows if config.uses_coherence else batch.features
-            step = forward(params, rows, config.batch_size, config.normalize, workspace)
+            step = forward(
+                params, batch.rows, config.batch_size, config.normalize, workspace
+            )
             codes, row_err, col_err = solve_codes(
                 step.scores, config.videos_per_batch, config, prior
             )

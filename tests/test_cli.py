@@ -106,6 +106,14 @@ class TestSynth:
         assert run("synth", tmp_path / "data", "--k", "1") == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--len-jitter", "--noise"])
+    def test_negative_zero_writes_the_zero_dataset(self, tmp_path, capsys, flag):
+        # numpy's generator rejects -0.0, which the spec's range checks accept.
+        assert run(*synth_args(tmp_path / "zero"), flag, "0") == 0
+        assert run(*synth_args(tmp_path / "negative"), flag, "-0.0") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert tree_bytes(tmp_path / "negative") == tree_bytes(tmp_path / "zero")
+
 
 class TestConfigResolution:
     def test_flag_beats_default(self, tmp_path, capsys):
@@ -605,6 +613,14 @@ class TestExitCodes:
         return argv, f"{path}: checkpoint promises {size} bytes, file has {size + 4}"
 
     @staticmethod
+    def features_with_trailing_bytes(data, runs, tmp_path):
+        path = data / "synthetic" / "features" / "video_001.totf"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(7))
+        argv = train_args(data, tmp_path / "out")
+        return argv, f"{path}: feature file promises {size} bytes, file has {size + 7}"
+
+    @staticmethod
     def prediction_not_utf8(data, runs, tmp_path):
         argv = zero_predictions(data, tmp_path)
         path = tmp_path / "pred" / "synthetic" / "video_000.txt"
@@ -704,7 +720,9 @@ class TestExitCodes:
             checkpoint_header_case("checkpoint_zero_temperature", 23, "<d", 0.0),
             checkpoint_header_case("checkpoint_negative_temperature", 23, "<d", -0.1),
             checkpoint_header_case("checkpoint_nan_temperature", 23, "<d", np.nan),
+            checkpoint_header_case("checkpoint_normalized_flag_7", 22, "<B", 7),
             checkpoint_with_trailing_bytes,
+            features_with_trailing_bytes,
             prediction_not_utf8,
             prediction_is_a_directory,
             prediction_dir_is_a_file,

@@ -1,6 +1,5 @@
 """Tests for the MLP encoder, row normalization, Adam, and checkpoints."""
 
-import dataclasses
 import math
 import struct
 
@@ -8,6 +7,9 @@ import numpy as np
 import pytest
 
 from totseg.encoder import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CHECKPOINT_MAGIC,
     PARAM_KEYS,
     AdamState,
@@ -216,7 +218,9 @@ class TestKernelsMatchTheAllocatingOracle:
             cache.inputs, cache.hidden, cache.outputs, params.w2, upstream
         )
         got = backward(cache, upstream.copy())
-        assert sorted(got) == sorted(want)
+        # Prototypes never enter the forward pass: their gradient is zero.
+        assert sorted(got) == sorted([*want, "prototypes"])
+        np.testing.assert_array_equal(got["prototypes"], 0.0)
         for key, grad in want.items():
             np.testing.assert_array_equal(got[key], grad, err_msg=key)
 
@@ -347,6 +351,70 @@ class TestAdam:
             AdamState.for_params(params, weight_decay=-1.0)
 
 
+class TestAdamMatchesThePerKeyUpdate:
+    """adam_step over the parameter vector gives the bits of the update it
+    replaced, which ran one parameter array at a time."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_fifty_steps_with_a_frozen_phase_bit_for_bit(self, weight_decay):
+        rng = np.random.default_rng(32)
+        params = init_params(32, 32, 16, 5, rng)
+        state = AdamState.for_params(params, learning_rate=1e-2, weight_decay=weight_decay)
+        want = {key: value.copy() for key, value in params.items()}
+        m = {key: np.zeros_like(value) for key, value in want.items()}
+        v = {key: np.zeros_like(value) for key, value in want.items()}
+        for t in range(1, 51):
+            frozen = t <= 20
+            grads = {key: rng.normal(size=value.shape) for key, value in want.items()}
+            state.prototypes_frozen = frozen
+            # Odd steps pass a dict, which adam_step packs; even ones a vector.
+            adam_step(params, grads if t % 2 else EncoderParams(**grads), state)
+
+            correct1 = 1.0 - ADAM_BETA1**t
+            correct2 = 1.0 - ADAM_BETA2**t
+            for key in PARAM_KEYS:
+                if key == "prototypes" and frozen:
+                    continue
+                grad = grads[key]
+                m[key] = ADAM_BETA1 * m[key] + (1.0 - ADAM_BETA1) * grad
+                v[key] = ADAM_BETA2 * v[key] + (1.0 - ADAM_BETA2) * grad**2
+                m_hat = m[key] / correct1
+                v_hat = v[key] / correct2
+                want[key] = want[key] - 1e-2 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                if weight_decay > 0:
+                    want[key] = want[key] - 1e-2 * weight_decay * want[key]
+        for key in PARAM_KEYS:
+            np.testing.assert_array_equal(params[key], want[key], err_msg=key)
+            np.testing.assert_array_equal(state.m[key], m[key], err_msg=key)
+            np.testing.assert_array_equal(state.v[key], v[key], err_msg=key)
+
+
+class TestParameterVector:
+    def test_fields_are_views_of_one_vector_in_key_order(self):
+        params = make_params(seed=33)
+        offset = 0
+        for key in PARAM_KEYS:
+            field = getattr(params, key)
+            assert field.ctypes.data == params.vector.ctypes.data + 8 * offset
+            assert field.flags.c_contiguous
+            field.flat[0] = 1000.0 + offset
+            assert params.vector[offset] == 1000.0 + offset
+            offset += field.size
+        assert offset == params.vector.size
+
+    def test_keyword_arrays_are_copied_and_a_vector_is_viewed(self):
+        arrays = {key: value.copy() for key, value in make_params(seed=34).items()}
+        packed = EncoderParams(**arrays)
+        assert not any(np.shares_memory(packed.vector, a) for a in arrays.values())
+        np.testing.assert_array_equal(
+            packed.vector, np.concatenate([arrays[key].ravel() for key in PARAM_KEYS])
+        )
+        viewed = EncoderParams.from_vector(packed.vector, packed.dims)
+        for key in PARAM_KEYS:
+            assert np.shares_memory(viewed[key], packed.vector)
+            np.testing.assert_array_equal(viewed[key], arrays[key])
+
+
 class TestInitParams:
     def test_shapes_and_dims(self):
         params = init_params(10, 7, 5, 3, np.random.default_rng(23))
@@ -403,15 +471,25 @@ class TestCheckpoint:
         total = sum(value.size for value in params.as_dict().values())
         assert len(raw) == 31 + 8 * total
 
+    def test_payload_is_each_parameter_in_key_order(self, tmp_path):
+        params, path = self.saved(tmp_path, temperature=0.07, normalized=False)
+        header = struct.pack("<4sHIIIIBd", CHECKPOINT_MAGIC, 2, *params.dims, 0, 0.07)
+        payload = b"".join(
+            np.asarray(getattr(params, key), dtype="<f8").tobytes() for key in PARAM_KEYS
+        )
+        assert path.read_bytes() == header + payload
+
     def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path):
         class FailsMidway:
-            # Stands in for b1: the header and w1 are written, then this raises.
+            # Stands in for the parameter vector: the header is written, then
+            # this raises.
             def __array__(self, *args, **kwargs):
                 raise OSError("disk full")
 
         params, path = self.saved(tmp_path)
         before = path.read_bytes()
-        broken = dataclasses.replace(make_params(seed=31), b1=FailsMidway())
+        broken = make_params(seed=31)
+        broken.vector = FailsMidway()
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(broken, path)
         assert path.read_bytes() == before

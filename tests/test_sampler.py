@@ -209,6 +209,27 @@ class TestBuildBatch:
         np.testing.assert_array_equal(batch.features, videos[0].array)
         assert batch.positive_features.shape == (128, 3)
 
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_anchors_alone_equal_the_top_half_and_draw_the_same(self, tmp_path, on_disk):
+        # A B-row out reads no positives, but draws them: the same anchors as
+        # a 2B-row gather, and the generator left in the same state.
+        videos = self.pool([90, 120, 150], dim=4)
+        if on_disk:
+            for video in videos:
+                video.path = tmp_path / f"{video.video_id}.totf"
+                write_features(video.array, video.path)
+                video.array = None
+        both, alone = np.random.default_rng(16), np.random.default_rng(16)
+        with dataio.FeatureMaps(videos) as maps:
+            for _ in range(5):
+                full = build_batch(videos, 3, 60, both, 6, np.empty((120, 4)), maps)
+                half = build_batch(videos, 3, 60, alone, 6, np.empty((60, 4)), maps)
+                assert half.rows.shape == (60, 4)
+                assert half.positive_features.shape == (0, 4)
+                np.testing.assert_array_equal(half.features, full.features)
+                np.testing.assert_array_equal(half.rows, full.features)
+        assert alone.bit_generator.state == both.bit_generator.state
+
     def test_non_finite_row_names_the_file_and_frame(self, tmp_path):
         values = np.zeros((16, 3))
         values[[7, 12], 1] = [np.inf, np.nan]

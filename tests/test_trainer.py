@@ -427,7 +427,7 @@ class TestStepMatchesTheAllocatingStep:
             normalize=normalize,
             loss=loss_config,
         )
-        workspace = Workspace.for_run(config, rows.shape[1])
+        workspace = Workspace.for_run(config, params)
         anchors = rows[:batch]
         positives = rows[batch:] if with_positives else None
         scores, clustering, coherence, want = allocating_step(
@@ -442,6 +442,7 @@ class TestStepMatchesTheAllocatingStep:
             got_clustering, got_coherence, got = backward(
                 step, codes, 2, loss_config, workspace
             )
+            assert got is workspace.grads
             np.testing.assert_array_equal(step.scores, scores)
             assert (got_clustering, got_coherence) == (clustering, coherence)
             assert sorted(got) == sorted(want)
@@ -582,7 +583,7 @@ class TestTrainRunsTheOracleStep:
         def spy_build(*args, **kwargs):
             batch = real_build(*args, **kwargs)
             # The rows alias the run's workspace, which the next step overwrites.
-            seen.setdefault("batch", Batch(batch.rows.copy()))
+            seen.setdefault("batch", Batch(batch.rows.copy(), batch.batch_size))
             return batch
 
         def spy_solve(*args, **kwargs):
