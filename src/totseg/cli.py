@@ -283,8 +283,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(
             f"{activity}: {len(result.records)} iterations in "
             f"{result.elapsed_seconds:.1f}s, final L={last.total_loss:.4f} "
-            f"(L_CE={last.clustering_loss:.4f}, L_TC={last.coherence_loss:.4f}), "
-            f"peak batch matrix {result.ledger.max_dimension()} rows"
+            f"(L_CE={last.clustering_loss:.4f}, L_TC={last.coherence_loss:.4f})"
         )
     return EXIT_OK
 

@@ -127,9 +127,6 @@ class EncoderParams(Mapping):
             self.prototypes.shape[0],
         )
 
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return dict(self)
-
     def zeros_like(self) -> "EncoderParams":
         """A zero array of this layout, in a new vector."""
         return EncoderParams.from_vector(np.zeros(self.vector.size), self.dims)
@@ -372,9 +369,7 @@ class AdamState:
         )
 
 
-def adam_step(
-    params: EncoderParams, grads: Mapping[str, np.ndarray], state: AdamState
-) -> None:
+def adam_step(params: EncoderParams, grads: EncoderParams, state: AdamState) -> None:
     """One in-place Adam update with decoupled weight decay.
 
     Bias-corrected moments drive the step; weight decay is applied
@@ -384,20 +379,16 @@ def adam_step(
     their moments untouched.
 
     Args:
-        grads: The gradient, read in place when it is an ``EncoderParams``
-            (``backward``'s result) and packed into one otherwise; it must
-            hold every key of ``PARAM_KEYS`` in its parameter's shape.
+        grads: The gradient in the parameters' layout (``backward``'s
+            result), read in place.
+
+    Raises:
+        ValueError: If ``grads`` has other dimensions than ``params``.
     """
-    for key in PARAM_KEYS:
-        if key not in grads:
-            raise ValueError(f"missing gradient for parameter {key!r}")
-        if grads[key].shape != params[key].shape:
-            raise ValueError(
-                f"gradient shape {grads[key].shape} does not match {key} shape "
-                f"{params[key].shape}"
-            )
-    if not isinstance(grads, EncoderParams):
-        grads = EncoderParams(*(grads[key] for key in PARAM_KEYS))
+    if grads.dims != params.dims:
+        raise ValueError(
+            f"gradient dimensions {grads.dims} do not match the parameters' {params.dims}"
+        )
     state.step += 1
     t = state.step
     correct1 = 1.0 - ADAM_BETA1**t

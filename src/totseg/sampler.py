@@ -38,11 +38,6 @@ class Batch:
     batch_size: int
 
     @property
-    def features(self) -> np.ndarray:
-        """B x dim anchor rows: the first B of ``rows``."""
-        return self.rows[: self.batch_size]
-
-    @property
     def positive_features(self) -> np.ndarray:
         """Positive rows: the rows after the anchors, B x dim in a 2B-row
         batch and none in a B-row one."""

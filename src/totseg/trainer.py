@@ -7,7 +7,10 @@ to the solver as one stack, a view of the batch's scores), evaluates the
 losses, and takes one Adam step.
 Working memory stays proportional to the batch: nothing here ever holds a
 matrix with a dataset-length dimension, which is what makes the clustering
-online. ``train`` owns that memory: it maps each pool video once
+online. ``test_online_memory_does_not_grow_with_the_dataset`` in
+``tests/test_acceptance.py`` measures that claim: it traces the peak
+allocation of ``train`` and of ``segment`` on datasets of n and 16n videos.
+``train`` owns that memory: it maps each pool video once
 (``dataio.FeatureMaps``) and allocates one ``Workspace`` of batch-sized
 arrays per run, which every step overwrites, so a batch's rows and a
 step's activations last only until the next ``build_batch`` and
@@ -117,38 +120,10 @@ class TrainRecord:
         )
 
 
-class MatrixLedger:
-    """Peak sizes of the batch matrices a training step holds.
-
-    ``train`` records each step's features, hidden activations, embeddings
-    (before normalization), scores and codes. ``record`` keeps, per name,
-    the largest observed byte count and shape. ``max_dimension`` is the
-    largest single axis seen anywhere, which is what the online-memory
-    property constrains.
-    """
-
-    def __init__(self) -> None:
-        self.entries: dict[str, tuple[tuple[int, ...], int]] = {}
-
-    def record(self, name: str, array: np.ndarray) -> None:
-        nbytes = int(array.nbytes)
-        if name not in self.entries or nbytes > self.entries[name][1]:
-            self.entries[name] = (tuple(array.shape), nbytes)
-
-    def max_dimension(self) -> int:
-        return max(
-            (dim for shape, _ in self.entries.values() for dim in shape), default=0
-        )
-
-    def peak_bytes(self, name: str) -> int:
-        return self.entries[name][1]
-
-
 @dataclass
 class TrainResult:
     params: encoder.EncoderParams
     records: list[TrainRecord]
-    ledger: MatrixLedger
     elapsed_seconds: float
 
 
@@ -430,7 +405,6 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
         )
         workspace = Workspace.for_run(config, params)
 
-        ledger = MatrixLedger()
         records: list[TrainRecord] = []
         prior = None
         if config.uses_prior:
@@ -458,11 +432,6 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
             clustering, coherence, grads = backward(
                 step, codes, config.videos_per_batch, config.loss, workspace
             )
-            ledger.record("batch_features", batch.features)
-            ledger.record("hidden", step.cache.hidden)
-            ledger.record("embeddings", step.cache.outputs[: step.batch_size])
-            ledger.record("scores", step.scores)
-            ledger.record("codes", codes)
             total = clustering + config.loss.alpha * coherence
             if not np.isfinite(total):
                 raise NumericalError(
@@ -485,7 +454,6 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     return TrainResult(
         params=params,
         records=records,
-        ledger=ledger,
         elapsed_seconds=time.perf_counter() - started,
     )
 

@@ -3,12 +3,14 @@
 Everything here favors obvious-over-fast: plain loops, exhaustive
 enumeration, arbitrary-precision arithmetic, or scipy's general-purpose
 constrained optimizer. Nothing imports from the package under test, so a
-bug cannot hide on both sides of a comparison.
+bug cannot hide on both sides of a comparison. ``traced_peak`` is the one
+measurement: the memory tests read allocation through it.
 """
 
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 import warnings
 
 import mpmath
@@ -490,3 +492,23 @@ def normalize_rows_backward_allocating(
     """(g - (g . zhat) zhat) / |z| per row, as one expression."""
     along = (grad_normalized * normalized).sum(axis=1, keepdims=True)
     return (grad_normalized - along * normalized) / norms
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced by ``tracemalloc`` while ``call()`` runs, above
+    what was traced when it started.
+
+    Tracing that is already running (``python -X tracemalloc``) is kept
+    running; otherwise it is started for the call and stopped after it.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

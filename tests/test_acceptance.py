@@ -8,14 +8,15 @@ plain ``pytest -v`` run shows how much margin each guarantee has.
 import math
 import os
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from totseg import decode, encoder, evaluate
-from totseg.dataio import SyntheticSpec, generate_synthetic, load_catalog
+from totseg import cli, decode, encoder, evaluate
+from totseg.dataio import SyntheticSpec, generate_synthetic, load_catalog, write_catalog
 from totseg.losses import LossConfig
 from totseg.trainer import TrainConfig, backward, embed_dataset, forward, train
 from totseg.transport import (
@@ -197,7 +198,7 @@ def test_gradients_match_finite_differences_end_to_end(capsys):
         _, _, grads = backward(step, codes, 2, loss_config)
 
         def objective(key, value):
-            trial = encoder.EncoderParams(**{**params.as_dict(), key: value})
+            trial = encoder.EncoderParams(**{**params, key: value})
             step = forward(trial, rows, b, normalize)
             clustering, coherence, _ = backward(step, codes, 2, loss_config)
             return clustering + loss_config.alpha * coherence
@@ -268,53 +269,74 @@ def test_hungarian_matches_factorial_bruteforce(capsys):
     assert mismatches == 0
 
 
-def test_training_memory_stays_batch_sized(capsys):
-    # 200 videos, tens of thousands of frames: every matrix the training
-    # loop touches must stay batch-sized. The embedding matrix in
-    # particular is exactly batch x embed_dim of float64.
-    catalog = generate_synthetic(
-        SyntheticSpec(
-            num_videos=200,
-            num_actions=5,
-            dim=16,
-            mean_segment_len=64,
-            len_jitter=0.1,
-            cluster_separation=10.0,
-            noise_sigma=1.0,
-            seed=0,
-        )
-    )
+# Four actions of 256 frames: every video has 1,024 frames.
+MEMORY_SPEC = SyntheticSpec(
+    num_videos=4, num_actions=4, dim=16, mean_segment_len=256, len_jitter=0.0, seed=3
+)
+# What an added video may cost train and segment: its catalog entry (id,
+# two paths, header), its feature map in train, and in segment the K = 4
+# (cluster, start, end) tuples kept until every video is decoded, a
+# kilobyte or two in all. The bound leaves about twice that, and it is half
+# of one 8-byte value per added frame, so an array with a dataset-length
+# axis fails it.
+MEMORY_BOUND_PER_VIDEO = 4096
+
+
+def test_online_memory_does_not_grow_with_the_dataset(capsys, tmp_path):
+    # The paper clusters one mini-batch at a time, where offline methods
+    # store every feature first. Two disk datasets from MEMORY_SPEC, of n
+    # and 16n videos (the small one a prefix of the large one, since the
+    # generator draws video by video), are trained with one config and
+    # segmented with one checkpoint, and the tracemalloc peak of each call
+    # is measured after a warm-up run on the small set.
+    small = MEMORY_SPEC.num_videos
+    roots = {}
+    for count in (small, 16 * small):
+        roots[count] = tmp_path / f"videos{count}"
+        write_catalog(generate_synthetic(replace(MEMORY_SPEC, num_videos=count)), roots[count])
+    frames = load_catalog(roots[small], "synthetic").total_frames // small
     config = TrainConfig(
-        mode="tot",
-        iterations=5,
-        batch_size=512,
-        videos_per_batch=2,
-        freeze_iterations=2,
-        embed_dim=30,
+        mode="tot+tcl", iterations=5, batch_size=256, embed_dim=16, freeze_iterations=2
     )
-    result = train(catalog, config)
-    ledger = result.ledger
-    shape = ledger.entries["embeddings"][0]
-    peak = ledger.peak_bytes("embeddings")
-    largest = ledger.max_dimension()
-    ok = (
-        shape == (512, 30)
-        and peak == 512 * 30 * 8
-        and largest == 512
-        and largest < catalog.total_frames
-    )
+    runs = tmp_path / "runs"
+
+    def run_train(count):
+        train(load_catalog(roots[count], "synthetic"), config)
+
+    def run_segment(count):
+        argv = ["segment", str(roots[count]), "--checkpoints", str(runs)]
+        assert cli.main([*argv, "--out", str(tmp_path / f"segments{count}")]) == 0
+
+    warm = train(load_catalog(roots[small], "synthetic"), config)
+    encoder.save_checkpoint(warm.params, runs / "synthetic" / cli.CHECKPOINT_NAME)
+    run_segment(small)
+    peaks = {
+        (name, count): oracles.traced_peak(lambda: run(count))
+        for name, run in (("train", run_train), ("segment", run_segment))
+        for count in (small, 16 * small)
+    }
+    added = 15 * small
+    growth = {
+        name: (peaks[name, 16 * small] - peaks[name, small]) / added
+        for name in ("train", "segment")
+    }
+    ok = frames >= 1024 and all(g < MEMORY_BOUND_PER_VIDEO for g in growth.values())
     announce(
         capsys,
         ok,
-        "online memory footprint",
-        f"peak embedding matrix {shape} = {peak} bytes (want 512 x 30 x 8 = "
-        f"{512 * 30 * 8}); largest axis anywhere {largest} rows vs "
-        f"{catalog.total_frames} dataset frames",
+        "online memory against dataset size",
+        "; ".join(
+            f"{name} peak {peaks[name, small]:,} -> {peaks[name, 16 * small]:,} bytes "
+            f"({small} -> {16 * small} videos of {frames} frames), "
+            f"{growth[name]:,.0f} bytes per added video"
+            for name in ("train", "segment")
+        )
+        + f" (bound {MEMORY_BOUND_PER_VIDEO} = {MEMORY_BOUND_PER_VIDEO / (8 * frames):.2f}"
+        " x 8 bytes per frame)",
     )
-    assert shape == (512, 30)
-    assert peak == 512 * 30 * 8
-    assert largest == 512
-    assert largest < catalog.total_frames
+    assert frames >= 1024
+    assert growth["train"] < MEMORY_BOUND_PER_VIDEO
+    assert growth["segment"] < MEMORY_BOUND_PER_VIDEO
 
 
 def test_synthetic_end_to_end_segmentation(capsys):

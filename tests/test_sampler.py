@@ -162,12 +162,13 @@ class TestBuildBatch:
         videos = self.pool([300, 280, 400])
         batch = build_batch(videos, 2, 512, np.random.default_rng(8))
         assert batch.rows.shape == (1024, 3)
-        assert batch.features.shape == batch.positive_features.shape == (512, 3)
-        # Anchors and positives are read-only views of the rows' two halves.
-        for half, start in ((batch.features, 0), (batch.positive_features, 512)):
-            assert np.shares_memory(half, batch.rows)
-            np.testing.assert_array_equal(half, batch.rows[start : start + 512])
-            assert not half.flags.writeable
+        assert batch.batch_size == 512
+        assert not batch.rows.flags.writeable
+        # The positives are a view of the rows' bottom half.
+        positives = batch.positive_features
+        assert positives.shape == (512, 3)
+        assert np.shares_memory(positives, batch.rows)
+        np.testing.assert_array_equal(positives, batch.rows[512:])
         blocks = replay(videos, 2, 512, np.random.default_rng(8))
         assert blocks[0][0] is not blocks[1][0]
         np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
@@ -206,7 +207,7 @@ class TestBuildBatch:
         # A block as long as its video holds every frame, in order.
         videos = self.pool([128])
         batch = build_batch(videos, 1, 128, np.random.default_rng(12))
-        np.testing.assert_array_equal(batch.features, videos[0].array)
+        np.testing.assert_array_equal(batch.rows[:128], videos[0].array)
         assert batch.positive_features.shape == (128, 3)
 
     @pytest.mark.parametrize("on_disk", [False, True])
@@ -226,8 +227,7 @@ class TestBuildBatch:
                 half = build_batch(videos, 3, 60, alone, 6, np.empty((60, 4)), maps)
                 assert half.rows.shape == (60, 4)
                 assert half.positive_features.shape == (0, 4)
-                np.testing.assert_array_equal(half.features, full.features)
-                np.testing.assert_array_equal(half.rows, full.features)
+                np.testing.assert_array_equal(half.rows, full.rows[:60])
         assert alone.bit_generator.state == both.bit_generator.state
 
     def test_non_finite_row_names_the_file_and_frame(self, tmp_path):

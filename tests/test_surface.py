@@ -1,11 +1,13 @@
-"""Every public function of the package has a caller outside the tests.
+"""Every public function and method of the package has a caller outside
+the tests.
 
 An AST scan, no imports: a public module-level function of
-``src/totseg/*.py`` must be referenced, as a Name or an Attribute,
-somewhere in the package, ``demos/``, ``scripts/`` or ``perfbench/``
-other than its own ``def`` and ``__init__.py``. A function that only tests
-call is surface to delete, or a path the program forgot to take. And every
-name ``totseg.__all__`` exports exists.
+``src/totseg/*.py``, and a public method or property of a public class
+there, must be referenced by name, as a Name or an Attribute, somewhere in
+the package, ``demos/``, ``scripts/`` or ``perfbench/`` other than its own
+``def`` and ``__init__.py``. A function that only tests call is surface to
+delete, or a path the program forgot to take. And every name
+``totseg.__all__`` exports exists.
 """
 
 import ast
@@ -20,15 +22,29 @@ def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def public_functions():
-    """(module stem, function name) for every public module-level def."""
+def public_defs(body):
     return [
-        (path.stem, node.name)
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"
-        for node in parse(path).body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        node
+        for node in body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     ]
+
+
+def public_functions():
+    """(module stem, qualified name, name) for every public module-level def
+    and every public method or property of a public module-level class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in public_defs(parse(path).body):
+            if isinstance(node, ast.FunctionDef):
+                found.append((path.stem, node.name, node.name))
+                continue
+            for method in public_defs(node.body):
+                if isinstance(method, ast.FunctionDef):
+                    found.append((path.stem, f"{node.name}.{method.name}", method.name))
+    return found
 
 
 def referenced_names():
@@ -54,8 +70,11 @@ def referenced_names():
 def test_every_public_function_has_a_caller_outside_the_tests():
     functions = public_functions()
     assert len(functions) > 40  # the scan found the package
+    assert any("." in qualified for _, qualified, _ in functions)  # and its methods
     names = referenced_names()
-    unreferenced = [f"{module}.{name}" for module, name in functions if name not in names]
+    unreferenced = [
+        f"{module}.{qualified}" for module, qualified, name in functions if name not in names
+    ]
     assert unreferenced == []
 
 

@@ -27,7 +27,6 @@ from totseg.numerics import log_softmax_rows
 from totseg.trainer import (
     LOG_HEADER,
     MODES,
-    MatrixLedger,
     TrainConfig,
     Workspace,
     backward,
@@ -114,21 +113,6 @@ class TestTrainConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
-
-
-class TestMatrixLedger:
-    def test_tracks_peak_per_name(self):
-        ledger = MatrixLedger()
-        ledger.record("a", np.zeros((4, 2)))
-        ledger.record("a", np.zeros((10, 3)))
-        ledger.record("a", np.zeros((2, 2)))
-        ledger.record("b", np.zeros(7))
-        assert ledger.entries["a"][0] == (10, 3)
-        assert ledger.peak_bytes("a") == 10 * 3 * 8
-        assert ledger.max_dimension() == 10
-
-    def test_empty_ledger(self):
-        assert MatrixLedger().max_dimension() == 0
 
 
 class TestSolveCodes:
@@ -262,7 +246,7 @@ class TestLossAndGrads:
         )
 
         def objective(key, value):
-            trial = encoder.EncoderParams(**{**params.as_dict(), key: value})
+            trial = encoder.EncoderParams(**{**params, key: value})
             c, t, _ = step_losses(
                 trial, anchors, positives, codes, loss_config, normalize
             )
@@ -506,17 +490,7 @@ class TestStepAllocations:
         step = forward(params, rows, batch, True)
         loss_config = LossConfig()
         backward(step, codes, 2, loss_config)  # steady state: a second call
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            backward(step, codes, 2, loss_config)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        peak = oracles.traced_peak(lambda: backward(step, codes, 2, loss_config))
         gradient_rows = 2 * batch * embed * 8
         similarity_block = length * length * 8
         hidden_gradient = 2 * batch * hidden * 8
@@ -548,13 +522,10 @@ class TestStepAllocations:
             largest.append(max((trace.size for trace in traces), default=0))
 
         calls = []
-        was_tracing = tracemalloc.is_tracing()
 
         def spy_build(*args, **kwargs):
             calls.append(None)
             if len(calls) == 3:
-                if not was_tracing:
-                    tracemalloc.start()
                 tracemalloc.clear_traces()
                 sys.setprofile(probe)
             elif len(calls) == 4:
@@ -563,11 +534,9 @@ class TestStepAllocations:
 
         monkeypatch.setattr(trainer, "build_batch", spy_build)
         try:
-            train(catalog, config)
+            oracles.traced_peak(lambda: train(catalog, config))  # traces the whole run
         finally:
             sys.setprofile(None)
-            if not was_tracing:
-                tracemalloc.stop()
         assert len(largest) > 100  # the probe saw the step
         assert max(largest) < 64 * 1024
 
@@ -592,12 +561,7 @@ class TestTrainRunsTheOracleStep:
             return out
 
         def spy_adam(params, grads, state):
-            seen.setdefault(
-                "params",
-                encoder.EncoderParams(
-                    **{k: v.copy() for k, v in params.as_dict().items()}
-                ),
-            )
+            seen.setdefault("params", encoder.EncoderParams(**params))  # a copy
             seen.setdefault("grads", {k: v.copy() for k, v in grads.items()})
             real_adam(params, grads, state)
 
@@ -608,8 +572,7 @@ class TestTrainRunsTheOracleStep:
         train(small_catalog(), config)
 
         batch = seen["batch"]
-        rows = batch.rows if config.uses_coherence else batch.features
-        step = forward(seen["params"], rows, config.batch_size, config.normalize)
+        step = forward(seen["params"], batch.rows, config.batch_size, config.normalize)
         _, _, want = backward(step, seen["codes"], config.videos_per_batch, config.loss)
         assert sorted(seen["grads"]) == sorted(want)
         for key, grad in want.items():
@@ -711,19 +674,6 @@ class TestTrain:
         config = small_config(iterations=None, epochs=3)
         result = train(catalog, config)
         assert len(result.records) == 3 * (5 // 2)
-
-    def test_ledger_shapes_stay_batch_sized(self):
-        catalog = small_catalog()
-        config = small_config(mode="tot+tcl", iterations=3)
-        result = train(catalog, config)
-        ledger = result.ledger
-        assert ledger.entries["embeddings"][0] == (32, 6)
-        assert ledger.entries["codes"][0] == (32, 3)
-        assert ledger.entries["scores"][0] == (32, 3)
-        assert ledger.entries["batch_features"][0] == (32, 8)
-        # Stacked anchor+positive activations are the largest anything gets.
-        assert ledger.max_dimension() == 64
-        assert ledger.max_dimension() < catalog.total_frames
 
     def test_each_disk_video_is_mapped_once_per_run(self, tmp_path, monkeypatch):
         write_catalog(small_catalog(), tmp_path)
