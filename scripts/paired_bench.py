@@ -17,8 +17,19 @@ and environment, and the change/parent ratio per metric), and per
 end-to-end metric of ``BENCHMARK.json`` (read from the parent root) each
 side's median and quartiles (numpy percentile, linear), the ratio of the
 medians, the parent's quartile spread, the median gain (positive when the
-change reads better), and the pairs in which the change reads better, ties
-counting for neither. A failed run ends the script at once with exit 1.
+change reads better), the pairs in which the change reads better, ties
+counting for neither, and a verdict against the metric's ``bound``:
+
+- ``gain``: the change reads better in at least nine tenths of the pairs,
+  and its median gain exceeds the parent's quartile spread;
+- ``worse``: the change's median reads worse than the parent's by more
+  than ``bound`` of the parent's median;
+- ``unresolved``: the parent's quartile spread is wider than ``bound`` of
+  its median, and the change's median reads worse;
+- ``no change``: anything else.
+
+Each verdict is also printed to standard error, one line per workload and
+metric. A failed run ends the script at once with exit 1.
 
 ``alternate`` is the pairing itself: two trees, one command, a JSON result
 per run, reusable for any command that prints one.
@@ -75,8 +86,24 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def verdict(stats: dict, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``no change`` for one metric's
+    summary (see the module docstring), ``bound`` relative to the parent's
+    median (to 1 where that median is 0)."""
+    scale = abs(stats["parent"]["median"]) or 1.0
+    gain, spread = stats["median_gain"], stats["parent_quartile_spread"]
+    if 10 * stats["change_better_pairs"] >= 9 * stats["pairs"] and gain > spread:
+        return "gain"
+    if gain < -bound * scale:
+        return "worse"
+    if spread > bound * scale and gain < 0:
+        return "unresolved"
+    return "no change"
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per-pair values and ratios, then each metric's medians, spread and wins."""
+    """Per-pair values and ratios, then each metric's medians, spread, wins
+    and verdict."""
     table = []
     for pair in pairs:
         row = {"seed": pair["seed"], "first": pair["first"]}
@@ -117,6 +144,7 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "change_better_pairs": sum(gain > 0 for gain in gains),
             "pairs": len(gains),
         }
+        summary[name]["verdict"] = verdict(summary[name], metric["bound"])
     return {"pairs": table, "metrics": summary}
 
 
@@ -151,7 +179,12 @@ def main(argv=None) -> int:
             "even pairs (0-based); change_better_pairs counts pairs where the "
             "change reads better, ties counting for neither; quartiles are numpy "
             "percentiles (linear); median_gain is positive when the change's "
-            "median reads better"
+            "median reads better; verdict is gain when the change reads better "
+            "in at least 9 of 10 pairs and median_gain exceeds "
+            "parent_quartile_spread, worse when median_gain is below -bound "
+            "times the parent's median, unresolved when the parent's quartile "
+            "spread exceeds bound times its median and median_gain is negative, "
+            "and no change otherwise"
         ),
         "first_seed": args.first_seed,
         "workloads": {},
@@ -169,7 +202,15 @@ def main(argv=None) -> int:
         except RuntimeError as err:
             print(f"paired_bench: {workload}: {err}", file=sys.stderr)
             return 1
-        report["workloads"][workload] = summarize(pairs, metrics)
+        report["workloads"][workload] = summary = summarize(pairs, metrics)
+        for name, stats in summary["metrics"].items():
+            if "verdict" in stats:
+                print(
+                    f"{workload} {name}: {stats['verdict']} (median "
+                    f"{stats['parent']['median']:.6g} -> {stats['change']['median']:.6g}, "
+                    f"better in {stats['change_better_pairs']} of {stats['pairs']} pairs)",
+                    file=sys.stderr,
+                )
     text = json.dumps(report, indent=1)
     if args.out:
         args.out.write_text(text + "\n")

@@ -14,7 +14,9 @@ allocation of ``train`` and of ``segment`` on datasets of n and 16n videos.
 (``dataio.FeatureMaps``) and allocates one ``Workspace`` of batch-sized
 arrays per run, which every step overwrites, so a batch's rows and a
 step's activations last only until the next ``build_batch`` and
-``forward``.
+``forward``. Segmentation allocates once per call too: ``embed_dataset``
+encodes every chunk of every video in one ``Workspace`` of chunk-sized
+arrays, and writes each chunk's log-probabilities into its video's lattice.
 
 The four training modes differ only in two switches: whether the transport
 kernel includes the temporal prior (ot vs tot) and whether the coherence
@@ -134,9 +136,12 @@ class Workspace:
 
     ``train`` allocates one per run (``for_run``) and passes it to
     ``build_batch``, ``forward`` and ``backward`` at every step, which
-    overwrite it. A field left None is allocated by the call that needs
-    it, which is all that the default ``Workspace()`` does. With N = 2B
-    rows when coherence is on (anchors and positives) and B otherwise:
+    overwrite it. ``embed_dataset`` is the third user: it allocates one
+    of chunk-sized arrays per call (``for_chunks``), and each chunk reads,
+    encodes and exponentiates its rows in the first rows of it (``head``).
+    A field left None is allocated by the call that needs it, which is all
+    that the default ``Workspace()`` does. With N = 2B rows when coherence
+    is on (anchors and positives) and B otherwise, or N frames of a chunk:
 
     Attributes:
         rows: N x dim batch rows (``Batch.rows`` is a view of them): without
@@ -149,6 +154,8 @@ class Workspace:
         similarity: L x L similarities of one video block, for coherence.
         grads: The gradient in the parameters' layout (one vector), which
             ``backward`` fills and returns.
+        exponentials: N x K exponentials of a chunk's shifted scores, which
+            segmentation's softmax reads only for their row sums.
     """
 
     rows: np.ndarray | None = None
@@ -160,6 +167,7 @@ class Workspace:
     grad_normalized: np.ndarray | None = None
     similarity: np.ndarray | None = None
     grads: encoder.EncoderParams | None = None
+    exponentials: np.ndarray | None = None
 
     @classmethod
     def for_run(cls, config: TrainConfig, params: encoder.EncoderParams) -> "Workspace":
@@ -178,6 +186,28 @@ class Workspace:
             grad_normalized=np.empty((rows, embed)),
             similarity=np.empty((block, block)) if config.uses_coherence else None,
             grads=params.zeros_like(),
+        )
+
+    @classmethod
+    def for_chunks(
+        cls, params: encoder.EncoderParams, rows: int, normalize: bool
+    ) -> "Workspace":
+        """The arrays ``embed_dataset`` encodes chunks of up to ``rows``
+        frames with ``params`` in."""
+        dim, hidden, embed, clusters = params.dims
+        return cls(
+            rows=np.empty((rows, dim)),
+            hidden=np.empty((rows, hidden)),
+            outputs=np.empty((rows, embed)),
+            normalized=np.empty((rows, embed)) if normalize else None,
+            exponentials=np.empty((rows, clusters)),
+        )
+
+    def head(self, rows: int) -> "Workspace":
+        """Views of the first ``rows`` rows of every array held: for a
+        workspace of row arrays alone, as ``for_chunks`` makes."""
+        return Workspace(
+            **{name: None if array is None else array[:rows] for name, array in vars(self).items()}
         )
 
 
@@ -469,22 +499,32 @@ def embed_dataset(
 
     Videos are processed independently and frames within a video in
     chunks of ``_CHUNK_SIZE``, so peak memory follows the longest single
-    video, never the dataset. `normalize` must match the setting the
-    checkpoint was trained with, otherwise scores live on a different
-    scale than the prototypes expect. Each chunk's ``log_softmax_rows`` is floored in
-    place at log(decode.PROBABILITY_FLOOR), so the lattice is finite
-    wherever the scores are.
+    video, never the dataset. One ``Workspace`` of min(``_CHUNK_SIZE``,
+    longest video) rows per call holds every chunk's feature rows,
+    activations, unit rows and exponentials; each chunk's log-probabilities
+    go straight into its rows of the video's F x K lattice, a new array per
+    video. `normalize` must match the setting the checkpoint was trained
+    with, otherwise scores live on a different scale than the prototypes
+    expect. Each chunk's ``log_softmax_rows`` is floored in place at
+    log(decode.PROBABILITY_FLOOR), so the lattice is finite wherever the
+    scores are.
 
     Yields:
         (video_id, F x K floored log-probabilities) per video, catalog order.
     """
     log_floor = np.log(decode.PROBABILITY_FLOOR)
+    chunk = _CHUNK_SIZE
+    longest = max((video.num_frames for video in catalog.videos), default=0)
+    workspace = Workspace.for_chunks(params, min(chunk, longest), normalize)
     for video in catalog.videos:
-        pieces = []
-        for start in range(0, video.num_frames, _CHUNK_SIZE):
-            stop = min(start + _CHUNK_SIZE, video.num_frames)
-            rows = video.load_feature_rows(np.arange(start, stop))
-            scores = forward(params, rows, len(rows), normalize).scores
-            log_p, _ = log_softmax_rows(scores, temperature)
-            pieces.append(np.maximum(log_p, log_floor, out=log_p))
-        yield video.video_id, np.concatenate(pieces, axis=0)
+        lattice = np.empty((video.num_frames, params.prototypes.shape[0]))
+        for start in range(0, video.num_frames, chunk):
+            stop = min(start + chunk, video.num_frames)
+            head = workspace.head(stop - start)
+            rows = video.load_feature_rows(np.arange(start, stop), out=head.rows)
+            scores = forward(params, rows, len(rows), normalize, head).scores
+            log_p, _ = log_softmax_rows(
+                scores, temperature, out=lattice[start:stop], exponentials=head.exponentials
+            )
+            np.maximum(log_p, log_floor, out=log_p)
+        yield video.video_id, lattice

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
+from .numerics import _row_max
 
 # Scalings past _ABSORB_ABOVE are folded into the log potentials; the test
 # runs every _ABSORB_EVERY sweeps. A sweep multiplies u by at most K and v by
@@ -346,7 +347,7 @@ def _scale_to_polytope(
     log_kernel = log_kernel.reshape((-1,) + shape[-2:])
     # A row's max is NaN or +inf exactly when the row holds one, and -inf
     # when the row is empty; an empty column is the one with g = +inf.
-    row_peak = log_kernel.max(axis=2)
+    row_peak = _row_max(log_kernel.reshape(-1, shape[-1])).reshape(log_kernel.shape[:2])
     if not np.isfinite(row_peak).all():
         if np.isnan(row_peak).any() or np.isposinf(row_peak).any():
             raise NumericalError(f"non-finite values in {context}")

@@ -1,5 +1,7 @@
 """Matrix kernel contracts: shapes, array sizes and softmax stability."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,39 @@ def test_log_softmax_rows_exact_where_softmax_underflows():
     log_p, p = numerics.log_softmax_rows([[1000.0, 0.0]], temperature=0.1)
     np.testing.assert_array_equal(p, [[1.0, 0.0]])
     np.testing.assert_array_equal(log_p, [[0.0, -10000.0]])
+
+
+@pytest.mark.parametrize("width", range(1, 21))
+def test_row_max_is_numpys_reduction_bit_for_bit(width):
+    # Widths up to 16 take the column passes, wider ones numpy's reduction.
+    # Half the rows draw from values that make ties of signed zeros, NaNs of
+    # either sign and infinities common.
+    rng = np.random.default_rng(width)
+    special = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for rows in range(1, 301):
+            matrix = rng.normal(size=(rows, width))
+            mask = rng.random((rows, width)) < 0.5
+            mask[rows // 2 :] = True
+            matrix[mask] = rng.choice(special, size=int(mask.sum()))
+            got = numerics._row_max(matrix)
+            assert got.tobytes() == matrix.max(axis=1).tobytes(), (rows, matrix)
+            assert not np.shares_memory(got, matrix)
+
+
+@pytest.mark.parametrize("width", [6, 24])
+def test_log_softmax_rows_into_caller_arrays_gives_the_same_bits(width):
+    rng = np.random.default_rng(width)
+    matrix = rng.normal(scale=3.0, size=(40, width))
+    before = matrix.copy()
+    log_p, p = numerics.log_softmax_rows(matrix, 0.1)
+    out = np.empty((50, width))[5:45]  # rows of a larger array
+    got_log_p, got_p = numerics.log_softmax_rows(matrix, 0.1, out=out)
+    assert got_p is out
+    assert got_log_p.tobytes() == log_p.tobytes() and got_p.tobytes() == p.tobytes()
+    exponentials = np.empty_like(matrix)
+    got_log_p, got_p = numerics.log_softmax_rows(matrix, 0.1, out=out, exponentials=exponentials)
+    assert got_log_p is out and got_p is None
+    assert got_log_p.tobytes() == log_p.tobytes()
+    assert matrix.tobytes() == before.tobytes()

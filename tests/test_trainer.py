@@ -835,3 +835,86 @@ class TestEmbedDataset:
         with_norm = next(iter(embed_dataset(params, catalog, normalize=True)))[1]
         without = next(iter(embed_dataset(params, catalog, normalize=False)))[1]
         assert not np.allclose(with_norm, without)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("temperature", [0.1, 1e-3])
+    def test_lattice_is_the_allocating_chunks_bit_for_bit(
+        self, normalize, temperature, monkeypatch
+    ):
+        # The oracle builds each chunk's lattice rows in new arrays:
+        # log_softmax_rows of the chunk's scores, floored, then concatenated.
+        # Both sides cut the same chunks, so every product has the same shape.
+        catalog = small_catalog()
+        params = train(catalog, small_config(iterations=10, normalize=normalize)).params
+        chunk = 13
+        monkeypatch.setattr(trainer, "_CHUNK_SIZE", chunk)
+        lengths = [video.num_frames for video in catalog.videos]
+        assert len(set(lengths)) > 1 and any(length % chunk for length in lengths)
+        log_floor = np.log(decode.PROBABILITY_FLOOR)
+        floored = 0
+        embedded = embed_dataset(params, catalog, temperature, normalize)
+        for video, (video_id, lattice) in zip(catalog.videos, embedded, strict=True):
+            pieces = []
+            for start in range(0, video.num_frames, chunk):
+                rows = video.load_feature_rows(
+                    np.arange(start, min(start + chunk, video.num_frames))
+                )
+                scores = forward(params, rows, len(rows), normalize).scores
+                pieces.append(np.maximum(log_softmax_rows(scores, temperature)[0], log_floor))
+            want = np.concatenate(pieces)
+            assert video_id == video.video_id
+            np.testing.assert_array_equal(lattice, want)
+            assert lattice.tobytes() == want.tobytes()  # signed zeros too
+            floored += int((lattice == log_floor).sum())
+        assert (floored > 0) == (temperature == 1e-3)
+
+    def test_each_video_gets_its_own_lattice(self):
+        catalog, params = self.trained()
+        lattices = [lattice for _, lattice in embed_dataset(params, catalog)]
+        assert len({id(lattice) for lattice in lattices}) == len(lattices)
+        assert not any(
+            np.shares_memory(a, b) for i, a in enumerate(lattices) for b in lattices[i + 1 :]
+        )
+
+    def test_a_steady_segmentation_chunk_allocates_no_block_of_64_kib(
+        self, tmp_path, monkeypatch
+    ):
+        # A disk-backed video of four and a half chunks of 1,024 frames, with
+        # D = 64, embedding 32 and K = 5: a chunk's feature rows, activations
+        # and unit rows are 256 KiB or more each. From the video's second
+        # load_feature_rows call to its last, no numpy block of 64 KiB or more
+        # is allocated and alive at any Python call or return, or at a call
+        # into C; the lattice was allocated before the first.
+        rng = np.random.default_rng(0)
+        write_features(rng.normal(size=(4600, 64)), tmp_path / "act" / "features" / "v0.totf")
+        LabelMapping({f"a{i}": i for i in range(5)}).to_file(tmp_path / "act" / "mapping.txt")
+        catalog = load_catalog(tmp_path, "act")
+        params = encoder.init_params(64, 64, 32, 5, rng)
+        monkeypatch.setattr(trainer, "_CHUNK_SIZE", 1024)
+        numpy_blocks = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        largest = []
+
+        def probe(frame, event, arg):
+            traces = tracemalloc.take_snapshot().filter_traces(numpy_blocks).traces
+            largest.append(max((trace.size for trace in traces), default=0))
+
+        calls = []
+        real_load = FeatureSequence.load_feature_rows
+
+        def spy_load(self, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                tracemalloc.clear_traces()
+                sys.setprofile(probe)
+            elif len(calls) == 5:
+                sys.setprofile(None)
+            return real_load(self, *args, **kwargs)
+
+        monkeypatch.setattr(FeatureSequence, "load_feature_rows", spy_load)
+        try:
+            oracles.traced_peak(lambda: list(embed_dataset(params, catalog)))
+        finally:
+            sys.setprofile(None)
+        assert len(calls) == 5
+        assert len(largest) > 100  # the probe saw the chunks
+        assert max(largest) < 64 * 1024
