@@ -18,14 +18,17 @@ end-to-end metric of ``BENCHMARK.json`` (read from the parent root) each
 side's median and quartiles (numpy percentile, linear), the ratio of the
 medians, the parent's quartile spread, the median gain (positive when the
 change reads better), the pairs in which the change reads better, ties
-counting for neither, and a verdict against the metric's ``bound``:
+counting for neither, whether every change run reads better than every
+parent run, and a verdict against the metric's ``bound``, the first that
+holds of:
 
 - ``gain``: the change reads better in at least nine tenths of the pairs,
   and its median gain exceeds the parent's quartile spread;
 - ``worse``: the change's median reads worse than the parent's by more
   than ``bound`` of the parent's median;
 - ``unresolved``: the parent's quartile spread is wider than ``bound`` of
-  its median, and the change's median reads worse;
+  its median, whichever way the medians differ, unless every change run
+  reads better than every parent run: the runs spread too widely to tell;
 - ``no change``: anything else.
 
 Each verdict is also printed to standard error, one line per workload and
@@ -96,7 +99,7 @@ def verdict(stats: dict, bound: float) -> str:
         return "gain"
     if gain < -bound * scale:
         return "worse"
-    if spread > bound * scale and gain < 0:
+    if spread > bound * scale and not stats["change_beats_every_parent_run"]:
         return "unresolved"
     return "no change"
 
@@ -142,6 +145,8 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "parent_quartile_spread": stats["parent"]["q3"] - stats["parent"]["q1"],
             "median_gain": sign * (stats["change"]["median"] - stats["parent"]["median"]),
             "change_better_pairs": sum(gain > 0 for gain in gains),
+            "change_beats_every_parent_run": min(sign * c for c in runs["change"])
+            > max(sign * p for p in runs["parent"]),
             "pairs": len(gains),
         }
         summary[name]["verdict"] = verdict(summary[name], metric["bound"])
@@ -181,10 +186,11 @@ def main(argv=None) -> int:
             "percentiles (linear); median_gain is positive when the change's "
             "median reads better; verdict is gain when the change reads better "
             "in at least 9 of 10 pairs and median_gain exceeds "
-            "parent_quartile_spread, worse when median_gain is below -bound "
-            "times the parent's median, unresolved when the parent's quartile "
-            "spread exceeds bound times its median and median_gain is negative, "
-            "and no change otherwise"
+            "parent_quartile_spread, else worse when median_gain is below "
+            "-bound times the parent's median, else unresolved when the "
+            "parent's quartile spread exceeds bound times its median, unless "
+            "every change run reads better than every parent run "
+            "(change_beats_every_parent_run), and no change otherwise"
         ),
         "first_seed": args.first_seed,
         "workloads": {},

@@ -16,11 +16,11 @@ Videos load lazily: the catalog reads only headers, and every frame any
 command reads goes through ``FeatureSequence.load_feature_rows``, which
 gathers from a memory map of the payload and checks finiteness with one
 sum per read, so memory stays proportional to the batch rather than the
-dataset. ``train`` passes it one ``FeatureMaps`` per run, which maps each
-video once, before the first step, and releases the pages of a video's
-map after each read; ``segment`` maps a file for each chunk it reads. A
-file whose size is not the one its header claims is a DataError whenever it
-is mapped.
+dataset. Every read goes through a ``FeatureMaps``, which maps each file
+once and releases its pages after each read: ``train`` holds one per run,
+mapped before the first step, and ``segment`` one per video, from its
+first chunk to its last. A file whose size is not the one its header
+claims is a DataError whenever it is mapped.
 """
 
 from __future__ import annotations
@@ -76,10 +76,11 @@ class FeatureSequence:
         """Full num_frames x dim float64 matrix."""
         if self.array is not None:
             return self.array
-        return self.load_feature_rows(np.arange(self.num_frames))
+        with FeatureMaps([self]) as maps:
+            return self.load_feature_rows(np.arange(self.num_frames), maps=maps)
 
     def load_feature_rows(
-        self, rows, out: np.ndarray | None = None, maps: FeatureMaps | None = None
+        self, rows, out: np.ndarray | None = None, *, maps: FeatureMaps
     ) -> np.ndarray:
         """Frame ``rows`` of this video, gathered into ``out`` and returned:
         every frame any command reads comes through here.
@@ -88,8 +89,8 @@ class FeatureSequence:
             rows: Integer array (..., n) of frames in [0, num_frames).
             out: Float64 array (..., n, dim) that receives the rows; a new
                 array when None.
-            maps: The ``FeatureMaps`` a disk-backed video is read through;
-                when None, the file is mapped for this call alone.
+            maps: The ``FeatureMaps`` a disk-backed video is read through,
+                which maps the file unless it holds its map already.
 
         Raises:
             DataError: The video's file, mapped here, is not the size its
@@ -104,11 +105,7 @@ class FeatureSequence:
             )
         if out is None:
             out = np.empty((*rows.shape, self.dim))
-        if maps is not None:
-            maps.read(self, rows, out)
-        else:
-            with FeatureMaps() as maps:
-                maps.read(self, rows, out)
+        maps.read(self, rows, out)
         # One sum per read; only a read that fails it is searched for the
         # frame to name. A sum that overflows on finite rows finds nothing
         # there and passes.
@@ -171,10 +168,11 @@ class FeatureMaps:
     """Read-only maps of disk-backed videos, each opened once and kept open.
 
     ``train`` holds one for its run: it maps the pool when it starts, so a
-    file of the wrong size stops the run before the first step, and
-    every batch then reads through the maps. After each read the map's
-    pages are released (``MADV_DONTNEED``), so resident memory stays that
-    of one batch; the next read faults them back in from the page cache.
+    file of the wrong size stops the run before the first step, and every
+    batch then reads through the maps; ``segment`` holds one per video.
+    After each read the map's pages are released (``MADV_DONTNEED``), so
+    resident memory stays that of one read; the next read faults them back
+    in from the page cache.
     At most ``_MAX_OPEN_MAPS`` maps stay open: the least recently read one
     is closed, and mapped again when it is next read. ``close`` (or leaving
     a ``with`` block) closes them all.

@@ -112,7 +112,8 @@ def build_batch(
     rng: np.random.Generator,
     window: int = 30,
     out: np.ndarray | None = None,
-    maps: FeatureMaps | None = None,
+    *,
+    maps: FeatureMaps,
 ) -> Batch:
     """Draw a batch of ``videos_per_batch`` blocks totalling ``batch_size`` rows.
 
@@ -129,8 +130,7 @@ def build_batch(
             ends in the same state. The batch's rows are a read-only view of
             ``out``, so the next call given the same ``out`` overwrites them.
             A new 2B x dim array when None.
-        maps: The ``FeatureMaps`` disk-backed videos are read through; when
-            None, each chosen video is mapped for its read alone.
+        maps: The ``FeatureMaps`` disk-backed videos are read through.
 
     Raises:
         ValueError: If batch_size is not a positive multiple of
@@ -162,7 +162,7 @@ def build_batch(
         mates = sample_positive(anchors, window, video.num_frames, rng)
         # Positives lie near their anchors, on the same pages: read both at once.
         frames = np.stack((anchors, mates)[:halves])
-        video.load_feature_rows(frames, blocks[:, block], maps)
+        video.load_feature_rows(frames, blocks[:, block], maps=maps)
     rows = out.view()
     rows.flags.writeable = False
     return Batch(rows, batch_size)

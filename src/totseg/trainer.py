@@ -497,17 +497,18 @@ def embed_dataset(
     """Per-frame cluster log-probabilities, one video at a time: the
     lattice ``decode.viterbi_fixed_order`` takes.
 
-    Videos are processed independently and frames within a video in
-    chunks of ``_CHUNK_SIZE``, so peak memory follows the longest single
-    video, never the dataset. One ``Workspace`` of min(``_CHUNK_SIZE``,
-    longest video) rows per call holds every chunk's feature rows,
-    activations, unit rows and exponentials; each chunk's log-probabilities
-    go straight into its rows of the video's F x K lattice, a new array per
-    video. `normalize` must match the setting the checkpoint was trained
-    with, otherwise scores live on a different scale than the prototypes
-    expect. Each chunk's ``log_softmax_rows`` is floored in place at
-    log(decode.PROBABILITY_FLOOR), so the lattice is finite wherever the
-    scores are.
+    Videos are processed one at a time, frames in chunks of
+    ``_CHUNK_SIZE``, so peak memory follows the longest single video, never
+    the dataset. Each video's file is mapped once (``dataio.FeatureMaps``)
+    for all its chunks, and closed before its lattice is yielded. One
+    ``Workspace`` of min(``_CHUNK_SIZE``, longest video) rows per call holds
+    every chunk's feature rows, activations, unit rows and exponentials;
+    each chunk's log-probabilities go into its rows of the video's F x K
+    lattice, a new array per video. `normalize` must match the setting the
+    checkpoint was trained with, otherwise scores live on a different scale
+    than the prototypes expect. Each chunk's ``log_softmax_rows`` is floored
+    in place at log(decode.PROBABILITY_FLOOR), so the lattice is finite
+    wherever the scores are.
 
     Yields:
         (video_id, F x K floored log-probabilities) per video, catalog order.
@@ -518,13 +519,14 @@ def embed_dataset(
     workspace = Workspace.for_chunks(params, min(chunk, longest), normalize)
     for video in catalog.videos:
         lattice = np.empty((video.num_frames, params.prototypes.shape[0]))
-        for start in range(0, video.num_frames, chunk):
-            stop = min(start + chunk, video.num_frames)
-            head = workspace.head(stop - start)
-            rows = video.load_feature_rows(np.arange(start, stop), out=head.rows)
-            scores = forward(params, rows, len(rows), normalize, head).scores
-            log_p, _ = log_softmax_rows(
-                scores, temperature, out=lattice[start:stop], exponentials=head.exponentials
-            )
-            np.maximum(log_p, log_floor, out=log_p)
+        with FeatureMaps([video]) as maps:
+            for start in range(0, video.num_frames, chunk):
+                stop = min(start + chunk, video.num_frames)
+                head = workspace.head(stop - start)
+                rows = video.load_feature_rows(np.arange(start, stop), out=head.rows, maps=maps)
+                scores = forward(params, rows, len(rows), normalize, head).scores
+                log_p, _ = log_softmax_rows(
+                    scores, temperature, out=lattice[start:stop], exponentials=head.exponentials
+                )
+                np.maximum(log_p, log_floor, out=log_p)
         yield video.video_id, lattice

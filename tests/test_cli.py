@@ -621,6 +621,15 @@ class TestExitCodes:
         return argv, f"{path}: feature file promises {size} bytes, file has {size + 7}"
 
     @staticmethod
+    def features_with_trailing_bytes_in_segment(data, runs, tmp_path):
+        # Found when segment maps the file, after video_000 was embedded.
+        path = data / "synthetic" / "features" / "video_001.totf"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(7))
+        argv = ["segment", data, "--checkpoints", runs]
+        return argv, f"{path}: feature file promises {size} bytes, file has {size + 7}"
+
+    @staticmethod
     def prediction_not_utf8(data, runs, tmp_path):
         argv = zero_predictions(data, tmp_path)
         path = tmp_path / "pred" / "synthetic" / "video_000.txt"
@@ -723,6 +732,7 @@ class TestExitCodes:
             checkpoint_header_case("checkpoint_normalized_flag_7", 22, "<B", 7),
             checkpoint_with_trailing_bytes,
             features_with_trailing_bytes,
+            features_with_trailing_bytes_in_segment,
             prediction_not_utf8,
             prediction_is_a_directory,
             prediction_dir_is_a_file,

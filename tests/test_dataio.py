@@ -102,25 +102,29 @@ class TestLoadFeatureRows:
         values = rng.normal(size=(20, 6)).astype(np.float32).astype(np.float64)
         seq = self.disk_backed(tmp_path, values)
         rows = np.array([17, 0, 5, 5, 19])
-        np.testing.assert_array_equal(seq.load_feature_rows(rows), values[rows])
-        np.testing.assert_array_equal(seq.load_features(), values)
-        # Consecutive frames read as a slice of the map, a lone frame too.
-        for rows in (np.arange(3, 11), np.array([19])):
-            np.testing.assert_array_equal(seq.load_feature_rows(rows), values[rows])
+        with dataio.FeatureMaps([seq]) as maps:
+            np.testing.assert_array_equal(seq.load_feature_rows(rows, maps=maps), values[rows])
+            np.testing.assert_array_equal(seq.load_features(), values)
+            # Consecutive frames read as a slice of the map, a lone frame too.
+            for rows in (np.arange(3, 11), np.array([19])):
+                np.testing.assert_array_equal(
+                    seq.load_feature_rows(rows, maps=maps), values[rows]
+                )
 
     def test_in_memory_rows(self):
         values = np.arange(12.0).reshape(4, 3)
         seq = in_memory(values)
         np.testing.assert_array_equal(
-            seq.load_feature_rows([2, 0]), values[[2, 0]]
+            seq.load_feature_rows([2, 0], maps=dataio.FeatureMaps()), values[[2, 0]]
         )
 
     def test_out_of_range_rejected(self, tmp_path):
         seq = self.disk_backed(tmp_path, np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="frame index out of range for seq"):
-            seq.load_feature_rows([0, 4])
-        with pytest.raises(ValueError, match="out of range"):
-            seq.load_feature_rows([-1])
+        with dataio.FeatureMaps() as maps:
+            with pytest.raises(ValueError, match="frame index out of range for seq"):
+                seq.load_feature_rows([0, 4], maps=maps)
+            with pytest.raises(ValueError, match="out of range"):
+                seq.load_feature_rows([-1], maps=maps)
 
     def test_row_past_end_of_truncated_file(self, tmp_path):
         path = tmp_path / "short.totf"
@@ -130,8 +134,9 @@ class TestLoadFeatureRows:
         seq = FeatureSequence(video_id="short", num_frames=5, dim=3, path=path)
         # The file fails when it is mapped, whichever of its rows are read.
         for read in ([3], [4], np.arange(2, 5), []):
-            with pytest.raises(DataError, match="short.totf: row 4 extends past end of file$"):
-                seq.load_feature_rows(read)
+            with dataio.FeatureMaps() as maps:
+                with pytest.raises(DataError, match="short.totf: row 4 extends past end of file$"):
+                    seq.load_feature_rows(read, maps=maps)
         with pytest.raises(DataError, match="row 4 extends past end"):
             seq.load_features()
 
@@ -141,11 +146,14 @@ class TestLoadFeatureRows:
         values[[12, 7], [1, 2]] = [np.nan, -np.inf]
         seq = self.disk_backed(tmp_path, values) if on_disk else in_memory(values, "seq")
         source = r"/seq\.totf" if on_disk else "^video seq"
-        np.testing.assert_array_equal(seq.load_feature_rows([0, 15, 3]), np.zeros((3, 3)))
-        for rows, frame in (([12, 0, 7], 7), ([15, 12], 12), (np.arange(5, 14), 7)):
-            message = f"{source}: non-finite feature value in frame {frame}$"
-            with pytest.raises(DataError, match=message):
-                seq.load_feature_rows(rows)
+        with dataio.FeatureMaps([seq]) as maps:
+            np.testing.assert_array_equal(
+                seq.load_feature_rows([0, 15, 3], maps=maps), np.zeros((3, 3))
+            )
+            for rows, frame in (([12, 0, 7], 7), ([15, 12], 12), (np.arange(5, 14), 7)):
+                message = f"{source}: non-finite feature value in frame {frame}$"
+                with pytest.raises(DataError, match=message):
+                    seq.load_feature_rows(rows, maps=maps)
 
 
 class TestFeatureMaps:
@@ -207,8 +215,9 @@ class TestFeatureMaps:
         with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
             dataio.FeatureMaps([video])
         # So does a read of rows that are present.
-        with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
-            video.load_feature_rows([2])
+        with dataio.FeatureMaps() as maps:
+            with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
+                video.load_feature_rows([2], maps=maps)
 
 
 class TestLabelMapping:

@@ -63,8 +63,20 @@ def test_verdict(change, better, want):
 def test_a_wide_parent_that_reads_worse_is_unresolved():
     parent = [5.0, 6.0, 8.0, 9.0, 10.0, 10.0, 11.0, 12.0, 14.0, 15.0]  # spread 4.5 of 10
     assert summary(parent, [v + 1.0 for v in parent])["verdict"] == "unresolved"
-    assert summary(parent, [v - 0.5 for v in parent])["verdict"] == "no change"
+    assert summary(parent, [v - 0.5 for v in parent])["verdict"] == "unresolved"
     assert summary(parent, [v * 1.4 for v in parent])["verdict"] == "worse"
+
+
+def test_a_wide_parent_beaten_by_every_change_run_is_no_change():
+    # Spread 4 of median 10, past the bound; every change run beats every
+    # parent run, by a median gain (1.5) within the spread.
+    parent = [9.0, 9.5, 10.0, 10.0, 10.0, 10.0, 14.0, 14.0, 14.0, 14.0]
+    stats = summary(parent, [8.5] * 10)
+    assert stats["parent_quartile_spread"] == 4.0
+    assert stats["change_beats_every_parent_run"]
+    assert stats["verdict"] == "no change"
+    # One change run level with the parent's best leaves it unresolved.
+    assert summary(parent, [8.5] * 9 + [9.0])["verdict"] == "unresolved"
 
 
 def test_a_zero_parent_median_takes_the_bound_as_absolute():

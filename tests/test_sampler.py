@@ -10,6 +10,10 @@ from totseg.dataio import FeatureSequence, write_features
 from totseg.errors import DataError
 from totseg.sampler import build_batch, sample_ordered, sample_positive
 
+# In-memory videos are read without a map, so one empty FeatureMaps serves
+# every in-memory pool.
+NO_MAPS = dataio.FeatureMaps()
+
 
 def make_video(video_id, num_frames, dim=3, seed=0):
     rng = np.random.default_rng(seed)
@@ -160,7 +164,7 @@ class TestBuildBatch:
 
     def test_two_blocks_cover_the_batch(self):
         videos = self.pool([300, 280, 400])
-        batch = build_batch(videos, 2, 512, np.random.default_rng(8))
+        batch = build_batch(videos, 2, 512, np.random.default_rng(8), maps=NO_MAPS)
         assert batch.rows.shape == (1024, 3)
         assert batch.batch_size == 512
         assert not batch.rows.flags.writeable
@@ -175,7 +179,7 @@ class TestBuildBatch:
 
     def test_rows_match_source_frames(self):
         videos = self.pool([40, 50, 60])
-        batch = build_batch(videos, 2, 32, np.random.default_rng(9), window=5)
+        batch = build_batch(videos, 2, 32, np.random.default_rng(9), window=5, maps=NO_MAPS)
         blocks = replay(videos, 2, 32, np.random.default_rng(9), window=5)
         np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
 
@@ -186,7 +190,7 @@ class TestBuildBatch:
         rng = np.random.default_rng(10)
         for _ in range(100):
             blocks = replay(videos, 2, 64, copy.deepcopy(rng))
-            batch = build_batch(videos, 2, 64, rng)
+            batch = build_batch(videos, 2, 64, rng, maps=NO_MAPS)
             np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
             for _, anchors, _ in blocks:
                 assert np.all(np.diff(anchors) > 0)
@@ -196,7 +200,7 @@ class TestBuildBatch:
         rng = np.random.default_rng(11)
         for _ in range(20):
             blocks = replay(videos, 2, 40, copy.deepcopy(rng), window=7)
-            batch = build_batch(videos, 2, 40, rng, window=7)
+            batch = build_batch(videos, 2, 40, rng, window=7, maps=NO_MAPS)
             np.testing.assert_array_equal(batch.rows, replayed_rows(blocks))
             for video, anchors, positives in blocks:
                 assert np.all(np.abs(positives - anchors) <= 7)
@@ -206,7 +210,7 @@ class TestBuildBatch:
     def test_single_video_batch(self):
         # A block as long as its video holds every frame, in order.
         videos = self.pool([128])
-        batch = build_batch(videos, 1, 128, np.random.default_rng(12))
+        batch = build_batch(videos, 1, 128, np.random.default_rng(12), maps=NO_MAPS)
         np.testing.assert_array_equal(batch.rows[:128], videos[0].array)
         assert batch.positive_features.shape == (128, 3)
 
@@ -223,8 +227,8 @@ class TestBuildBatch:
         both, alone = np.random.default_rng(16), np.random.default_rng(16)
         with dataio.FeatureMaps(videos) as maps:
             for _ in range(5):
-                full = build_batch(videos, 3, 60, both, 6, np.empty((120, 4)), maps)
-                half = build_batch(videos, 3, 60, alone, 6, np.empty((60, 4)), maps)
+                full = build_batch(videos, 3, 60, both, 6, np.empty((120, 4)), maps=maps)
+                half = build_batch(videos, 3, 60, alone, 6, np.empty((60, 4)), maps=maps)
                 assert half.rows.shape == (60, 4)
                 assert half.positive_features.shape == (0, 4)
                 np.testing.assert_array_equal(half.rows, full.rows[:60])
@@ -238,13 +242,13 @@ class TestBuildBatch:
         videos = [FeatureSequence("bad", 16, 3, path=path)]
         # A 16-row block of a 16-frame video reads every frame.
         message = r"bad\.totf: non-finite feature value in frame 7$"
-        with pytest.raises(DataError, match=message):
-            build_batch(videos, 1, 16, np.random.default_rng(0))
+        with dataio.FeatureMaps() as maps, pytest.raises(DataError, match=message):
+            build_batch(videos, 1, 16, np.random.default_rng(0), maps=maps)
 
     def test_deterministic_under_seed(self):
         videos = self.pool([80, 90, 100])
-        a = build_batch(videos, 2, 48, np.random.default_rng(13))
-        b = build_batch(videos, 2, 48, np.random.default_rng(13))
+        a = build_batch(videos, 2, 48, np.random.default_rng(13), maps=NO_MAPS)
+        b = build_batch(videos, 2, 48, np.random.default_rng(13), maps=NO_MAPS)
         np.testing.assert_array_equal(a.rows, b.rows)
         blocks = replay(videos, 2, 48, np.random.default_rng(13))
         np.testing.assert_array_equal(a.rows, replayed_rows(blocks))
@@ -272,9 +276,10 @@ class TestBuildBatch:
             return map_payload(path, *args)
 
         monkeypatch.setattr(dataio, "_map_payload", counted)
-        want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6)
-        assert opens == []
-        got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6)
+        with dataio.FeatureMaps() as maps:
+            want = build_batch(in_memory, 3, 60, np.random.default_rng(14), window=6, maps=maps)
+            assert opens == []
+            got = build_batch(on_disk, 3, 60, np.random.default_rng(14), window=6, maps=maps)
         blocks = replay(in_memory, 3, 60, np.random.default_rng(14), window=6)
         assert opens == [video.video_id for video, _, _ in blocks]
         np.testing.assert_array_equal(got.rows, want.rows)
@@ -285,15 +290,15 @@ class TestBuildBatch:
         calls = []
         load = FeatureSequence.load_feature_rows
 
-        def counted(self, rows, out=None, maps=None):
+        def counted(self, rows, out=None, *, maps):
             calls.append((self, np.shape(rows), out, maps))
-            return load(self, rows, out, maps)
+            return load(self, rows, out, maps=maps)
 
         monkeypatch.setattr(FeatureSequence, "load_feature_rows", counted)
         videos = self.pool([90, 120, 150], dim=4)
         out = np.empty((120, 4))
         with dataio.FeatureMaps() as maps:
-            batch = build_batch(videos, 3, 60, np.random.default_rng(15), 6, out, maps)
+            batch = build_batch(videos, 3, 60, np.random.default_rng(15), 6, out, maps=maps)
         blocks = out.reshape(2, 3, 20, 4)
         assert len(calls) == 3
         for block, (video, shape, into, through) in enumerate(calls):
@@ -308,16 +313,16 @@ class TestBuildBatch:
 
     def test_indivisible_batch_rejected(self):
         with pytest.raises(ValueError, match="positive multiple"):
-            build_batch(self.pool([100, 100, 100]), 3, 10, np.random.default_rng(0))
+            build_batch(self.pool([100, 100, 100]), 3, 10, np.random.default_rng(0), maps=NO_MAPS)
 
     def test_nonpositive_videos_per_batch_rejected(self):
         with pytest.raises(ValueError, match="videos_per_batch"):
-            build_batch(self.pool([100]), 0, 10, np.random.default_rng(0))
+            build_batch(self.pool([100]), 0, 10, np.random.default_rng(0), maps=NO_MAPS)
 
     def test_short_video_in_pool_rejected(self):
         with pytest.raises(ValueError, match=r"shorter than block size 16: \['v1'\]"):
-            build_batch(self.pool([100, 7]), 2, 32, np.random.default_rng(0))
+            build_batch(self.pool([100, 7]), 2, 32, np.random.default_rng(0), maps=NO_MAPS)
 
     def test_pool_smaller_than_videos_per_batch_rejected(self):
         with pytest.raises(ValueError, match="only 1 available"):
-            build_batch(self.pool([100]), 2, 32, np.random.default_rng(0))
+            build_batch(self.pool([100]), 2, 32, np.random.default_rng(0), maps=NO_MAPS)

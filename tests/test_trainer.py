@@ -442,7 +442,7 @@ class TestStepOwnership:
         catalog = small_catalog()
         config = small_config(mode="tot+tcl")
         rng = np.random.default_rng(3)
-        batch = build_batch(catalog.videos, 2, 32, rng, window=10)
+        batch = build_batch(catalog.videos, 2, 32, rng, window=10, maps=dataio.FeatureMaps())
         params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
         step = forward(params, batch.rows, 32, True)
         prior = transport.temporal_prior(16, 3, config.transport.sigma)
@@ -470,7 +470,7 @@ class TestStepOwnership:
     def test_forward_embeds_the_batch_rows_without_a_copy(self):
         catalog = small_catalog()
         rng = np.random.default_rng(4)
-        batch = build_batch(catalog.videos, 2, 32, rng, window=10)
+        batch = build_batch(catalog.videos, 2, 32, rng, window=10, maps=dataio.FeatureMaps())
         params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
         inputs = forward(params, batch.rows, 32, True).cache.inputs
         assert np.shares_memory(inputs, batch.rows)
@@ -857,7 +857,8 @@ class TestEmbedDataset:
             pieces = []
             for start in range(0, video.num_frames, chunk):
                 rows = video.load_feature_rows(
-                    np.arange(start, min(start + chunk, video.num_frames))
+                    np.arange(start, min(start + chunk, video.num_frames)),
+                    maps=dataio.FeatureMaps(),
                 )
                 scores = forward(params, rows, len(rows), normalize).scores
                 pieces.append(np.maximum(log_softmax_rows(scores, temperature)[0], log_floor))
@@ -867,6 +868,31 @@ class TestEmbedDataset:
             assert lattice.tobytes() == want.tobytes()  # signed zeros too
             floored += int((lattice == log_floor).sum())
         assert (floored > 0) == (temperature == 1e-3)
+
+    def test_each_disk_video_is_mapped_once(self, tmp_path, monkeypatch):
+        # Every video spans at least three chunks. Its file is mapped before
+        # the first and closed before its lattice is yielded.
+        write_catalog(small_catalog(), tmp_path)
+        catalog = load_catalog(tmp_path, "synthetic")
+        rng = np.random.default_rng(0)
+        params = encoder.init_params(catalog.dim, 12, 6, catalog.num_actions, rng)
+        chunk = min(video.num_frames for video in catalog.videos) // 3
+        monkeypatch.setattr(trainer, "_CHUNK_SIZE", chunk)
+        opens, views = [], []
+        map_payload = dataio._map_payload
+
+        def counted(path, *args):
+            entry = map_payload(path, *args)
+            opens.append(path.stem)
+            views.append(entry[0])
+            return entry
+
+        monkeypatch.setattr(dataio, "_map_payload", counted)
+        embedded = embed_dataset(params, catalog)
+        for video, (video_id, _) in zip(catalog.videos, embedded, strict=True):
+            assert opens[-1] == video_id == video.video_id
+            assert all(view.closed for view in views)
+        assert opens == [video.video_id for video in catalog.videos]
 
     def test_each_video_gets_its_own_lattice(self):
         catalog, params = self.trained()
