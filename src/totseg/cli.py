@@ -16,11 +16,10 @@ error when an activity has fewer videos of at least one block's length
 (batch / videos-per-batch frames) than a batch draws. A checkpoint whose
 header has a dimension below 1, a normalized flag other than 0 or 1, or a
 temperature that is not finite and positive, is a data error; so is a
-feature file of another size than its header claims, a ground-truth, ``mapping.txt`` or
-prediction file that is not UTF-8 text, and a directory where a
-prediction file should be, and an ``eval --exclude-background`` id that
-is not an action id of the activity's ``mapping.txt`` (the line names the
-id and the activity). An ``--activity`` list that names no activity, or
+ground-truth, ``mapping.txt`` or prediction file that is not UTF-8 text,
+a directory where a prediction file should be, and an
+``eval --exclude-background`` id that is not an action id of the
+activity's ``mapping.txt`` (the line names the id and the activity). An ``--activity`` list that names no activity, or
 names one twice, is a usage error, and so is a ``synth --activity`` name
 that is empty, ``.`` or ``..``, holds ``/`` or ``,``, or starts or ends
 with whitespace (no other command could select it), a ``synth --dim`` or
@@ -46,6 +45,9 @@ zero or an invalid operation, as from an extreme ``--tau``, ``--rho``,
 ``--epsilon`` or ``--sigma``) or during segmentation (as from a
 checkpoint weight near the float64 limit), and non-finite frame scores in
 ``segment`` (from the checkpoint's weights), are numerical failures.
+``train``, ``segment`` and ``eval`` read an activity's feature headers
+before its frames, predictions or outputs, and a feature file of another
+size than its header claims is a data error there (``load_catalog``).
 """
 
 from __future__ import annotations

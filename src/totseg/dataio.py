@@ -17,10 +17,9 @@ command reads goes through ``FeatureSequence.load_feature_rows``, which
 gathers from a memory map of the payload and checks finiteness with one
 sum per read, so memory stays proportional to the batch rather than the
 dataset. Every read goes through a ``FeatureMaps``, which maps each file
-once and releases its pages after each read: ``train`` holds one per run,
-mapped before the first step, and ``segment`` one per video, from its
-first chunk to its last. A file whose size is not the one its header
-claims is a DataError whenever it is mapped.
+on its first read and releases its pages after each read: ``train`` holds
+one per run, and ``segment`` one per video, from its first chunk to its
+last.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ class FeatureSequence:
         """Full num_frames x dim float64 matrix."""
         if self.array is not None:
             return self.array
-        with FeatureMaps([self]) as maps:
+        with FeatureMaps() as maps:
             return self.load_feature_rows(np.arange(self.num_frames), maps=maps)
 
     def load_feature_rows(
@@ -93,9 +92,8 @@ class FeatureSequence:
                 which maps the file unless it holds its map already.
 
         Raises:
-            DataError: The video's file, mapped here, is not the size its
-                header claims, or a row read holds a NaN or an infinity (names the
-                file, or the in-memory video, and the lowest such frame).
+            DataError: A row read holds a NaN or an infinity (names the file,
+                or the in-memory video, and the lowest such frame).
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_frames):
@@ -123,19 +121,8 @@ def _map_payload(path: Path, num_frames: int, dim: int) -> tuple[mmap.mmap, np.n
 
     The file's descriptor is closed before this returns; the map can close
     only once no array of it is left.
-
-    Raises:
-        DataError: The file is not exactly the size its header claims: a
-            short payload names the first missing row, a long one both sizes.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        expected = _FEATURE_HEADER.size + 4 * num_frames * dim
-        if size < expected:
-            present = max(0, size - _FEATURE_HEADER.size) // (dim * 4)
-            raise DataError(f"{path}: row {present} extends past end of file")
-        if size > expected:
-            raise DataError(f"{path}: feature file promises {expected} bytes, file has {size}")
         view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     payload = np.frombuffer(
         view, dtype="<f4", count=num_frames * dim, offset=_FEATURE_HEADER.size
@@ -167,9 +154,8 @@ def _copy_rows(source: np.ndarray, frames: np.ndarray, out: np.ndarray) -> None:
 class FeatureMaps:
     """Read-only maps of disk-backed videos, each opened once and kept open.
 
-    ``train`` holds one for its run: it maps the pool when it starts, so a
-    file of the wrong size stops the run before the first step, and every
-    batch then reads through the maps; ``segment`` holds one per video.
+    ``train`` holds one for its run, and every batch reads through it;
+    ``segment`` holds one per video. A file is mapped on its first read.
     After each read the map's pages are released (``MADV_DONTNEED``), so
     resident memory stays that of one read; the next read faults them back
     in from the page cache.
@@ -177,19 +163,13 @@ class FeatureMaps:
     is closed, and mapped again when it is next read. ``close`` (or leaving
     a ``with`` block) closes them all.
 
-    A feature file must not be truncated or rewritten while it is mapped:
-    reading past the end of a truncated map is a SIGBUS, not a DataError.
+    A feature file must not change from the time ``load_catalog`` reads its
+    header until the command ends: reading past the end of a truncated map
+    is a SIGBUS, not a DataError.
     """
 
-    def __init__(self, videos=()) -> None:
+    def __init__(self) -> None:
         self._maps: OrderedDict[Path, tuple[mmap.mmap, np.ndarray]] = OrderedDict()
-        try:
-            for video in videos:
-                if video.array is None:
-                    self._payload(video)
-        except BaseException:
-            self.close()
-            raise
 
     def __enter__(self) -> "FeatureMaps":
         return self
@@ -210,10 +190,6 @@ class FeatureMaps:
                 the file's float32 (or from an in-memory video's array).
                 ``FeatureSequence.load_feature_rows`` checks that they are
                 finite.
-
-        Raises:
-            DataError: The video's file was first mapped here and is not
-                the size its header claims.
         """
         if video.array is not None:
             _copy_rows(video.array, frames, out)
@@ -284,11 +260,23 @@ def write_features(frames, path) -> None:
 
 
 def read_feature_header(path) -> tuple[int, int]:
-    """(rows, cols) from a feature file without touching the payload."""
+    """(rows, cols) from a feature file without touching the payload.
+
+    The file must be exactly ``14 + 4 * rows * cols`` bytes. This is the one
+    place that checks it: ``load_catalog`` calls it for every video, so no
+    map is made of a file of another size.
+
+    Raises:
+        DataError: The file cannot be read, is shorter than the header, has
+            another magic or format version, or is not the size its header
+            claims: a short payload names the first missing row, a long one
+            both sizes.
+    """
     path = Path(path)
     try:
         with open(path, "rb") as fh:
             raw = fh.read(_FEATURE_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
     except OSError as err:
         raise DataError(f"{path}: cannot read feature file: {err.strerror}") from None
     if len(raw) < _FEATURE_HEADER.size:
@@ -300,6 +288,13 @@ def read_feature_header(path) -> tuple[int, int]:
         raise DataError(
             f"{path}: feature format version {version}, expected {FEATURE_VERSION}"
         )
+    # The header is all there, so a short payload means cols > 0.
+    expected = _FEATURE_HEADER.size + 4 * rows * cols
+    if size < expected:
+        present = (size - _FEATURE_HEADER.size) // (4 * cols)
+        raise DataError(f"{path}: row {present} extends past end of file")
+    if size > expected:
+        raise DataError(f"{path}: feature file promises {expected} bytes, file has {size}")
     return rows, cols
 
 
@@ -482,13 +477,18 @@ class DatasetCatalog:
 def load_catalog(root, activity: str) -> DatasetCatalog:
     """Scan ``root/<activity>/`` into a catalog without reading payloads.
 
+    Every feature file's header is read and its size checked against it
+    (``read_feature_header``), so every command rejects a file of another
+    size here, before any other work.
+
     Args:
         root: Dataset root directory.
         activity: Subdirectory name.
 
     Raises:
-        DataError: Missing directories, no feature files, or inconsistent
-            or zero feature dimensions.
+        DataError: Missing directories, no feature files, a feature file
+            that ``read_feature_header`` rejects, or inconsistent or zero
+            feature dimensions.
     """
     base = Path(root) / activity
     features_dir = base / "features"

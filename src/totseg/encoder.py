@@ -159,8 +159,7 @@ def init_params(
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-    prototypes = rng.normal(size=(num_clusters, embed_dim))
-    prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
+    prototypes, _ = normalize_rows(rng.normal(size=(num_clusters, embed_dim)))
     return EncoderParams(
         w1=glorot(input_dim, hidden_dim),
         b1=np.zeros(hidden_dim),

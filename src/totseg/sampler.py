@@ -136,8 +136,7 @@ def build_batch(
         ValueError: If batch_size is not a positive multiple of
             videos_per_batch, or the pool is too small.
         DataError: From ``FeatureSequence.load_feature_rows``, which reads
-            each block: a row read holds a non-finite value, or a chosen
-            video's file, mapped here, is not the size its header claims.
+            each block: a row read holds a non-finite value.
     """
     block_len = block_length(batch_size, videos_per_batch)
     too_short = [v.video_id for v in videos if v.num_frames < block_len]

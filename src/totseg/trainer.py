@@ -10,7 +10,7 @@ matrix with a dataset-length dimension, which is what makes the clustering
 online. ``test_online_memory_does_not_grow_with_the_dataset`` in
 ``tests/test_acceptance.py`` measures that claim: it traces the peak
 allocation of ``train`` and of ``segment`` on datasets of n and 16n videos.
-``train`` owns that memory: it maps each pool video once
+``train`` owns that memory: it maps each video its batches draw once
 (``dataio.FeatureMaps``) and allocates one ``Workspace`` of batch-sized
 arrays per run, which every step overwrites, so a batch's rows and a
 step's activations last only until the next ``build_batch`` and
@@ -392,9 +392,7 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     than one block (batch_size / videos_per_batch frames) are skipped with
     a warning each. Raises NumericalError naming the iteration if the loss
     leaves the reals, and DataError when a batch reads a non-finite feature
-    value, a pool video's feature file is not the size its header claims
-    (before the first step), or fewer than ``videos_per_batch`` videos are one
-    block long.
+    value or fewer than ``videos_per_batch`` videos are one block long.
 
     Args:
         catalog: Videos of one activity.
@@ -421,9 +419,7 @@ def train(catalog: DatasetCatalog, config: TrainConfig) -> TrainResult:
     if iterations is None:
         iterations = config.epochs * max(1, len(videos) // config.videos_per_batch)
 
-    # Mapped before anything is sized by the header: a file of another size
-    # than its header claims stops the run here, before the first step.
-    with FeatureMaps(videos) as maps:
+    with FeatureMaps() as maps:
         rng = np.random.default_rng(config.seed)
         params = encoder.init_params(
             catalog.dim, 2 * config.embed_dim, config.embed_dim, catalog.num_actions, rng
@@ -519,7 +515,7 @@ def embed_dataset(
     workspace = Workspace.for_chunks(params, min(chunk, longest), normalize)
     for video in catalog.videos:
         lattice = np.empty((video.num_frames, params.prototypes.shape[0]))
-        with FeatureMaps([video]) as maps:
+        with FeatureMaps() as maps:
             for start in range(0, video.num_frames, chunk):
                 stop = min(start + chunk, video.num_frames)
                 head = workspace.head(stop - start)

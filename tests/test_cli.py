@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import shutil
 import struct
 
 import numpy as np
@@ -68,6 +69,37 @@ def checkpoint_header_case(name, offset, fmt, value):
 
     corrupt.__name__ = name
     return corrupt
+
+
+def header_field(fmt, offset, change):
+    """A feature-file corruption that rewrites one header field (offsets as
+    in docs/file-formats.md) with ``change`` of its value."""
+
+    def corrupt(raw):
+        raw = bytearray(raw)
+        (value,) = struct.unpack_from(fmt, raw, offset)
+        struct.pack_into(fmt, raw, offset, change(value))
+        return bytes(raw)
+
+    return corrupt
+
+
+# Byte-level corruptions of one 6-column feature file: each maps the file's
+# bytes to what is written back.
+FEATURE_CORRUPTIONS = {
+    "empty": lambda raw: b"",
+    "13_bytes": lambda raw: raw[:13],
+    "header_only": lambda raw: raw[:14],
+    "cut_mid_row": lambda raw: raw[: 14 + 4 * 6 * 3 + 10],
+    "cut_at_a_row": lambda raw: raw[: 14 + 4 * 6 * 3],
+    "7_trailing_bytes": lambda raw: raw + bytes(7),
+    "rows_plus_1": header_field("<I", 6, lambda rows: rows + 1),
+    "rows_minus_1": header_field("<I", 6, lambda rows: rows - 1),
+    "cols_doubled": header_field("<I", 10, lambda cols: 2 * cols),
+    "cols_2_31": header_field("<I", 10, lambda cols: 2**31),
+    "wrong_magic": lambda raw: b"JUNK" + raw[4:],
+    "version_2": header_field("<H", 4, lambda version: 2),
+}
 
 
 def zero_predictions(data, tmp_path):
@@ -511,8 +543,8 @@ class TestExitCodes:
 
     @staticmethod
     def features_wider_than_their_payload(data, runs, tmp_path):
-        # Headers that claim 2**31 columns over the same payload: the pool is
-        # mapped, and the short payload found, before any array is sized by
+        # Headers that claim 2**31 columns over the same payload: the catalog
+        # finds the first file's short payload before any array is sized by
         # the header (the encoder's w1 would be hundreds of GiB).
         paths = sorted((data / "synthetic" / "features").glob("*.totf"))
         for path in paths:
@@ -622,7 +654,7 @@ class TestExitCodes:
 
     @staticmethod
     def features_with_trailing_bytes_in_segment(data, runs, tmp_path):
-        # Found when segment maps the file, after video_000 was embedded.
+        # Found when segment loads the catalog, before any video is embedded.
         path = data / "synthetic" / "features" / "video_001.totf"
         size = path.stat().st_size
         path.write_bytes(path.read_bytes() + bytes(7))
@@ -759,6 +791,40 @@ class TestExitCodes:
         # No failure leaves anything under --out: no activity directory, and
         # so no checkpoint, train.log, label file or temp file.
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture(scope="class")
+    def pristine(self, tmp_path_factory):
+        """A synthetic dataset, its checkpoint and all-zero predictions."""
+        root = tmp_path_factory.mktemp("pristine")
+        assert run(*synth_args(root / "data")) == 0
+        assert run(*train_args(root / "data", root / "runs", iterations=2)) == 0
+        zero_predictions(root / "data", root)
+        return root
+
+    @pytest.mark.parametrize("command", ["train", "segment", "eval"])
+    @pytest.mark.parametrize("corruption", FEATURE_CORRUPTIONS)
+    def test_every_command_rejects_a_corrupt_feature_file(
+        self, pristine, tmp_path, capsys, command, corruption
+    ):
+        # Each command reads every feature header first, so each of them
+        # exits 2 with one line naming the file, and writes nothing.
+        shutil.copytree(pristine, tmp_path, dirs_exist_ok=True)
+        data, out = tmp_path / "data", tmp_path / "out"
+        path = data / "synthetic" / "features" / "video_001.totf"
+        path.write_bytes(FEATURE_CORRUPTIONS[corruption](path.read_bytes()))
+        argv = {
+            "train": train_args(data, out, iterations=1),
+            "segment": ["segment", data, "--checkpoints", tmp_path / "runs", "--out", out],
+            "eval": ["eval", data, "--pred", tmp_path / "pred", "--out", out / "report.txt"],
+        }[command]
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"data error: {path}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     # Non-finite feature values read by segment exit 2 with one line naming
     # the file and frame; non-finite frame scores from the checkpoint's

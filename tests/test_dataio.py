@@ -102,7 +102,7 @@ class TestLoadFeatureRows:
         values = rng.normal(size=(20, 6)).astype(np.float32).astype(np.float64)
         seq = self.disk_backed(tmp_path, values)
         rows = np.array([17, 0, 5, 5, 19])
-        with dataio.FeatureMaps([seq]) as maps:
+        with dataio.FeatureMaps() as maps:
             np.testing.assert_array_equal(seq.load_feature_rows(rows, maps=maps), values[rows])
             np.testing.assert_array_equal(seq.load_features(), values)
             # Consecutive frames read as a slice of the map, a lone frame too.
@@ -126,27 +126,13 @@ class TestLoadFeatureRows:
             with pytest.raises(ValueError, match="out of range"):
                 seq.load_feature_rows([-1], maps=maps)
 
-    def test_row_past_end_of_truncated_file(self, tmp_path):
-        path = tmp_path / "short.totf"
-        write_features(np.ones((5, 3)), path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: 14 + 4 * 3 * 4])  # keep header + 4 of 5 rows
-        seq = FeatureSequence(video_id="short", num_frames=5, dim=3, path=path)
-        # The file fails when it is mapped, whichever of its rows are read.
-        for read in ([3], [4], np.arange(2, 5), []):
-            with dataio.FeatureMaps() as maps:
-                with pytest.raises(DataError, match="short.totf: row 4 extends past end of file$"):
-                    seq.load_feature_rows(read, maps=maps)
-        with pytest.raises(DataError, match="row 4 extends past end"):
-            seq.load_features()
-
     @pytest.mark.parametrize("on_disk", [True, False], ids=["mapped", "in_memory"])
     def test_non_finite_row_names_the_source_and_lowest_frame(self, tmp_path, on_disk):
         values = np.zeros((16, 3))
         values[[12, 7], [1, 2]] = [np.nan, -np.inf]
         seq = self.disk_backed(tmp_path, values) if on_disk else in_memory(values, "seq")
         source = r"/seq\.totf" if on_disk else "^video seq"
-        with dataio.FeatureMaps([seq]) as maps:
+        with dataio.FeatureMaps() as maps:
             np.testing.assert_array_equal(
                 seq.load_feature_rows([0, 15, 3], maps=maps), np.zeros((3, 3))
             )
@@ -172,7 +158,7 @@ class TestFeatureMaps:
         [(video, values)] = self.videos(tmp_path, 1)
         frames = np.array([[0, 4, 11], [1, 4, 10]])
         out = np.empty((2, 3, 3))
-        with dataio.FeatureMaps([video]) as maps:
+        with dataio.FeatureMaps() as maps:
             maps.read(video, frames, out)
             maps.read(video, frames, out)  # read again after its pages were released
         np.testing.assert_array_equal(out, values[frames])
@@ -199,25 +185,15 @@ class TestFeatureMaps:
         monkeypatch.setattr(dataio, "_map_payload", counted)
         videos = self.videos(tmp_path, 3)
         out = np.empty((1, 3))
-        with dataio.FeatureMaps([video for video, _ in videos]) as maps:
-            assert opens == ["v0", "v1", "v2"]  # v0 closed when v2 opened
-            for index in (1, 0, 0, 2, 1):
+        with dataio.FeatureMaps() as maps:
+            assert opens == []  # nothing is mapped before its first read
+            for index in (0, 1, 2, 1, 0, 0, 2, 1):
                 video, values = videos[index]
                 maps.read(video, np.array([5]), out)
                 np.testing.assert_array_equal(out, values[[5]])
-        # v0 maps again and closes v2; v2 maps again and closes v1, which
-        # then maps again and closes v0.
+        # v0 closes when v2 maps. Then v0 maps again and closes v2; v2 maps
+        # again and closes v1, which then maps again and closes v0.
         assert opens == ["v0", "v1", "v2", "v0", "v2", "v1"]
-
-    def test_a_file_shorter_than_its_header_fails_when_mapped(self, tmp_path):
-        [(video, _)] = self.videos(tmp_path, 1, frames=5)
-        video.path.write_bytes(video.path.read_bytes()[: 14 + 4 * 3 * 3])
-        with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
-            dataio.FeatureMaps([video])
-        # So does a read of rows that are present.
-        with dataio.FeatureMaps() as maps:
-            with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
-                video.load_feature_rows([2], maps=maps)
 
 
 class TestLabelMapping:
@@ -452,6 +428,39 @@ class TestLoadCatalog:
         write_features(np.zeros((2, 5)), base / "features" / "v2.totf")
         with pytest.raises(DataError, match=r"dimensions differ.*\[2, 5\]"):
             load_catalog(tmp_path, "cooking")
+
+    def test_row_past_end_of_truncated_file(self, tmp_path):
+        base = self.write_toy_dataset(tmp_path)
+        path = base / "features" / "short.totf"
+        write_features(np.ones((5, 2)), path)
+        path.write_bytes(path.read_bytes()[: 14 + 4 * 2 * 4])  # keep header + 4 of 5 rows
+        with pytest.raises(DataError, match=r"short\.totf: row 4 extends past end of file$"):
+            load_catalog(tmp_path, "cooking")
+
+    def test_a_file_shorter_than_its_header_fails(self, tmp_path):
+        # Cut inside row 3: the row is named whatever is left of it.
+        base = self.write_toy_dataset(tmp_path)
+        path = base / "features" / "v0.totf"
+        write_features(np.ones((5, 2)), path)
+        path.write_bytes(path.read_bytes()[: 14 + 4 * 2 * 3 + 5])
+        with pytest.raises(DataError, match=r"v0\.totf: row 3 extends past end of file$"):
+            load_catalog(tmp_path, "cooking")
+
+    def test_checks_every_size_without_mapping_a_payload(self, tmp_path, monkeypatch):
+        base = self.write_toy_dataset(tmp_path)
+        path = base / "features" / "v1.totf"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + bytes(7))
+
+        def refuse(path, *args):
+            raise AssertionError(f"{path} mapped while the catalog loads")
+
+        monkeypatch.setattr(dataio, "_map_payload", refuse)
+        message = rf"v1\.totf: feature file promises {size} bytes, file has {size + 7}$"
+        with pytest.raises(DataError, match=message):
+            load_catalog(tmp_path, "cooking")
+        path.write_bytes(path.read_bytes()[:size])
+        assert len(load_catalog(tmp_path, "cooking").videos) == 2
 
 
 class TestWriteCatalogRoundTrip:

@@ -225,7 +225,7 @@ class TestBuildBatch:
                 write_features(video.array, video.path)
                 video.array = None
         both, alone = np.random.default_rng(16), np.random.default_rng(16)
-        with dataio.FeatureMaps(videos) as maps:
+        with dataio.FeatureMaps() as maps:
             for _ in range(5):
                 full = build_batch(videos, 3, 60, both, 6, np.empty((120, 4)), maps=maps)
                 half = build_batch(videos, 3, 60, alone, 6, np.empty((60, 4)), maps=maps)

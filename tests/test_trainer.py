@@ -676,8 +676,11 @@ class TestTrain:
         assert len(result.records) == 3 * (5 // 2)
 
     def test_each_disk_video_is_mapped_once_per_run(self, tmp_path, monkeypatch):
+        # Only the videos a batch draws are mapped, each on its first read.
         write_catalog(small_catalog(), tmp_path)
         catalog = load_catalog(tmp_path, "synthetic")
+        ids = [video.video_id for video in catalog.videos]
+        assert len(ids) == 6
         opens = []
         map_payload = dataio._map_payload
 
@@ -686,8 +689,12 @@ class TestTrain:
             return map_payload(path, *args)
 
         monkeypatch.setattr(dataio, "_map_payload", counted)
+        train(catalog, small_config(iterations=1))
+        assert len(opens) == len(set(opens)) == 2
+        assert set(opens) <= set(ids)
+        opens.clear()
         train(catalog, small_config(iterations=20))
-        assert opens == [video.video_id for video in catalog.videos]
+        assert sorted(opens) == ids
 
     def test_a_pool_past_the_open_map_cap_trains_under_a_low_descriptor_limit(
         self, tmp_path
@@ -704,14 +711,23 @@ class TestTrain:
             frames = rng.normal(size=(8, 2))
             write_features(frames, tmp_path / "many" / "features" / f"v{index:03d}.totf")
         LabelMapping({"a": 0, "b": 1}).to_file(tmp_path / "many" / "mapping.txt")
+        # Maps are made on first read, so the run must draw more distinct
+        # videos than the limit; the child prints how many it mapped.
         script = (
             "import resource, sys\n"
             "from totseg import dataio, trainer\n"
             "_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
             f"resource.setrlimit(resource.RLIMIT_NOFILE, ({limit}, hard))\n"
+            "mapped = set()\n"
+            "map_payload = dataio._map_payload\n"
+            "def counted(path, *args):\n"
+            "    mapped.add(path)\n"
+            "    return map_payload(path, *args)\n"
+            "dataio._map_payload = counted\n"
             "catalog = dataio.load_catalog(sys.argv[1], 'many')\n"
-            "config = trainer.TrainConfig(iterations=3, batch_size=8, embed_dim=2)\n"
+            "config = trainer.TrainConfig(iterations=600, batch_size=8, embed_dim=2)\n"
             "trainer.train(catalog, config)\n"
+            "print(len(mapped))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
         done = subprocess.run(
@@ -722,6 +738,7 @@ class TestTrain:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
+        assert int(done.stdout) > limit
 
     def test_pool_too_small_rejected(self):
         catalog = small_catalog(num_videos=2)
